@@ -7,13 +7,10 @@ axis holds the components (w, x, y, z); slice grids are embedded from their
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .hypercomplex import ImaginaryUnit, Quaternion, TruncationError
+from .hypercomplex import ImaginaryUnit, Quaternion, star_exp_on_slice
 
-ONE4 = np.array([1.0, 0.0, 0.0, 0.0])
 CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
@@ -74,34 +71,8 @@ def horner_slice(coeffs, x: np.ndarray, y: np.ndarray, unit: ImaginaryUnit) -> n
 
 
 def star_exp_grid(nu: float, x: np.ndarray, y: np.ndarray, unit: ImaginaryUnit,
-                  p: Quaternion, tol: float = 1e-14,
-                  max_terms: int = 512) -> np.ndarray:
-    """Star exponential sum_n nu^n q^n conj(p)^n / n! over a slice grid.
-
-    Uses one uniform truncation order for the whole grid, chosen so the
-    worst-case term bound (at the largest |q| on the grid) falls below
-    ``tol`` in absolute value; deterministic for a fixed grid.
-    """
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    qg = embed_complex(x, y, unit)
-    total = np.broadcast_to(ONE4, qg.shape).copy()
-    u = np.broadcast_to(ONE4, qg.shape).copy()
-    v = Quaternion(1.0, 0.0, 0.0, 0.0)
-    pbar = p.conjugate()
-    qa_max = float(np.max(np.hypot(x, y)))
-    pa = abs(p)
-    bound = 1.0
-    for n in range(1, max_terms + 1):
-        s = math.sqrt(nu / n)
-        u = qmul(u, qg) * s
-        v = (v * pbar) * s
-        total += qmul(u, qconst(v))
-        bound *= nu * qa_max * pa / n
-        if bound < tol:
-            return total
-    raise TruncationError(
-        f"star exponential grid did not converge in {max_terms} terms "
-        f"(nu={nu}, max |q|={qa_max:.3g}, |p|={pa:.3g})")
+                  p: Quaternion) -> np.ndarray:
+    """Star exponential sum_n nu^n q^n conj(p)^n / n! over the slice grid
+    q = x + unit*y, in closed form (see ``hypercomplex.star_exp_on_slice``)."""
+    z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
+    return np.stack(star_exp_on_slice(nu, z, unit, p), axis=-1)

@@ -38,9 +38,12 @@ def _fmt(value: float) -> str:
 
 
 def _load_json(path: str) -> dict:
+    def reject(name: str):
+        raise InputError(f"{path}: non-finite number {name} is not allowed")
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=reject)
     except FileNotFoundError:
         raise InputError(f"input file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -133,6 +136,8 @@ def cmd_kernel(args) -> int:
                          f"choose from {GRAM_KERNELS}")
     params = _kernel_params(kernel_id, data, args)
     pairs = _require(data, "pairs", "kernel input")
+    if not pairs:
+        raise InputError("kernel input: field 'pairs' is empty")
     lines = []
     header = ("pair,value.w,value.x,value.y,value.z"
               if kernel_id == "rbf-qslice" else "pair,value.re,value.im")
@@ -142,7 +147,10 @@ def cmd_kernel(args) -> int:
             raise InputError(f"pairs[{i}]: expected [point, point]")
         a = _parse_point(kernel_id, pair[0], f"pairs[{i}][0]")
         b = _parse_point(kernel_id, pair[1], f"pairs[{i}][1]")
-        value = _kernel_value(kernel_id, params, a, b)
+        try:
+            value = _kernel_value(kernel_id, params, a, b)
+        except OverflowError as exc:
+            raise InputError(f"pairs[{i}]: {exc}")
         if isinstance(value, Quaternion):
             lines.append(f"{i}," + ",".join(_fmt(v) for v in value.to_list()))
         else:
@@ -159,13 +167,15 @@ def cmd_gram(args) -> int:
         raise InputError(f"gram: unknown kernel {kernel_id!r}")
     params = _kernel_params(kernel_id, data, args)
     raw_points = _require(data, "points", "gram input")
+    if not raw_points:
+        raise InputError("gram input: field 'points' is empty")
     points = [_parse_point(kernel_id, p, f"points[{i}]")
               for i, p in enumerate(raw_points)]
     if kernel_id != "rbf-qslice":
         points = np.stack(points)
     try:
         gram = build_gram(kernel_id, params, points)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"gram: {exc}")
     report = psd_check(gram, tol=args.tol)
 

@@ -95,11 +95,8 @@ def build_gram(kernel_id: str, params: dict, points) -> GramMatrix:
             for b in range(n):
                 v = rbf_kernel_qslice(gamma, pts[a], pts[b])
                 g[a, b] = (v.w, v.x, v.y, v.z)
-        sym = np.empty_like(g)
         signs = np.array([1.0, -1.0, -1.0, -1.0])
-        for a in range(n):
-            for b in range(n):
-                sym[a, b] = 0.5 * (g[a, b] + signs * g[b, a])
+        sym = 0.5 * (g + signs * g.transpose(1, 0, 2))
         flat = np.stack([p.to_list() for p in pts])
         return GramMatrix(sym, kernel_id, dict(params), _hash_points(flat))
 

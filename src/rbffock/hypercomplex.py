@@ -3,9 +3,10 @@
 A quaternion q = w + x*i + y*j + z*k with a nonzero imaginary part sits on
 exactly one slice C_I = {s + I*t : s, t real}, where I is the unit imaginary
 quaternion along its vector part.  C_I is an isomorphic copy of the complex
-plane, so every intrinsic function used downstream (squared-exponential
-envelopes, the star exponential on a common slice) is evaluated by ordinary
-complex arithmetic on the slice and re-embedded.
+plane, so every intrinsic function used downstream (the squared-exponential
+envelopes) is evaluated by ordinary complex arithmetic on the slice and
+re-embedded.  The star exponential of two points on different slices is
+likewise a fixed combination of two complex exponentials.
 
 All values here are immutable; operations are pure functions.
 """
@@ -14,14 +15,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Quaternion",
     "ImaginaryUnit",
     "SlicePoint",
     "I_DEFAULT",
-    "TruncationError",
     "slice_decompose",
     "embed_in_slice",
     "intrinsic_exp_sq",
@@ -29,8 +32,8 @@ __all__ = [
 ]
 
 
-class TruncationError(RuntimeError):
-    """A truncated series did not reach its tolerance within the term cap."""
+# exp(x) is finite exactly for x <= log(DBL_MAX) ~ 709.78
+LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,37 +227,46 @@ def intrinsic_exp_sq(gamma: float, q: Quaternion, sign: int = -1) -> Quaternion:
     return embed_in_slice(cmath.exp(sign * zsq / (gamma * gamma)), sp.unit)
 
 
-def star_exp(nu: float, q: Quaternion, p: Quaternion,
-             tol: float = 1e-14, max_terms: int = 512) -> Quaternion:
-    """Star exponential sum_n nu^n q^n conj(p)^n / n!.
+def star_exp_on_slice(nu: float, z, unit: ImaginaryUnit, p: Quaternion):
+    """Real components of star_exp(nu; q, p) for q = Re z + unit*Im z.
 
-    The powers of q stay to the left of the powers of conj(p); for p, q on
-    a common slice this reduces to the complex exp(nu * z * conj(w)).
-    Terms are accumulated with balanced sqrt(nu/n) scaling so intermediate
-    powers stay finite up to |q|, |p| of order sqrt(1400/nu).
-
-    Raises TruncationError if the term-norm stopping rule
-    nu^n |q|^n |p|^n / n! < tol * |partial sum| is not met within
-    ``max_terms`` terms.
+    ``z`` is a complex scalar or array.  Write p = s + J*t as w = s + i*t,
+    A = exp(nu z conj(w)) and B = exp(nu z w); summing the series power by
+    power (slice representation formula) gives exactly (Re A + Re B)/2
+    + I (Im A + Im B)/2 + (Im A - Im B)/2 J + (Re B - Re A)/2 IJ.  Raises
+    OverflowError once nu Re(z conj(w)) or nu Re(z w) passes log(DBL_MAX).
     """
     if nu <= 0.0:
         raise ValueError("nu must be positive")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    total = Quaternion(1.0, 0.0, 0.0, 0.0)
-    u = Quaternion(1.0, 0.0, 0.0, 0.0)
-    v = Quaternion(1.0, 0.0, 0.0, 0.0)
-    pbar = p.conjugate()
-    qa, pa = abs(q), abs(p)
-    bound = 1.0
-    for n in range(1, max_terms + 1):
-        s = math.sqrt(nu / n)
-        u = (u * q) * s
-        v = (v * pbar) * s
-        total = total + u * v
-        bound *= nu * qa * pa / n
-        if bound < tol * abs(total):
-            return total
-    raise TruncationError(
-        f"star exponential did not converge in {max_terms} terms "
-        f"(nu={nu}, |q|={qa:.3g}, |p|={pa:.3g}, term bound {bound:.3g})")
+    sp = slice_decompose(p)
+    w = complex(sp.x, sp.y)
+    ea = nu * z * w.conjugate()
+    eb = nu * z * w
+    worst = np.maximum(ea.real, eb.real).max()
+    if worst > LOG_DBL_MAX:
+        raise OverflowError(
+            f"star exponential overflows at nu={nu}: exponent real part "
+            f"{worst:.6g} exceeds log(DBL_MAX) = {LOG_DBL_MAX:.6g}")
+    # halved before adding, so A + B cannot overflow
+    a = 0.5 * np.exp(ea)
+    b = 0.5 * np.exp(eb)
+    c0, c1 = a.real + b.real, a.imag + b.imag
+    c2, c3 = a.imag - b.imag, b.real - a.real
+    i, j = unit, sp.unit
+    ij = i.as_quaternion() * j.as_quaternion()
+    return (c0 + c3 * ij.w,
+            c1 * i.x + c2 * j.x + c3 * ij.x,
+            c1 * i.y + c2 * j.y + c3 * ij.y,
+            c1 * i.z + c2 * j.z + c3 * ij.z)
+
+
+def star_exp(nu: float, q: Quaternion, p: Quaternion) -> Quaternion:
+    """Star exponential sum_n nu^n q^n conj(p)^n / n!, in closed form.
+
+    The powers of q stay to the left of the powers of conj(p); for p, q on
+    a common slice this reduces to the complex exp(nu * z * conj(w)).  The
+    closed form (``star_exp_on_slice``) is accurate to rounding; it raises
+    OverflowError once an exponent's real part passes log(DBL_MAX) ~ 709.78.
+    """
+    sq = slice_decompose(q)
+    return Quaternion(*star_exp_on_slice(nu, complex(sq.x, sq.y), sq.unit, p))

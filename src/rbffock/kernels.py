@@ -89,8 +89,7 @@ def fock_kernel_d(alpha: float, z: Sequence[complex], w: Sequence[complex]) -> c
     return complex(cmath.exp(alpha * complex(np.sum(z * np.conj(w)))))
 
 
-def rbf_kernel_qslice(gamma: float, q: Quaternion, p: Quaternion,
-                      tol: float = 1e-14) -> Quaternion:
+def rbf_kernel_qslice(gamma: float, q: Quaternion, p: Quaternion) -> Quaternion:
     """Quaternionic slice RBF kernel.
 
     exp(-q^2/gamma^2) * star_exp(2/gamma^2; q, p) * exp(-conj(p)^2/gamma^2),
@@ -101,7 +100,7 @@ def rbf_kernel_qslice(gamma: float, q: Quaternion, p: Quaternion,
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     left = intrinsic_exp_sq(gamma, q, -1)
-    mid = star_exp(2.0 / (gamma * gamma), q, p, tol=tol)
+    mid = star_exp(2.0 / (gamma * gamma), q, p)
     right = intrinsic_exp_sq(gamma, p.conjugate(), -1)
     return (left * mid) * right
 

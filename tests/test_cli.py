@@ -50,6 +50,25 @@ class TestKernelCommand:
         assert code == 2
         assert "line" in err
 
+    def test_overflow_names_pair(self, tmp_path, capsys):
+        payload = {"kernel": "rbf-qslice", "gamma": 1.0,
+                   "pairs": [[[0, 0, 0, 0], [1, 0, 0, 0]],
+                             [[0, 20, 0, 0], [1, 0, 20, 0]]]}
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(["kernel", "--input", str(path)], capsys)
+        assert code == 2
+        assert "pairs[1]" in err and "overflow" in err
+        assert "nan" not in out
+
+    def test_empty_pairs_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"kernel": "rbf-complex", "pairs": []}))
+        code, out, err = run_cli(["kernel", "--gamma", "1",
+                                  "--input", str(path)], capsys)
+        assert code == 2
+        assert "'pairs'" in err and out == ""
+
 
 class TestGramCommand:
     def test_real_gram_csv_matches_oracle(self, tmp_path, capsys):
@@ -88,6 +107,41 @@ class TestGramCommand:
             assert code == 0
             outputs.append(out_csv.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_overflow_exits_2(self, tmp_path, capsys):
+        payload = {"kernel": "rbf-qslice", "gamma": 1.0,
+                   "points": [[0, 20, 0, 0], [1, 0, 20, 0]]}
+        inp = tmp_path / "g.json"
+        inp.write_text(json.dumps(payload))
+        code, out, err = run_cli(["gram", "--input", str(inp)], capsys)
+        assert code == 2
+        assert "overflow" in err and "nu=2" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("text, constant", [
+        ('{"kernel": "rbf-real", "gamma": NaN, "points": [[0.0], [1.0]]}',
+         "NaN"),
+        ('{"kernel": "rbf-real", "gamma": 1.0, "points": [[0.0], [Infinity]]}',
+         "Infinity"),
+        ('{"kernel": "rbf-real", "gamma": 1.0, "points": [[-Infinity], [1.0]]}',
+         "-Infinity"),
+    ], ids=["nan", "inf", "neg-inf"])
+    def test_non_finite_json_exits_2(self, tmp_path, capsys, text, constant):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code, out, err = run_cli(["gram", "--input", str(path)], capsys)
+        assert code == 2
+        assert str(path) in err and f"number {constant} " in err
+        assert out == ""
+
+    @pytest.mark.parametrize("kernel", ["rbf-complex", "rbf-qslice"])
+    def test_empty_points_exit_2(self, tmp_path, capsys, kernel):
+        inp = tmp_path / "g.json"
+        inp.write_text(json.dumps({"kernel": kernel, "gamma": 1.0,
+                                   "points": []}))
+        code, out, err = run_cli(["gram", "--input", str(inp)], capsys)
+        assert code == 2
+        assert "'points'" in err and out == ""
 
 
 class TestTransformCommand:

@@ -6,7 +6,7 @@ from conftest import random_quaternion
 
 from rbffock import (GramMatrix, Quaternion, build_gram, psd_check,
                      quat_matrix_to_complex, rbf_basis_c,
-                     kernel_sum_truncated)
+                     kernel_sum_truncated, rbf_kernel_qslice)
 
 
 class TestBuildGram:
@@ -40,6 +40,17 @@ class TestBuildGram:
         signs = np.array([1.0, -1.0, -1.0, -1.0])
         flipped = signs * np.transpose(gram.entries, (1, 0, 2))
         assert np.abs(gram.entries - flipped).max() == 0.0
+
+    def test_quaternionic_gram_matches_entrywise_loop(self):
+        rng = np.random.default_rng(43)
+        pts = [random_quaternion(rng, 1.5) for _ in range(5)]
+        signs = np.array([1.0, -1.0, -1.0, -1.0])
+        raw = [[np.array(rbf_kernel_qslice(1.0, a, b).to_list()) for b in pts]
+               for a in pts]
+        want = np.array([[0.5 * (raw[a][b] + signs * raw[b][a])
+                          for b in range(5)] for a in range(5)])
+        got = build_gram("rbf-qslice", {"gamma": 1.0}, pts).entries
+        assert got.tobytes() == want.tobytes()
 
     def test_polynomial_and_exponential(self):
         gram = build_gram("polynomial", {"degree": 2}, [[1.0, 1.0], [0.0, 0.0]])

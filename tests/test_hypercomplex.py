@@ -6,8 +6,9 @@ from conftest import assert_qclose, random_quaternion
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbffock import (ImaginaryUnit, Quaternion, SlicePoint, TruncationError,
-                     intrinsic_exp_sq, slice_decompose, star_exp)
+from rbffock import (ImaginaryUnit, Quaternion, SlicePoint, intrinsic_exp_sq,
+                     slice_decompose, star_exp)
+from rbffock._quatarray import star_exp_grid
 
 ONE = Quaternion(1, 0, 0, 0)
 I = Quaternion(0, 1, 0, 0)
@@ -185,13 +186,66 @@ class TestStarExp:
             ref = SlicePoint(expected.real, expected.imag, unit).to_quaternion()
             assert abs(got - ref) <= 1e-12 * (1 + abs(ref))
 
-    def test_truncation_error(self):
-        big = Quaternion(20.0, 20.0, 0, 0)
-        with pytest.raises(TruncationError):
-            star_exp(4.0, big, big, tol=1e-300, max_terms=16)
+    def test_matches_high_precision_series(self):
+        # the terms peak near exp(nu|q||p|), far above the result when
+        # Re(z conj(w)) < 0; a truncated double series loses every digit
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(23)
+        nu = 2.0
+        with mpmath.workdps(60):
+            for _ in range(30):
+                q = random_quaternion(rng)
+                p = random_quaternion(rng)
+                scale = math.sqrt(rng.uniform(20.0, 50.0) / (nu * abs(q) * abs(p)))
+                q, p = q * scale, p * scale
+                assert 20.0 < nu * abs(q) * abs(p) <= 50.0 + 1e-9
+                ref = _mp_star_exp(mpmath, nu, q, p)
+                err = math.sqrt(sum(float(a - b) ** 2
+                                    for a, b in zip(ref, star_exp(nu, q, p).to_list())))
+                assert err <= 1e-13 * float(mpmath.sqrt(sum(r * r for r in ref)))
+
+    def test_grid_matches_pointwise(self):
+        rng = np.random.default_rng(29)
+        unit = ImaginaryUnit.from_vector(0.3, -0.8, 0.5)
+        p = SlicePoint(0.7, -1.1, ImaginaryUnit.from_vector(-0.6, 0.2, 0.9)).to_quaternion()
+        x = rng.uniform(-2.0, 2.0, (5, 6))
+        y = rng.uniform(-2.0, 2.0, (5, 6))
+        grid = star_exp_grid(1.3, x, y, unit, p)
+        assert grid.shape == (5, 6, 4)
+        for idx in np.ndindex(x.shape):
+            q = SlicePoint(x[idx], y[idx], unit).to_quaternion()
+            assert_qclose(Quaternion(*grid[idx]), star_exp(1.3, q, p), tol=1e-14)
+
+    def test_overflow_raises(self):
+        big = Quaternion(0.0, 20.0, 0.0, 0.0)
+        with pytest.raises(OverflowError, match="nu=2"):
+            star_exp(2.0, big, big)
+        with pytest.raises(OverflowError):
+            star_exp_grid(2.0, np.array([0.0, 20.0]), np.array([0.0, 20.0]),
+                          ImaginaryUnit(1.0, 0.0, 0.0), big)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             star_exp(0.0, ONE, ONE)
-        with pytest.raises(ValueError):
-            star_exp(1.0, ONE, ONE, tol=-1.0)
+
+
+def _mp_star_exp(mpmath, nu, q, p, terms=250):
+    """sum_{n<terms} nu^n q^n conj(p)^n / n! in mpmath working precision."""
+    def mul(a, b):
+        aw, ax, ay, az = a
+        bw, bx, by, bz = b
+        return (aw * bw - ax * bx - ay * by - az * bz,
+                aw * bx + ax * bw + ay * bz - az * by,
+                aw * by - ax * bz + ay * bw + az * bx,
+                aw * bz + ax * by - ay * bx + az * bw)
+
+    qm = tuple(mpmath.mpf(v) for v in q.to_list())
+    pbar = tuple(mpmath.mpf(v) for v in p.conjugate().to_list())
+    total = [mpmath.mpf(1), 0, 0, 0]
+    u = v = (mpmath.mpf(1), 0, 0, 0)
+    coeff = mpmath.mpf(1)
+    for n in range(1, terms):
+        u, v = mul(u, qm), mul(v, pbar)
+        coeff = coeff * nu / n
+        total = [t + coeff * c for t, c in zip(total, mul(u, v))]
+    return total
