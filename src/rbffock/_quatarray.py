@@ -18,10 +18,6 @@ def qconst(q: Quaternion) -> np.ndarray:
     return np.array([q.w, q.x, q.y, q.z])
 
 
-def to_quaternion(arr: np.ndarray) -> Quaternion:
-    return Quaternion(float(arr[0]), float(arr[1]), float(arr[2]), float(arr[3]))
-
-
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Componentwise Hamilton product, broadcasting over leading axes."""
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
@@ -36,10 +32,6 @@ def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def qconj(a: np.ndarray) -> np.ndarray:
     return a * CONJ_SIGNS
-
-
-def qabs(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(a * a, axis=-1))
 
 
 def embed_complex(re: np.ndarray, im: np.ndarray, unit: ImaginaryUnit) -> np.ndarray:

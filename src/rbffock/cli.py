@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .bases import hermite_h, hermite_psi, rbf_basis_c, rbf_basis_q
 from .gram import GRAM_KERNELS, build_gram, psd_check
-from .hypercomplex import ImaginaryUnit, Quaternion
-from .kernels import (NORMALIZATIONS, exponential_kernel, fock_kernel_d,
-                      polynomial_kernel, rbf_kernel_d, rbf_kernel_qslice)
+from .hypercomplex import Quaternion
+from .kernels import KERNELS, NORMALIZATIONS
 from .quadrature import DEFAULT_QUAD_ORDER
 from .transforms import (HermiteCoeffFunction, HermiteCoeffFunctionD,
                          rbf_sb_transform, rbf_sb_transform_d, sb_transform)
@@ -41,9 +41,17 @@ def _load_json(path: str) -> dict:
     def reject(name: str):
         raise InputError(f"{path}: non-finite number {name} is not allowed")
 
+    def finite(text: str, kind: type):
+        # float() reads 1e400, and a 400-digit integer, as inf
+        if not math.isfinite(float(text)):
+            reject(text)
+        return kind(text)
+
     try:
         with open(path) as fh:
-            return json.load(fh, parse_constant=reject)
+            return json.load(fh, parse_constant=reject,
+                             parse_float=lambda t: finite(t, float),
+                             parse_int=lambda t: finite(t, int))
     except FileNotFoundError:
         raise InputError(f"input file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -51,7 +59,7 @@ def _load_json(path: str) -> dict:
 
 
 def _require(data: dict, field: str, where: str):
-    if field not in data:
+    if not isinstance(data, dict) or field not in data:
         raise InputError(f"{where}: missing required field {field!r}")
     return data[field]
 
@@ -65,136 +73,119 @@ def _write_lines(lines: list[str], path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _columns(layout: type) -> tuple[str, ...]:
+    return ("w", "x", "y", "z") if layout is Quaternion else ("re", "im")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_complex(item, where: str) -> complex:
-    if isinstance(item, (int, float)):
+    if _is_number(item):
         return complex(item)
-    if isinstance(item, list) and len(item) == 2 \
-            and all(isinstance(v, (int, float)) for v in item):
+    if isinstance(item, list) and len(item) == 2 and all(map(_is_number, item)):
         return complex(item[0], item[1])
     raise InputError(f"{where}: expected [re, im], got {item!r}")
 
 
-def _parse_point(kernel_id: str, item, where: str):
-    if kernel_id == "rbf-qslice":
-        if not (isinstance(item, list) and len(item) == 4):
+def _parse_point(layout: type, item, where: str):
+    if layout is Quaternion:
+        if not (isinstance(item, list) and len(item) == 4
+                and all(map(_is_number, item))):
             raise InputError(f"{where}: quaternion points are [w, x, y, z]")
         return Quaternion.from_list(item)
-    if kernel_id in ("rbf-complex", "fock"):
+    if layout is complex:
         if isinstance(item, list) and item and isinstance(item[0], list):
             return np.array([_parse_complex(v, where) for v in item])
         return np.array([_parse_complex(item, where)])
     if not isinstance(item, list):
         item = [item]
-    if not all(isinstance(v, (int, float)) for v in item):
+    if not all(map(_is_number, item)):
         raise InputError(f"{where}: real points are lists of numbers")
     return np.asarray(item, dtype=float)
 
 
-def _kernel_value(kernel_id: str, params: dict, a, b):
-    if kernel_id == "rbf-real":
-        diff = a - b
-        return float(np.exp(-np.dot(diff, diff) / params["gamma"] ** 2))
-    if kernel_id == "rbf-complex":
-        return rbf_kernel_d(params["gamma"], a, b)
-    if kernel_id == "fock":
-        return fock_kernel_d(params["alpha"], a, b)
-    if kernel_id == "rbf-qslice":
-        return rbf_kernel_qslice(params["gamma"], a, b)
-    if kernel_id == "polynomial":
-        return polynomial_kernel(a, b, params["degree"])
-    return exponential_kernel(a, b)
+def _parameter(name: str, kind: type, value, where: str):
+    if not (_is_number(value) and 0 < value < math.inf
+            and kind(value) == value):
+        noun = "whole number" if kind is int else "finite number"
+        raise InputError(f"{where}: {name} must be a positive {noun}, "
+                         f"got {value!r}")
+    return kind(value)
 
 
-def _kernel_params(kernel_id: str, data: dict, args) -> dict:
+def _kernel_input(data: dict, args, command: str, field: str):
+    """Kernel id, spec, parameters and the non-empty list ``field`` of a
+    kernel or gram input.  gamma may come from --gamma instead of the JSON,
+    and a missing alpha is derived from gamma as 2/gamma^2."""
+    kernel_id = _require(data, "kernel", f"{command} input")
+    if kernel_id not in GRAM_KERNELS:
+        raise InputError(f"{command}: unknown kernel {kernel_id!r}; "
+                         f"choose from {GRAM_KERNELS}")
+    spec = KERNELS[kernel_id]
+    gamma = data.get("gamma", args.gamma)
     params: dict = {}
-    if kernel_id in ("rbf-real", "rbf-complex", "rbf-qslice"):
-        gamma = data.get("gamma", args.gamma)
-        if gamma is None:
-            raise InputError("kernel: supply gamma in the JSON or via --gamma")
-        if gamma <= 0:
-            raise InputError("kernel: gamma must be positive")
-        params["gamma"] = float(gamma)
-    if kernel_id == "fock":
-        alpha = data.get("alpha")
-        if alpha is None:
-            gamma = data.get("gamma", args.gamma)
-            if gamma is None:
-                raise InputError("kernel: fock needs alpha, or gamma to "
-                                 "derive alpha = 2/gamma^2")
-            alpha = 2.0 / float(gamma) ** 2
-        params["alpha"] = float(alpha)
-    if kernel_id == "polynomial":
-        params["degree"] = int(_require(data, "degree", "kernel"))
-    return params
+    for name, kind in spec.params:
+        value = data.get(name)
+        if value is None and gamma is not None and name in ("gamma", "alpha"):
+            value = _parameter("gamma", float, gamma, command)
+            if name == "alpha":  # inf, rejected below, once gamma^2 underflows
+                value = 2.0 / (value * value) if value * value else math.inf
+        if value is None:
+            hint = {"gamma": " or via --gamma", "alpha": ", or gamma to "
+                    "derive alpha = 2/gamma^2"}.get(name, "")
+            raise InputError(f"{command}: supply {name} in the input{hint}")
+        params[name] = _parameter(name, kind, value, command)
+    items = _require(data, field, f"{command} input")
+    if not isinstance(items, list) or not items:
+        raise InputError(f"{command} input: field {field!r} must be a "
+                         "non-empty list")
+    return kernel_id, spec, params, items
 
 
 def cmd_kernel(args) -> int:
-    data = _load_json(args.input)
-    kernel_id = _require(data, "kernel", "kernel input")
-    if kernel_id not in GRAM_KERNELS:
-        raise InputError(f"kernel: unknown kernel {kernel_id!r}; "
-                         f"choose from {GRAM_KERNELS}")
-    params = _kernel_params(kernel_id, data, args)
-    pairs = _require(data, "pairs", "kernel input")
-    if not pairs:
-        raise InputError("kernel input: field 'pairs' is empty")
-    lines = []
-    header = ("pair,value.w,value.x,value.y,value.z"
-              if kernel_id == "rbf-qslice" else "pair,value.re,value.im")
-    lines.append(header)
+    _, spec, params, pairs = _kernel_input(_load_json(args.input), args,
+                                           "kernel", "pairs")
+    lines = ["pair," + ",".join(f"value.{c}" for c in _columns(spec.layout))]
     for i, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InputError(f"pairs[{i}]: expected [point, point]")
-        a = _parse_point(kernel_id, pair[0], f"pairs[{i}][0]")
-        b = _parse_point(kernel_id, pair[1], f"pairs[{i}][1]")
+        a = _parse_point(spec.layout, pair[0], f"pairs[{i}][0]")
+        b = _parse_point(spec.layout, pair[1], f"pairs[{i}][1]")
         try:
-            value = _kernel_value(kernel_id, params, a, b)
-        except OverflowError as exc:
+            value = spec(params, a, b)
+        except (ValueError, OverflowError) as exc:
             raise InputError(f"pairs[{i}]: {exc}")
-        if isinstance(value, Quaternion):
-            lines.append(f"{i}," + ",".join(_fmt(v) for v in value.to_list()))
-        else:
-            value = complex(value)
-            lines.append(f"{i},{_fmt(value.real)},{_fmt(value.imag)}")
+        parts = (value.to_list() if isinstance(value, Quaternion)
+                 else [value.real, value.imag])
+        lines.append(f"{i}," + ",".join(map(_fmt, parts)))
     _write_lines(lines, args.output)
     return 0
 
 
 def cmd_gram(args) -> int:
-    data = _load_json(args.input)
-    kernel_id = _require(data, "kernel", "gram input")
-    if kernel_id not in GRAM_KERNELS:
-        raise InputError(f"gram: unknown kernel {kernel_id!r}")
-    params = _kernel_params(kernel_id, data, args)
-    raw_points = _require(data, "points", "gram input")
-    if not raw_points:
-        raise InputError("gram input: field 'points' is empty")
-    points = [_parse_point(kernel_id, p, f"points[{i}]")
+    kernel_id, spec, params, raw_points = _kernel_input(
+        _load_json(args.input), args, "gram", "points")
+    points = [_parse_point(spec.layout, p, f"points[{i}]")
               for i, p in enumerate(raw_points)]
-    if kernel_id != "rbf-qslice":
-        points = np.stack(points)
+    for i, p in enumerate(points):
+        if np.shape(p) != np.shape(points[0]):
+            raise InputError(f"points[{i}]: shape {np.shape(p)} differs from "
+                             f"points[0] {np.shape(points[0])}")
     try:
         gram = build_gram(kernel_id, params, points)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"gram: {exc}")
     report = psd_check(gram, tol=args.tol)
 
-    lines = []
     n = gram.size
-    if gram.is_quaternionic:
-        header = ",".join(f"g{b}.{c}" for b in range(n) for c in "wxyz")
-        lines.append(header)
-        for a in range(n):
-            row = [_fmt(v) for b in range(n) for v in gram.entries[a, b]]
-            lines.append(",".join(row))
-    else:
-        entries = np.asarray(gram.entries, dtype=complex)
-        lines.append(",".join(f"g{b}.re,g{b}.im" for b in range(n)))
-        for a in range(n):
-            row = []
-            for b in range(n):
-                row += [_fmt(entries[a, b].real), _fmt(entries[a, b].imag)]
-            lines.append(",".join(row))
+    lines = [",".join(f"g{b}.{c}" for b in range(n)
+                      for c in _columns(spec.layout))]
+    for row in gram.entries:
+        if not gram.is_quaternionic:
+            row = np.stack([row.real, row.imag], axis=-1)
+        lines.append(",".join(map(_fmt, row.ravel().tolist())))
     _write_lines(lines, args.output)
 
     payload = {"kernel": kernel_id, "params": params, "size": n,
@@ -338,7 +329,6 @@ def cmd_basis(args) -> int:
     elif args.family == "rbf-q":
         if args.gamma is None:
             raise InputError("basis: rbf families need --gamma")
-        unit = ImaginaryUnit(1.0, 0.0, 0.0)
         lines.append("x," + ",".join(f"n{n}.{c}" for n in range(args.n_max + 1)
                                      for c in "wxyz"))
         for x in xs:
@@ -452,10 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_common(args) -> None:
-    if getattr(args, "gamma", None) is not None and args.gamma <= 0:
-        raise InputError("--gamma must be positive")
-    if getattr(args, "nu", None) is not None and args.nu <= 0:
-        raise InputError("--nu must be positive")
+    for flag in ("gamma", "nu", "tol"):
+        value = getattr(args, flag, None)
+        # gram's --tol is a PSD tolerance and may be zero or negative
+        low = -math.inf if (flag, args.command) == ("tol", "gram") else 0.0
+        if value is not None and not low < value < math.inf:
+            kind = "finite" if low < 0 else "positive and finite"
+            raise InputError(f"--{flag} must be {kind}, got {value}")
     if not 8 <= getattr(args, "quad_order", DEFAULT_QUAD_ORDER) <= 512:
         raise InputError("--quad-order must lie in [8, 512]")
     dim = getattr(args, "dim", None)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _quatarray as qa
 from .hypercomplex import Quaternion
-from .kernels import rbf_kernel_qslice
+from .kernels import KERNELS, _finite
 
 __all__ = [
     "GRAM_KERNELS",
@@ -27,8 +28,7 @@ __all__ = [
     "quat_matrix_to_complex",
 ]
 
-GRAM_KERNELS = ("rbf-real", "rbf-complex", "fock", "rbf-qslice",
-                "polynomial", "exponential")
+GRAM_KERNELS = tuple(KERNELS)
 
 HERMITIAN_TOL = 1e-12
 
@@ -70,62 +70,37 @@ def _hash_points(arr: np.ndarray) -> str:
     return digest.hexdigest()[:16]
 
 
-def _hermitize(g: np.ndarray) -> np.ndarray:
-    return 0.5 * (g + np.conj(g.T))
+def _adjoint(g: np.ndarray) -> np.ndarray:
+    """Conjugate transpose; (N, N, 4) quaternion entries conjugate by sign."""
+    if g.ndim == 3:
+        return qa.qconj(g.transpose(1, 0, 2))
+    return np.conj(g.T)
 
 
 def build_gram(kernel_id: str, params: dict, points) -> GramMatrix:
     """Assemble G[a][b] = k(points[a], points[b]) and store it Hermitian.
 
-    Point layout per kernel: real kernels take (N, dim) floats,
-    complex/Fock kernels take (N, dim) complex, and "rbf-qslice" takes a
-    sequence of Quaternion.
+    Points follow the kernel's layout in ``KERNELS``: (N, dim) floats or
+    complex numbers, or a sequence of Quaternion.  Raises OverflowError when
+    an entry is not finite.
     """
     if kernel_id not in GRAM_KERNELS:
         raise ValueError(f"unknown kernel {kernel_id!r}; choose from {GRAM_KERNELS}")
-
-    if kernel_id == "rbf-qslice":
-        gamma = float(params["gamma"])
+    spec = KERNELS[kernel_id]
+    if spec.layout is Quaternion:
         pts = list(points)
         if not all(isinstance(p, Quaternion) for p in pts):
-            raise TypeError("rbf-qslice expects Quaternion points")
+            raise TypeError(f"{kernel_id} expects Quaternion points")
         n = len(pts)
-        g = np.empty((n, n, 4))
-        for a in range(n):
-            for b in range(n):
-                v = rbf_kernel_qslice(gamma, pts[a], pts[b])
-                g[a, b] = (v.w, v.x, v.y, v.z)
-        signs = np.array([1.0, -1.0, -1.0, -1.0])
-        sym = 0.5 * (g + signs * g.transpose(1, 0, 2))
-        flat = np.stack([p.to_list() for p in pts])
-        return GramMatrix(sym, kernel_id, dict(params), _hash_points(flat))
-
-    if kernel_id in ("rbf-complex", "fock"):
-        pts = np.atleast_2d(np.asarray(points, dtype=complex))
-        if kernel_id == "rbf-complex":
-            gamma = float(params["gamma"])
-            diff = pts[:, None, :] - np.conj(pts[None, :, :])
-            g = np.exp(-np.sum(diff * diff, axis=-1) / (gamma * gamma))
-        else:
-            alpha = float(params["alpha"])
-            pair = np.einsum("ad,bd->ab", pts, np.conj(pts))
-            g = np.exp(alpha * pair)
-        return GramMatrix(_hermitize(g), kernel_id, dict(params),
-                          _hash_points(pts.view(float)))
-
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if kernel_id == "rbf-real":
-        gamma = float(params["gamma"])
-        diff = pts[:, None, :] - pts[None, :, :]
-        g = np.exp(-np.sum(diff * diff, axis=-1) / (gamma * gamma))
-    elif kernel_id == "polynomial":
-        degree = int(params["degree"])
-        if degree < 1:
-            raise ValueError("polynomial degree must be at least 1")
-        g = (1.0 + pts @ pts.T) ** degree
+        g = np.array([[spec(params, a, b).to_list() for b in pts]
+                      for a in pts], dtype=float).reshape(n, n, 4)
+        pts = np.array([p.to_list() for p in pts], dtype=float).reshape(n, 4)
     else:
-        g = np.exp(pts @ pts.T)
-    return GramMatrix(0.5 * (g + g.T), kernel_id, dict(params), _hash_points(pts))
+        pts = np.atleast_2d(np.asarray(points, dtype=spec.layout))
+        g = spec(params, pts[:, None], pts[None, :])
+    # halving the sum of two finite entries can still overflow
+    sym = _finite(kernel_id, lambda: 0.5 * (g + _adjoint(g)))
+    return GramMatrix(sym, kernel_id, dict(params), _hash_points(pts.view(float)))
 
 
 def quat_matrix_to_complex(q: np.ndarray) -> np.ndarray:
@@ -150,13 +125,11 @@ def psd_check(gram: GramMatrix, tol: float | None = None) -> PsdReport:
     happen for matrices built by build_gram.
     """
     g = gram.entries
+    herm_dev = float(np.max(np.abs(g - _adjoint(g))))
     if gram.is_quaternionic:
-        signs = np.array([1.0, -1.0, -1.0, -1.0])
-        herm_dev = float(np.max(np.abs(g - signs * np.transpose(g, (1, 0, 2)))))
         mat = quat_matrix_to_complex(g)
     else:
         mat = np.asarray(g, dtype=complex)
-        herm_dev = float(np.max(np.abs(mat - np.conj(mat.T))))
     scale = float(np.max(np.abs(mat))) or 1.0
     if herm_dev > HERMITIAN_TOL * max(1.0, scale):
         raise ValueError(f"matrix is not Hermitian: deviation {herm_dev:.3e}")

@@ -7,6 +7,12 @@ The quaternionic kernel multiplies its three factors in the fixed order
 envelope(q) * star-exponential * envelope(conj(p)); the outer factors are
 intrinsic so the order is mathematically immaterial, but pinning it keeps
 results bit-reproducible.
+
+The kernels on R^d and C^d take point arrays of shape (..., d) and
+broadcast over the leading axes, so one call fills a whole Gram matrix.
+Every kernel raises OverflowError, naming itself, instead of returning a
+non-finite value.  ``KERNELS`` maps each kernel id of the CLI and of
+``build_gram`` to its point layout, parameters and function.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +29,8 @@ from .hypercomplex import Quaternion, intrinsic_exp_sq, star_exp
 __all__ = [
     "NORMALIZATIONS",
     "KernelParams",
+    "KernelSpec",
+    "KERNELS",
     "rbf_kernel_c",
     "rbf_kernel_d",
     "fock_kernel_d",
@@ -66,27 +73,41 @@ def rbf_kernel_c(gamma: float, z: complex, w: complex) -> complex:
     return cmath.exp(-(u * u) / (gamma * gamma))
 
 
-def rbf_kernel_d(gamma: float, z: Sequence[complex], w: Sequence[complex]) -> complex:
-    """Gaussian RBF kernel on C^d with the convention v^2 = sum_l v_l^2."""
+def _points(z, w, dtype=None):
+    """Point arrays (..., d) of a common dimension d; leading axes broadcast."""
+    z, w = (np.atleast_1d(np.asarray(v, dtype=dtype)) for v in (z, w))
+    if z.shape[-1] != w.shape[-1]:
+        raise ValueError(f"dimension mismatch: {z.shape[-1]} vs {w.shape[-1]}")
+    return z, w
+
+
+def _finite(kernel_id: str, compute):
+    """compute(), or OverflowError in place of numpy's overflow warnings."""
+    with np.errstate(all="ignore"):
+        values = compute()
+    if not np.all(np.isfinite(values)):
+        raise OverflowError(f"{kernel_id} kernel overflows: a value is not finite")
+    return values
+
+
+def rbf_kernel_d(gamma: float, z, w):
+    """Gaussian RBF kernel on C^d with the convention v^2 = sum_l v_l^2;
+    on real points it is the real Gaussian exp(-|x - y|^2 / gamma^2)."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    if z.shape != w.shape:
-        raise ValueError(f"dimension mismatch: {z.shape} vs {w.shape}")
+    z, w = _points(z, w)
     u = z - np.conj(w)
-    return complex(cmath.exp(-complex(np.sum(u * u)) / (gamma * gamma)))
+    return _finite("rbf",
+                   lambda: np.exp(-np.sum(u * u, axis=-1) / (gamma * gamma)))
 
 
-def fock_kernel_d(alpha: float, z: Sequence[complex], w: Sequence[complex]) -> complex:
+def fock_kernel_d(alpha: float, z, w):
     """Fock-space reproducing kernel exp(alpha * z . conj(w)) on C^d."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    if z.shape != w.shape:
-        raise ValueError(f"dimension mismatch: {z.shape} vs {w.shape}")
-    return complex(cmath.exp(alpha * complex(np.sum(z * np.conj(w)))))
+    z, w = _points(z, w, complex)
+    return _finite("fock",
+                   lambda: np.exp(alpha * np.sum(z * np.conj(w), axis=-1)))
 
 
 def rbf_kernel_qslice(gamma: float, q: Quaternion, p: Quaternion) -> Quaternion:
@@ -102,7 +123,11 @@ def rbf_kernel_qslice(gamma: float, q: Quaternion, p: Quaternion) -> Quaternion:
     left = intrinsic_exp_sq(gamma, q, -1)
     mid = star_exp(2.0 / (gamma * gamma), q, p)
     right = intrinsic_exp_sq(gamma, p.conjugate(), -1)
-    return (left * mid) * right
+    value = (left * mid) * right
+    if not all(map(math.isfinite, value.to_list())):
+        raise OverflowError(f"rbf-qslice kernel overflows at gamma={gamma}: "
+                            "the product of its three factors is not finite")
+    return value
 
 
 def kernel_sum_truncated(gamma: float, q: Quaternion, p: Quaternion,
@@ -137,13 +162,43 @@ def kernel_sum_tail_bound(gamma: float, q: Quaternion, p: Quaternion,
     return math.exp((yq * yq + yp * yp) / (gamma * gamma)) * tail
 
 
-def polynomial_kernel(x: Sequence[float], y: Sequence[float], degree: int) -> float:
+def polynomial_kernel(degree: int, x, y):
     """(1 + <x, y>)^degree on R^d."""
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
-    return float((1.0 + np.dot(np.asarray(x, float), np.asarray(y, float))) ** degree)
+    if not (float(degree).is_integer() and degree >= 1):
+        raise ValueError("polynomial degree must be a whole number of at least 1")
+    x, y = _points(x, y, float)
+    return _finite("polynomial",
+                   lambda: (1.0 + np.sum(x * y, axis=-1)) ** degree)
 
 
-def exponential_kernel(x: Sequence[float], y: Sequence[float]) -> float:
+def exponential_kernel(x, y):
     """exp(<x, y>) on R^d."""
-    return float(math.exp(np.dot(np.asarray(x, float), np.asarray(y, float))))
+    x, y = _points(x, y, float)
+    return _finite("exponential", lambda: np.exp(np.sum(x * y, axis=-1)))
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """Point layout (coordinate type: float, complex or Quaternion), the
+    (name, type) of each parameter, and the name of the kernel function,
+    which takes the parameters, in order, and then two points.  Calls look
+    the function up by name, so a wrapper rebound over it is seen."""
+
+    layout: type
+    params: tuple[tuple[str, type], ...]
+    function_name: str
+
+    def __call__(self, params: dict, a, b):
+        kernel = globals()[self.function_name]
+        return kernel(*(params[name] for name, _ in self.params), a, b)
+
+
+KERNELS = {
+    "rbf-real": KernelSpec(float, (("gamma", float),), "rbf_kernel_d"),
+    "rbf-complex": KernelSpec(complex, (("gamma", float),), "rbf_kernel_d"),
+    "fock": KernelSpec(complex, (("alpha", float),), "fock_kernel_d"),
+    "rbf-qslice": KernelSpec(Quaternion, (("gamma", float),),
+                             "rbf_kernel_qslice"),
+    "polynomial": KernelSpec(float, (("degree", int),), "polynomial_kernel"),
+    "exponential": KernelSpec(float, (), "exponential_kernel"),
+}

@@ -32,7 +32,6 @@ from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
 
 __all__ = [
     "HandleFunction",
-    "HandleFunctionCd",
     "FockSliceSpace",
     "RBFSliceSpace",
     "FockCSpace",
@@ -69,17 +68,6 @@ class HandleFunction:
             q = self.fn(SlicePoint(float(x[idx]), float(y[idx]), unit))
             vals[idx] = (q.w, q.x, q.y, q.z)
         return vals
-
-
-@dataclass(frozen=True)
-class HandleFunctionCd:
-    """C^d integrand: callable on (npoints, d) complex arrays, certified."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    poly_degree: int
-
-    def eval_points(self, zpts: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(zpts), dtype=complex)
 
 
 def _slice_poly_degree(f) -> int:
@@ -236,11 +224,7 @@ def _cd_poly_degree(f) -> int:
     if isinstance(f, (CPowerSeries, GaussCSeries)):
         return f.series.max_axis_degree if isinstance(f, GaussCSeries) \
             else f.max_axis_degree
-    if isinstance(f, HandleFunctionCd):
-        return f.poly_degree
-    raise TypeError(
-        "C^d inner products need a CPowerSeries, GaussCSeries, or a "
-        "HandleFunctionCd carrying a polynomial-growth certificate")
+    raise TypeError("C^d inner products need a CPowerSeries or GaussCSeries")
 
 
 class FockCSpace:

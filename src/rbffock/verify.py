@@ -3,8 +3,9 @@ bases, spaces, and transforms, checked numerically at pinned tolerances.
 
 Each criterion compares two independent computational routes (closed form
 vs. series, quadrature vs. exact coefficients, two different slices, ...)
-and reports the worst deviation against its bound.  ``run_all`` is what the
-``rbffock verify`` CLI executes; it needs no input files and is fully
+and reports the worst deviation against its bound; np.maximum keeps a NaN
+deviation, which max() would drop, so that it fails.  ``run_all`` is what
+the ``rbffock verify`` CLI executes; it needs no input files and is fully
 deterministic for a given seed.
 """
 
@@ -135,7 +136,7 @@ def crit_isometry(cfg: VerifyConfig) -> list[CheckResult]:
         space = RBFSliceSpace(gamma, UNIT_I, cfg.quad_order)
         fock_route = space.norm_sq(f)
         direct_route = space.inner_product_direct(f, f).w
-        worst = max(worst, abs(fock_route - direct_route) / abs(fock_route))
+        worst = np.maximum(worst, abs(fock_route - direct_route) / abs(fock_route))
     return [_result("m-operator-isometry", {"trials": 100, "degree": 24},
                     worst, 1e-10, cfg)]
 
@@ -151,7 +152,7 @@ def crit_reproduce(cfg: VerifyConfig) -> list[CheckResult]:
         f = _random_qseries(rng, 8)
         w = _random_quaternion(rng, 0.8)
         err = abs(space.reproduce(f, w) - f.eval(w)) / (1.0 + abs(f.eval(w)))
-        worst = max(worst, err)
+        worst = np.maximum(worst, err)
     out.append(_result("reproducing-property", {"space": "fock-slice"},
                        worst, 1e-7, cfg))
 
@@ -161,7 +162,7 @@ def crit_reproduce(cfg: VerifyConfig) -> list[CheckResult]:
         f = GaussSeries(cfg.gamma, _random_qseries(rng, 8))
         w = _random_quaternion(rng, 0.8)
         err = abs(rspace.reproduce(f, w) - f.eval(w)) / (1.0 + abs(f.eval(w)))
-        worst = max(worst, err)
+        worst = np.maximum(worst, err)
     out.append(_result("reproducing-property", {"space": "rbf-slice",
                                                 "gamma": cfg.gamma},
                        worst, 1e-7, cfg))
@@ -178,7 +179,7 @@ def crit_reproduce(cfg: VerifyConfig) -> list[CheckResult]:
                   for _ in range(2))
         err = (abs(fspace.reproduce(series, w) - series.eval(w))
                / (1.0 + abs(series.eval(w))))
-        worst = max(worst, err)
+        worst = np.maximum(worst, err)
     out.append(_result("reproducing-property", {"space": "fock-C2"},
                        worst, 1e-7, cfg))
 
@@ -193,7 +194,7 @@ def crit_reproduce(cfg: VerifyConfig) -> list[CheckResult]:
                   for _ in range(2))
         err = (abs(rcspace.reproduce(f, w) - f.eval(w))
                / (1.0 + abs(f.eval(w))))
-        worst = max(worst, err)
+        worst = np.maximum(worst, err)
     out.append(_result("reproducing-property", {"space": "rbf-C2",
                                                 "gamma": cfg.gamma},
                        worst, 1e-7, cfg))
@@ -214,11 +215,11 @@ def crit_kernel_sum(cfg: VerifyConfig) -> list[CheckResult]:
         kernel = rbf_kernel_qslice(gamma, q, p)
         diff = abs(kernel_sum_truncated(gamma, q, p, 40) - kernel)
         bound = kernel_sum_tail_bound(gamma, q, p, 40)
-        worst_abs = max(worst_abs, diff)
+        worst_abs = np.maximum(worst_abs, diff)
         # the analytic tail binds only above the rounding floor of the
         # two evaluation routes
         floor = 1e-13 * (1.0 + abs(kernel))
-        worst_vs_bound = max(worst_vs_bound, diff / max(bound, floor))
+        worst_vs_bound = np.maximum(worst_vs_bound, diff / max(bound, floor))
     return [
         _result("kernel-sum-truncation", {"gamma": gamma, "terms": 40},
                 worst_abs, 1e-10, cfg),
@@ -239,7 +240,7 @@ def crit_diagonal_and_bound(cfg: VerifyConfig) -> list[CheckResult]:
             q = SlicePoint(x, y, unit).to_quaternion()
             k = rbf_kernel_qslice(gamma, q, q)
             expected = math.exp(4.0 * y * y / (gamma * gamma))
-            worst = max(worst, abs(k - Quaternion.from_real(expected)) / expected)
+            worst = np.maximum(worst, abs(k - Quaternion.from_real(expected)) / expected)
     results = [_result("kernel-diagonal-identity", {"gamma": gamma},
                        worst, 1e-10, cfg)]
 
@@ -251,7 +252,7 @@ def crit_diagonal_and_bound(cfg: VerifyConfig) -> list[CheckResult]:
     for _ in range(5):
         f = GaussSeries(gamma, _random_qseries(rng, 6))
         report = pointwise_bound_check(gamma, f, points, UNIT_I, cfg.quad_order)
-        worst_ratio = max(worst_ratio, report.max_ratio)
+        worst_ratio = np.maximum(worst_ratio, report.max_ratio)
     results.append(_result("pointwise-bound", {"gamma": gamma},
                            worst_ratio - 1.0, 1e-9, cfg))
     return results
@@ -269,7 +270,7 @@ def crit_sequential(cfg: VerifyConfig) -> list[CheckResult]:
         taylor = beta_coeffs(gamma, fock_part.coeffs, 32, sign=-1)
         seq = sequential_norm(gamma, taylor, 32)
         quad = RBFSliceSpace(gamma, UNIT_I, cfg.quad_order).norm_sq(f)
-        worst_norm = max(worst_norm, abs(seq - quad) / abs(quad))
+        worst_norm = np.maximum(worst_norm, abs(seq - quad) / abs(quad))
 
     worst_beta = 0.0
     for _ in range(10):
@@ -282,7 +283,7 @@ def crit_sequential(cfg: VerifyConfig) -> list[CheckResult]:
             for j in range(0, k + 1, 2):
                 s = 1.0 / (gamma ** j * math.factorial(j // 2))
                 acc = acc + a[k - j] * s
-            worst_beta = max(worst_beta, abs(betas[k] - acc))
+            worst_beta = np.maximum(worst_beta, abs(betas[k] - acc))
     return [
         _result("sequential-norm-vs-quadrature", {"trials": 50},
                 worst_norm, 1e-6, cfg),
@@ -303,10 +304,10 @@ def crit_factorizations(cfg: VerifyConfig) -> list[CheckResult]:
         w = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
         kd = rbf_kernel_d(gamma, z, w)
         prod = np.prod([rbf_kernel_c(gamma, z[l], w[l]) for l in range(3)])
-        worst_prod = max(worst_prod, abs(kd - prod) / abs(kd))
+        worst_prod = np.maximum(worst_prod, abs(kd - prod) / abs(kd))
         env = np.exp(-(np.sum(z * z) + np.sum(np.conj(w) ** 2)) / gamma ** 2)
         fock = env * fock_kernel_d(nu, z, w)
-        worst_fock = max(worst_fock, abs(kd - fock) / abs(kd))
+        worst_fock = np.maximum(worst_fock, abs(kd - fock) / abs(kd))
     return [
         _result("kernel-product-factorization", {"gamma": gamma, "dim": 3},
                 worst_prod, 1e-14, cfg),
@@ -353,7 +354,7 @@ def crit_sb_unitarity(cfg: VerifyConfig) -> list[CheckResult]:
                                         method="quadrature",
                                         quad_order=cfg.quad_order)
             exact = rbf_sb_image_series(gamma, phi, cfg.normalization).eval(q)
-            worst = max(worst, abs(via_quad - exact))
+            worst = np.maximum(worst, abs(via_quad - exact))
     out.append(_result("sb-quadrature-vs-exact", {"domain": "quaternionic"},
                        worst, 1e-9, cfg))
     return out
@@ -372,7 +373,7 @@ def crit_sb_kernel_match(cfg: VerifyConfig) -> list[CheckResult]:
         lhs = rbf_sb_kernel(gamma, q, x, cfg.normalization)
         rhs = intrinsic_exp_sq(gamma, q, -1) * sb_kernel(nu, q, x,
                                                          cfg.normalization)
-        worst_match = max(worst_match, abs(lhs - rhs) / (1.0 + abs(lhs)))
+        worst_match = np.maximum(worst_match, abs(lhs - rhs) / (1.0 + abs(lhs)))
 
     worst_series = 0.0
     for _ in range(10):
@@ -383,7 +384,7 @@ def crit_sb_kernel_match(cfg: VerifyConfig) -> list[CheckResult]:
         for n in range(41):
             acc = acc + rbf_basis_q(gamma, n, q) * hermite_psi(nu, n, x)
         closed = rbf_sb_kernel(gamma, q, x, "unitary")
-        worst_series = max(worst_series, abs(acc - closed))
+        worst_series = np.maximum(worst_series, abs(acc - closed))
     return [
         _result("rbf-sb-kernel-envelope-match",
                 {"gamma": gamma, "normalization": cfg.normalization},
@@ -401,7 +402,7 @@ def crit_slice_independence(cfg: VerifyConfig) -> list[CheckResult]:
         f = GaussSeries(cfg.gamma, _random_qseries(rng, 12))
         rep = slice_independence_check(cfg.gamma, f, UNIT_I, UNIT_IJ,
                                        cfg.quad_order)
-        worst = max(worst, rep.rel_diff)
+        worst = np.maximum(worst, rep.rel_diff)
     return [_result("slice-independence", {"gamma": cfg.gamma, "trials": 20},
                     worst, 1e-10, cfg)]
 
@@ -413,7 +414,7 @@ def crit_psd(cfg: VerifyConfig) -> list[CheckResult]:
     gram = build_gram("rbf-real", {"gamma": 1.0}, pts)
     report = psd_check(gram, tol=1e-10)
     out = [_result("gaussian-gram-psd", {"points": 16, "dim": 3},
-                   max(0.0, -report.min_eigenvalue), 1e-10, cfg)]
+                   np.maximum(0.0, -report.min_eigenvalue), 1e-10, cfg)]
 
     worst = 0.0
     for _ in range(5):
@@ -429,7 +430,7 @@ def crit_psd(cfg: VerifyConfig) -> list[CheckResult]:
                 prod[a, b] = acc.to_list()
         lhs = quat_matrix_to_complex(prod)
         rhs = quat_matrix_to_complex(pmat) @ quat_matrix_to_complex(qmat)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+        worst = np.maximum(worst, float(np.abs(lhs - rhs).max()))
     out.append(_result("adjoint-representation-homomorphism", {"trials": 5},
                        worst, 1e-13, cfg))
     return out

@@ -156,10 +156,10 @@ class TestKernelSum:
 
 class TestUtilityKernels:
     def test_polynomial(self):
-        assert polynomial_kernel((0.0,), (0.0,), 1) == 1.0
-        assert polynomial_kernel((1.0, 1.0), (1.0, 1.0), 2) == 9.0
+        assert polynomial_kernel(1, (0.0,), (0.0,)) == 1.0
+        assert polynomial_kernel(2, (1.0, 1.0), (1.0, 1.0)) == 9.0
         with pytest.raises(ValueError):
-            polynomial_kernel((1.0,), (1.0,), 0)
+            polynomial_kernel(0, (1.0,), (1.0,))
 
     def test_exponential(self):
         assert exponential_kernel((1.0, 0.0), (0.0, 1.0)) == 1.0
