@@ -363,7 +363,7 @@ def cmd_verify(args) -> int:
                "passed": all(r.passed for r in results)}
     if args.report:
         with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -203,7 +203,13 @@ def slice_decompose(q: Quaternion) -> SlicePoint:
     v = math.hypot(q.x, q.y, q.z)
     if v == 0.0:
         return SlicePoint(q.w, 0.0, I_DEFAULT, degenerate=True)
-    return SlicePoint(q.w, v, ImaginaryUnit(q.x / v, q.y / v, q.z / v))
+    x, y, z = q.x, q.y, q.z
+    if v < sys.float_info.min:
+        # subnormal parts carry too few bits for a unit of norm 1; scaling
+        # by a power of two is exact
+        x, y, z = x * 2.0 ** 600, y * 2.0 ** 600, z * 2.0 ** 600
+    n = math.hypot(x, y, z)
+    return SlicePoint(q.w, v, ImaginaryUnit(x / n, y / n, z / n))
 
 
 def embed_in_slice(value: complex, unit: ImaginaryUnit) -> Quaternion:
@@ -216,15 +222,27 @@ def intrinsic_exp_sq(gamma: float, q: Quaternion, sign: int = -1) -> Quaternion:
     """exp(sign * q**2 / gamma**2), evaluated on the slice of q.
 
     The result has real series coefficients (it is intrinsic), hence
-    commutes with every quaternion on the same slice.
+    commutes with every quaternion on the same slice.  Raises
+    OverflowError, naming gamma, when the value is not finite.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     sp = slice_decompose(q)
-    zsq = complex(sp.x, sp.y) ** 2
-    return embed_in_slice(cmath.exp(sign * zsq / (gamma * gamma)), sp.unit)
+    x, y, g2 = sp.x, sp.y, gamma * gamma
+    # sign*(x + iy)^2/gamma^2 by components, as complex arithmetic rounds
+    # them, but without the NaN it makes of 0 * inf
+    exponent = complex(sign * (x * x - y * y) / g2, sign * 2.0 * x * y / g2)
+    try:
+        value = cmath.exp(exponent)
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise OverflowError(
+            f"exp({'-' if sign < 0 else '+'}q^2/gamma^2) overflows at "
+            f"gamma={gamma}: exponent {exponent}")
+    return embed_in_slice(value, sp.unit)
 
 
 def star_exp_on_slice(nu: float, z, unit: ImaginaryUnit, p: Quaternion):
@@ -234,22 +252,27 @@ def star_exp_on_slice(nu: float, z, unit: ImaginaryUnit, p: Quaternion):
     A = exp(nu z conj(w)) and B = exp(nu z w); summing the series power by
     power (slice representation formula) gives exactly (Re A + Re B)/2
     + I (Im A + Im B)/2 + (Im A - Im B)/2 J + (Re B - Re A)/2 IJ.  Raises
-    OverflowError once nu Re(z conj(w)) or nu Re(z w) passes log(DBL_MAX).
+    OverflowError once nu Re(z conj(w)) or nu Re(z w) passes log(DBL_MAX),
+    or an exponent is not finite.
     """
     if nu <= 0.0:
         raise ValueError("nu must be positive")
     sp = slice_decompose(p)
     w = complex(sp.x, sp.y)
-    ea = nu * z * w.conjugate()
-    eb = nu * z * w
-    worst = np.maximum(ea.real, eb.real).max()
-    if worst > LOG_DBL_MAX:
+    # the check below reports overflow, so numpy's warnings are redundant
+    with np.errstate(all="ignore"):
+        ea = nu * z * w.conjugate()
+        eb = nu * z * w
+        # halved before adding, so A + B cannot overflow
+        a = 0.5 * np.exp(ea)
+        b = 0.5 * np.exp(eb)
+    # an exponent real part past log(DBL_MAX) always makes A or B infinite
+    if not np.isfinite(a + b).all():
+        worst = np.maximum(ea.real, eb.real).max()
         raise OverflowError(
             f"star exponential overflows at nu={nu}: exponent real part "
-            f"{worst:.6g} exceeds log(DBL_MAX) = {LOG_DBL_MAX:.6g}")
-    # halved before adding, so A + B cannot overflow
-    a = 0.5 * np.exp(ea)
-    b = 0.5 * np.exp(eb)
+            f"{worst:.6g} (limit log(DBL_MAX) = {LOG_DBL_MAX:.6g}) or a "
+            "non-finite exponent")
     c0, c1 = a.real + b.real, a.imag + b.imag
     c2, c3 = a.imag - b.imag, b.real - a.real
     i, j = unit, sp.unit

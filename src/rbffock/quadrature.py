@@ -6,6 +6,9 @@ nodes and weights, never in the integrand.  Integrands are the remaining
 smooth factors, so polynomial integrands of degree <= 2M-1 per variable are
 integrated exactly and nothing is ever double-damped.
 
+Integrands on R^d and C^d are sums of products of one-coordinate factors,
+so ``integrate_rd`` sums each axis once instead of the tensor grid.
+
 Sums are accumulated in a fixed node order with block-compensated
 reduction (pairwise numpy partial sums combined by math.fsum), which makes
 every reported integral bit-reproducible for a given configuration.
@@ -13,9 +16,10 @@ every reported integral bit-reproducible for a given configuration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -23,15 +27,15 @@ from .hypercomplex import ImaginaryUnit, Quaternion, SlicePoint
 
 __all__ = [
     "DEFAULT_QUAD_ORDER",
-    "NODE_BUDGET",
     "QuadratureRule",
     "gauss_hermite",
     "integrate_slice",
+    "axis_moments",
+    "separable_sum",
     "integrate_rd",
 ]
 
 DEFAULT_QUAD_ORDER = 80
-NODE_BUDGET = 10_000_000
 
 _BLOCK = 1 << 16
 
@@ -56,6 +60,7 @@ def _orthonormal_hermite(x: np.ndarray, n: int) -> np.ndarray:
     return cur
 
 
+@functools.lru_cache(maxsize=64)
 def gauss_hermite(order: int, nu: float = 1.0) -> QuadratureRule:
     """Gauss-Hermite rule for the weight exp(-nu*x^2) on the real line.
 
@@ -68,7 +73,8 @@ def gauss_hermite(order: int, nu: float = 1.0) -> QuadratureRule:
     The cap at order 512 keeps the recurrence values inside double range.
     Past order ~350 the outermost weights fall below the smallest positive
     double and underflow to exactly zero; those nodes carry no
-    representable mass.
+    representable mass.  Rules are built once per (order, nu) and shared,
+    so their arrays are read-only.
     """
     if not 1 <= order <= 512:
         raise ValueError("order must lie in [1, 512]")
@@ -96,8 +102,10 @@ def gauss_hermite(order: int, nu: float = 1.0) -> QuadratureRule:
         nodes = 0.5 * (nodes - nodes[::-1])
         weights = 0.5 * (weights + weights[::-1])
     root = math.sqrt(nu)
-    return QuadratureRule(nodes=nodes / root, weights=weights / root,
-                          order=order, nu=nu)
+    nodes, weights = nodes / root, weights / root
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureRule(nodes=nodes, weights=weights, order=order, nu=nu)
 
 
 def compensated_sum(values: np.ndarray) -> float:
@@ -134,39 +142,29 @@ def integrate_slice(rule: QuadratureRule, fn, unit: ImaginaryUnit) -> Quaternion
     return Quaternion(*comps)
 
 
-def integrate_rd(rule: QuadratureRule, dim: int,
-                 fn: Callable[[np.ndarray], np.ndarray]) -> complex:
-    """d-fold tensor quadrature of fn over R^d against exp(-nu*|x|^2).
+def axis_moments(weights: np.ndarray, table) -> np.ndarray:
+    """sum_i weights[i] * table[k, i] for each row k, by compensated_sum."""
+    return np.array([complex(compensated_sum(weights * row.real),
+                             compensated_sum(weights * row.imag))
+                     for row in np.asarray(table, dtype=complex)])
 
-    ``fn`` maps an (npoints, dim) float array to (npoints,) complex values
-    and must not include the Gaussian weight.  Node count is capped at
-    dim * order**dim <= NODE_BUDGET.
+
+def separable_sum(moments: Sequence[np.ndarray], terms) -> complex:
+    """sum_t c_t prod_l moments[l][k_{t,l}] over terms (k_t, c_t), by fsum."""
+    index = np.array([k for k, _ in terms], dtype=int).reshape(
+        len(terms), len(moments))
+    values = np.array([c for _, c in terms], dtype=complex)
+    for axis, m in enumerate(moments):
+        values *= m[index[:, axis]]
+    return complex(math.fsum(values.real), math.fsum(values.imag))
+
+
+def integrate_rd(weights: np.ndarray, tables: Sequence, terms) -> complex:
+    """Tensor-product quadrature of sum_t c_t prod_l F_l[k_{t,l}](x_l).
+
+    ``weights`` belong to one axis' nodes (M for a real axis, M^2 for a
+    complex coordinate's grid), ``tables[l][k]`` holds F_l[k] at them
+    without the weight, and ``terms`` are the pairs (k_t, c_t).  Equals the
+    sum over the full tensor grid, in O(d K nodes + terms) work.
     """
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
-    total_nodes = dim * rule.order ** dim
-    if total_nodes > NODE_BUDGET:
-        raise ValueError(
-            f"node budget exceeded: {dim} * {rule.order}^{dim} = {total_nodes} "
-            f"> {NODE_BUDGET}; lower the quadrature order or the dimension")
-    x = rule.nodes
-    w = rule.weights
-    if dim == 1:
-        vals = np.asarray(fn(x[:, None]), dtype=complex)
-        return complex(compensated_sum(w * vals.real),
-                       compensated_sum(w * vals.imag))
-    rest = np.meshgrid(*([x] * (dim - 1)), indexing="ij")
-    rest_pts = np.stack([g.ravel() for g in rest], axis=-1)
-    # product of weights along the trailing axes, in the same raveled order
-    rest_w = np.ones(rest_pts.shape[0])
-    for g in np.meshgrid(*([w] * (dim - 1)), indexing="ij"):
-        rest_w = rest_w * g.ravel()
-    re_parts, im_parts = [], []
-    pts = np.empty((rest_pts.shape[0], dim))
-    pts[:, 1:] = rest_pts
-    for i in range(x.size):
-        pts[:, 0] = x[i]
-        vals = np.asarray(fn(pts), dtype=complex)
-        re_parts.append(compensated_sum(w[i] * rest_w * vals.real))
-        im_parts.append(compensated_sum(w[i] * rest_w * vals.imag))
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
+    return separable_sum([axis_moments(weights, t) for t in tables], terms)

@@ -207,14 +207,7 @@ class CPowerSeries:
         return max((multi_order(idx) for idx, _ in self.terms), default=0)
 
     def eval(self, z: Sequence[complex]) -> complex:
-        z = tuple(z)
-        total = 0.0 + 0.0j
-        for index, coeff in self.terms:
-            p = coeff
-            for zl, nl in zip(z, index):
-                p *= zl ** nl
-            total += p
-        return total
+        return complex(self.eval_points(np.reshape(z, (1, self.dim)))[0])
 
     def eval_points(self, zpts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at points of shape (npoints, dim)."""
@@ -245,8 +238,7 @@ class GaussCSeries:
         return self.series.dim
 
     def eval(self, z: Sequence[complex]) -> complex:
-        zsq = sum(zl * zl for zl in z)
-        return complex(np.exp(-zsq / (self.gamma * self.gamma))) * self.series.eval(z)
+        return complex(self.eval_points(np.reshape(z, (1, self.dim)))[0])
 
     def eval_points(self, zpts: np.ndarray) -> np.ndarray:
         zpts = np.asarray(zpts, dtype=complex)

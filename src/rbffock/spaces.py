@@ -25,8 +25,9 @@ from . import _quatarray as qa
 from .hypercomplex import (I_DEFAULT, ImaginaryUnit, Quaternion, SlicePoint,
                            intrinsic_exp_sq, star_exp)
 from .kernels import fock_kernel_d, rbf_kernel_d, rbf_kernel_qslice
-from .quadrature import (DEFAULT_QUAD_ORDER, NODE_BUDGET, QuadratureRule,
-                         compensated_sum, gauss_hermite)
+from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, axis_moments,
+                         compensated_sum, gauss_hermite, integrate_rd,
+                         separable_sum)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      beta_coeffs)
 
@@ -220,15 +221,20 @@ class RBFSliceSpace:
         return fock._pair_integral(fock._grid_values(f.series), kvals)
 
 
-def _cd_poly_degree(f) -> int:
-    if isinstance(f, (CPowerSeries, GaussCSeries)):
-        return f.series.max_axis_degree if isinstance(f, GaussCSeries) \
-            else f.max_axis_degree
-    raise TypeError("C^d inner products need a CPowerSeries or GaussCSeries")
+def _cd_series(f, dim: int) -> CPowerSeries:
+    if not isinstance(f, CPowerSeries):
+        raise TypeError("C^d Fock-space elements must be CPowerSeries")
+    if f.dim != dim:
+        raise ValueError(f"series on C^{f.dim} in a space on C^{dim}")
+    return f
 
 
 class FockCSpace:
-    """Fock space on C^d: weight exp(-alpha|z|^2), prefactor (alpha/pi)^d."""
+    """Fock space on C^d: weight exp(-alpha|z|^2), prefactor (alpha/pi)^d.
+
+    Weight and integrands factor over coordinates: integrals run on one
+    coordinate's M x M grid, inner products on T[n, m] = sum W z^n conj(z)^m.
+    """
 
     def __init__(self, alpha: float, dim: int, quad_order: int | None = None):
         if alpha <= 0.0:
@@ -238,67 +244,62 @@ class FockCSpace:
         self.alpha = alpha
         self.dim = dim
         self.quad_order = quad_order or (DEFAULT_QUAD_ORDER if dim == 1 else 32)
-        if self.quad_order ** (2 * dim) > NODE_BUDGET:
-            raise ValueError("node budget exceeded; lower quad_order or dim")
         self.rule = gauss_hermite(self.quad_order, alpha)
+        x, w = self.rule.nodes, self.rule.weights
+        self._z = (x[:, None] + 1j * x[None, :]).ravel()
+        self._w = (w[:, None] * w[None, :]).ravel()
+        self._moments = np.zeros((0, 0), dtype=complex)
 
-    def _slabs(self):
-        """Yield (zpts (m, dim) complex, weights (m,)) in fixed order."""
-        x = self.rule.nodes
-        w = self.rule.weights
-        n_axes = 2 * self.dim
-        rest = np.meshgrid(*([x] * (n_axes - 1)), indexing="ij")
-        rest_pts = np.stack([g.ravel() for g in rest], axis=-1)
-        rest_w = np.ones(rest_pts.shape[0])
-        for g in np.meshgrid(*([w] * (n_axes - 1)), indexing="ij"):
-            rest_w = rest_w * g.ravel()
-        coords = np.empty((rest_pts.shape[0], n_axes))
-        coords[:, 1:] = rest_pts
-        for i in range(x.size):
-            coords[:, 0] = x[i]
-            zpts = coords[:, 0::2] + 1j * coords[:, 1::2]
-            yield zpts, w[i] * rest_w
+    def _powers(self, degree: int) -> np.ndarray:
+        """Rows z^n, n <= degree, on one coordinate's grid."""
+        return np.vander(self._z, degree + 1, increasing=True).T
 
-    def _values(self, f, zpts: np.ndarray) -> np.ndarray:
-        return f.eval_points(zpts)
+    def _moment_table(self, degree: int) -> np.ndarray:
+        if self._moments.shape[0] <= degree:
+            p = self._powers(degree)
+            self._moments = np.array([axis_moments(self._w, p[n] * np.conj(p))
+                                      for n in range(degree + 1)])
+        return self._moments
 
     def inner_product(self, f, g) -> complex:
-        if _cd_poly_degree(f) + _cd_poly_degree(g) > 2 * self.quad_order - 1:
+        """<f, g> = sum over term pairs of c_f conj(c_g) prod_l T[n_l, m_l]."""
+        f, g = _cd_series(f, self.dim), _cd_series(g, self.dim)
+        if f.max_axis_degree + g.max_axis_degree > 2 * self.quad_order - 1:
             raise ValueError("combined integrand degree exceeds quadrature "
                              "exactness; raise quad_order")
-        re_parts, im_parts = [], []
-        for zpts, wts in self._slabs():
-            vals = np.conj(self._values(g, zpts)) * self._values(f, zpts)
-            re_parts.append(compensated_sum(wts * vals.real))
-            im_parts.append(compensated_sum(wts * vals.imag))
-        scale = (self.alpha / math.pi) ** self.dim
-        return scale * complex(math.fsum(re_parts), math.fsum(im_parts))
+        table = self._moment_table(max(f.max_axis_degree, g.max_axis_degree))
+        size = table.shape[0]
+        pairs = [(tuple(n * size + m for n, m in zip(kf, kg)),
+                  cf * cg.conjugate())
+                 for kf, cf in f.terms for kg, cg in g.terms]
+        value = separable_sum([table.ravel()] * self.dim, pairs)
+        return (self.alpha / math.pi) ** self.dim * value
 
     def norm_sq(self, f) -> float:
         return self.inner_product(f, f).real
 
     def gram(self, functions: Sequence) -> np.ndarray:
-        n = len(functions)
-        out = np.zeros((n, n), dtype=complex)
-        for zpts, wts in self._slabs():
-            vals = np.stack([self._values(f, zpts) for f in functions])
-            out += (np.conj(vals) * wts) @ vals.T
-        return out.T * (self.alpha / math.pi) ** self.dim
+        """G[a, b] = <f_a, f_b>, Hermitian by construction."""
+        out = np.zeros((len(functions),) * 2, dtype=complex)
+        for a, b in zip(*np.triu_indices(len(functions))):
+            ip = self.inner_product(functions[a], functions[b])
+            out[b, a], out[a, b] = np.conj(ip), ip
+        return out
 
     def kernel(self, z, w) -> complex:
         return fock_kernel_d(self.alpha, z, w)
 
     def reproduce(self, f, w: Sequence[complex]) -> complex:
-        _cd_poly_degree(f)
+        """<f, K_w>: per coordinate, the table z^n exp(alpha conj(z) w_l)."""
+        f = _cd_series(f, self.dim)
         w = np.asarray(w, dtype=complex)
-        re_parts, im_parts = [], []
-        for zpts, wts in self._slabs():
-            kconj = np.exp(self.alpha * (np.conj(zpts) @ w))
-            vals = kconj * self._values(f, zpts)
-            re_parts.append(compensated_sum(wts * vals.real))
-            im_parts.append(compensated_sum(wts * vals.imag))
-        scale = (self.alpha / math.pi) ** self.dim
-        return scale * complex(math.fsum(re_parts), math.fsum(im_parts))
+        if w.shape != (self.dim,):
+            raise ValueError("evaluation point has the wrong dimension")
+        powers = self._powers(f.max_axis_degree)
+        tables = [powers * np.exp(self.alpha * np.conj(self._z) * wl)
+                  for wl in w]
+        value = integrate_rd(self._w, tables, f.terms)
+        return (self.alpha / math.pi) ** self.dim * value
 
 
 class RBFCSpace:
@@ -380,7 +381,7 @@ def pointwise_bound_check(gamma: float, f: GaussSeries, points,
                           quad_order: int = DEFAULT_QUAD_ORDER) -> BoundCheckReport:
     """Check |f(q)| <= exp(2 y^2/gamma^2) ||f|| over the given slice points.
 
-    Returns the max of |f(q)| / bound; values above 1 violate the bound.
+    Returns the max of |f(q)| / bound (NaN if one is); above 1 is a violation.
     """
     space = RBFSliceSpace(gamma, unit, quad_order)
     norm = math.sqrt(space.norm_sq(f))
@@ -390,7 +391,7 @@ def pointwise_bound_check(gamma: float, f: GaussSeries, points,
         q = sp.to_quaternion()
         bound = math.exp(2.0 * sp.y * sp.y / (gamma * gamma)) * norm
         ratio = abs(f.eval(q)) / bound
-        if ratio > max_ratio:
+        if ratio > max_ratio or math.isnan(ratio):
             max_ratio, worst = ratio, sp
     return BoundCheckReport(max_ratio=max_ratio, norm=norm, worst_point=worst)
 

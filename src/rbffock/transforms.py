@@ -327,8 +327,8 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi,
                        quad_order: int = DEFAULT_QUAD_ORDER) -> complex:
     """d-dimensional RBF Segal-Bargmann transform evaluated at z in C^d.
 
-    The kernel tensor-factorizes across coordinates; the quadrature path
-    integrates over R^d and is limited to dim <= 3 by the node budget.
+    Kernel and Hermite terms factor over coordinates; the quadrature path
+    integrates psi_n(x) exp(-(sqrt2 z_l - x)^2/gamma^2) per axis.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -349,12 +349,10 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi,
     if not isinstance(phi, HermiteCoeffFunctionD):
         raise TypeError("quadrature path needs HermiteCoeffFunctionD")
     rule = gauss_hermite(quad_order, nu)
+    x = rule.nodes
+    n_max = max((max(idx) for idx, _ in phi.terms), default=0)
+    psis = hermite_psi_all(phi.nu, n_max, x) * np.exp(nu * x * x)
+    tables = [psis * np.exp(-(math.sqrt(2.0) * zl - x) ** 2 / (gamma * gamma))
+              for zl in z.ravel()]
     pref = (2.0 / (math.pi * gamma * gamma)) ** (dim / 4.0)
-
-    def integrand(xpts: np.ndarray) -> np.ndarray:
-        u = math.sqrt(2.0) * z[None, :] - xpts
-        kern = pref * np.exp(-np.sum(u * u, axis=1) / (gamma * gamma))
-        comp = np.exp(nu * np.sum(xpts * xpts, axis=1))
-        return kern * phi.eval_points(xpts) * comp
-
-    return integrate_rd(rule, dim, integrand)
+    return pref * integrate_rd(rule.weights, tables, phi.terms)

@@ -60,8 +60,11 @@ class CheckResult:
     passed: bool
 
     def to_json(self) -> dict:
+        """JSON-ready fields; a non-finite value becomes None (null)."""
         out = asdict(self)
         out["pass"] = out.pop("passed")
+        if not math.isfinite(out["value"]):
+            out["value"] = None
         return out
 
 

@@ -24,8 +24,8 @@ class TestHermiteH:
         # squared norm against exp(-nu x^2) dx is 2^n nu^n n! sqrt(pi/nu)
         for nu, n in [(1.0, 2), (2.0, 4), (0.7, 5)]:
             rule = gauss_hermite(40, nu)
-            val = integrate_rd(rule, 1,
-                               lambda pts: hermite_h(nu, n, pts[:, 0]) ** 2 + 0j)
+            table = [hermite_h(nu, n, rule.nodes) ** 2 + 0j]
+            val = integrate_rd(rule.weights, [table], [((0,), 1.0)])
             want = 2 ** n * nu ** n * math.factorial(n) * math.sqrt(math.pi / nu)
             assert val.real == pytest.approx(want, rel=1e-12)
 

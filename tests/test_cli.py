@@ -59,27 +59,39 @@ class TestKernelCommand:
         assert code == 2
         assert "line" in err
 
-    @pytest.mark.parametrize("payload, field", [
+    @pytest.mark.parametrize("payload, field, named", [
         ({"kernel": "rbf-qslice", "gamma": 1.0,
           "pairs": [[[0, 0, 0, 0], [1, 0, 0, 0]],
-                    [[0, 20, 0, 0], [1, 0, 20, 0]]]}, "pairs[1]"),
+                    [[0, 20, 0, 0], [1, 0, 20, 0]]]}, "pairs[1]", "nu=2"),
         # finite star exponential, overflowing envelope product
         ({"kernel": "rbf-qslice", "gamma": 1.0,
-          "pairs": [[[0, 18, 0, 0], [0, 18, 0, 0]]]}, "pairs[0]"),
+          "pairs": [[[0, 18, 0, 0], [0, 18, 0, 0]]]}, "pairs[0]",
+         "gamma=1.0"),
+        # one envelope factor overflows on its own
+        ({"kernel": "rbf-qslice", "gamma": 1.0,
+          "pairs": [[[0, 30, 0, 0], [1, 0, 0, 0]]]}, "pairs[0]",
+         "gamma=1.0"),
+        # the star exponential's exponent is not finite
+        ({"kernel": "rbf-qslice", "gamma": 1.0,
+          "pairs": [[[1e300, 0, 0, 0], [0, 1e10, 0, 0]]]}, "pairs[0]",
+         "nu=2"),
         ({"kernel": "rbf-complex", "gamma": 1.0,
-          "pairs": [[[0, 30], [0, 30]]]}, "pairs[0]"),
+          "pairs": [[[0, 30], [0, 30]]]}, "pairs[0]", "rbf kernel"),
         ({"kernel": "fock", "alpha": 1.0, "pairs": [[[0, 30], [0, 30]]]},
-         "pairs[0]"),
+         "pairs[0]", "fock kernel"),
         ({"kernel": "exponential", "pairs": [[[1], [1]], [[30], [30]]]},
-         "pairs[1]"),
-    ], ids=["qslice-star-exp", "qslice-envelope", "rbf-complex", "fock",
+         "pairs[1]", "exponential kernel"),
+    ], ids=["qslice-star-exp", "qslice-envelope", "qslice-envelope-factor",
+            "qslice-star-exp-non-finite", "rbf-complex", "fock",
             "exponential"])
-    def test_overflow_names_pair(self, tmp_path, capsys, payload, field):
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_names_pair(self, tmp_path, capsys, payload, field,
+                                 named):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(payload))
         code, out, err = run_cli(["kernel", "--input", str(path)], capsys)
         assert code == 2
-        assert field in err and "overflow" in err
+        assert field in err and "overflow" in err and named in err
         assert "nan" not in out
 
     def test_empty_pairs_exit_2(self, tmp_path, capsys):
@@ -135,14 +147,22 @@ class TestGramCommand:
         # finite star exponential, overflowing envelope product
         ({"kernel": "rbf-qslice", "gamma": 1.0,
           "points": [[0, 18, 0, 0], [0, 0, 18, 0]]}, "gamma=1.0"),
+        # one envelope factor overflows on its own
+        ({"kernel": "rbf-qslice", "gamma": 1.0,
+          "points": [[0, 30, 0, 0], [1, 0, 0, 0]]}, "gamma=1.0"),
+        # the star exponential's exponent is not finite
+        ({"kernel": "rbf-qslice", "gamma": 1.0,
+          "points": [[1e300, 0, 0, 0], [0, 1e10, 0, 0]]}, "nu=2"),
         ({"kernel": "rbf-complex", "gamma": 1.0, "points": [[0, 30], [1, 0]]},
          "rbf kernel"),
         ({"kernel": "fock", "alpha": 1.0, "points": [[0, 30], [1, 0]]},
          "fock kernel"),
         ({"kernel": "exponential", "points": [[30], [1]]},
          "exponential kernel"),
-    ], ids=["qslice-star-exp", "qslice-envelope", "rbf-complex", "fock",
+    ], ids=["qslice-star-exp", "qslice-envelope", "qslice-envelope-factor",
+            "qslice-star-exp-non-finite", "rbf-complex", "fock",
             "exponential"])
+    @pytest.mark.filterwarnings("error")
     def test_overflow_exits_2(self, tmp_path, capsys, payload, named):
         inp = tmp_path / "g.json"
         inp.write_text(json.dumps(payload))
@@ -411,6 +431,18 @@ class TestVerifyCommand:
         assert code == 1
         assert "[FAIL] kernel-sum-truncation" in out
 
+    def test_nan_value_reported_as_null(self, tmp_path, capsys, monkeypatch):
+        from rbffock import verify
+        nan = Quaternion(math.nan, 0.0, 0.0, 0.0)
+        monkeypatch.setattr(verify, "kernel_sum_truncated", lambda *_: nan)
+        report = tmp_path / "report.json"
+        code, _, _ = run_cli(["verify", "--only", "kernel-sum",
+                              "--report", str(report)], capsys)
+        assert code == 1
+        data = json.loads(report.read_text(), parse_constant=_reject_constant)
+        assert data["passed"] is False
+        assert [c["value"] for c in data["checks"]] == [None, None]
+        assert not any(c["pass"] for c in data["checks"])
 
     def test_subset_passes_and_reports(self, tmp_path, capsys):
         report = tmp_path / "report.json"

@@ -114,6 +114,13 @@ class TestSliceDecompose:
         assert (sp.x, sp.y) == (5.0, 0.0)
         assert sp.unit.x == 1.0
 
+    def test_subnormal_imaginary_part(self):
+        q = Quaternion(0.0, 0.0, 5e-324, 5e-324)
+        sp = slice_decompose(q)
+        assert sp.unit.y == sp.unit.z == pytest.approx(1 / math.sqrt(2),
+                                                       rel=1e-15)
+        assert sp.to_quaternion() == q
+
     @given(quaternions)
     @settings(max_examples=200, deadline=None)
     def test_roundtrip(self, q):

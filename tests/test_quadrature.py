@@ -5,7 +5,6 @@ import pytest
 
 from rbffock import (I_DEFAULT, ImaginaryUnit, QPowerSeries, Quaternion,
                      gauss_hermite, integrate_rd, integrate_slice)
-from rbffock.quadrature import NODE_BUDGET
 
 
 def gaussian_moment(k: int, nu: float) -> float:
@@ -67,6 +66,13 @@ class TestGaussHermite:
         assert np.array_equal(rule.nodes, -rule.nodes[::-1])
         assert float(np.sum(rule.weights)) == pytest.approx(
             math.sqrt(math.pi), rel=1e-14)
+
+    def test_rule_is_shared_and_read_only(self):
+        rule = gauss_hermite(16, 2.0)
+        assert gauss_hermite(16, 2.0) is rule
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -147,13 +153,16 @@ class TestIntegrateSlice:
 class TestIntegrateRd:
     def test_constant_2d(self):
         rule = gauss_hermite(12, 1.0)
-        val = integrate_rd(rule, 2, lambda pts: np.ones(pts.shape[0]))
+        ones = np.ones((1, rule.order))
+        val = integrate_rd(rule.weights, [ones, ones], [((0, 0), 1.0)])
         assert val.real == pytest.approx(math.pi, rel=1e-14)
         assert val.imag == 0.0
 
     def test_odd_vanishes(self):
         rule = gauss_hermite(12, 1.0)
-        val = integrate_rd(rule, 2, lambda pts: pts[:, 0] ** 3 + 0j)
+        x = rule.nodes
+        val = integrate_rd(rule.weights, [[x ** 3 + 0j], [np.ones_like(x)]],
+                           [((0, 0), 1.0)])
         assert abs(val) <= 1e-15
 
     def test_hermite_normalization(self):
@@ -161,23 +170,16 @@ class TestIntegrateRd:
         from rbffock import hermite_psi
         nu = 2.0
         rule = gauss_hermite(24, nu)
-
-        def fn(pts):
-            x = pts[:, 0]
-            return hermite_psi(nu, 0, x) ** 2 * np.exp(nu * x * x) + 0j
-
-        assert integrate_rd(rule, 1, fn).real == pytest.approx(1.0, rel=1e-13)
-
-    def test_budget_guard(self):
-        rule = gauss_hermite(500, 1.0)
-        with pytest.raises(ValueError, match="budget"):
-            integrate_rd(rule, 3, lambda pts: np.ones(pts.shape[0]))
-        assert 3 * 500 ** 3 > NODE_BUDGET
+        x = rule.nodes
+        table = [hermite_psi(nu, 0, x) ** 2 * np.exp(nu * x * x) + 0j]
+        val = integrate_rd(rule.weights, [table], [((0,), 1.0)])
+        assert val.real == pytest.approx(1.0, rel=1e-13)
 
     def test_dim3_polynomial(self):
         rule = gauss_hermite(6, 1.0)
-        val = integrate_rd(rule, 3,
-                           lambda pts: (pts[:, 0] ** 2 * pts[:, 1] ** 4) + 0j)
+        x = rule.nodes
+        val = integrate_rd(rule.weights, [[x ** 2], [x ** 4], [np.ones_like(x)]],
+                           [((0, 0, 0), 1.0)])
         want = (gaussian_moment(2, 1.0) * gaussian_moment(4, 1.0)
                 * gaussian_moment(0, 1.0))
         assert val.real == pytest.approx(want, rel=1e-13)

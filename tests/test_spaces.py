@@ -186,6 +186,18 @@ class TestBoundAndSliceChecks:
             report = pointwise_bound_check(1.0, f, points, UNIT_I, 80)
             assert report.max_ratio <= 1.0 + 1e-9
 
+    def test_nan_ratio_fails_the_bound(self, monkeypatch):
+        from rbffock import verify
+        nan = Quaternion(math.nan, 0.0, 0.0, 0.0)
+        monkeypatch.setattr(GaussSeries, "eval", lambda self, q: nan)
+        points = [SlicePoint(0.5, 0.5, UNIT_I), SlicePoint(0.0, 1.0, UNIT_I)]
+        report = pointwise_bound_check(1.0, rbf_basis_series(1.0, 2), points)
+        assert math.isnan(report.max_ratio)
+        assert report.worst_point in points
+        bound = [r for r in verify.run_criterion("diagonal-bound")
+                 if r.check == "pointwise-bound"]
+        assert len(bound) == 1 and not bound[0].passed
+
     def test_kernel_section_attains_bound(self):
         # f = K^p has norm sqrt(K(p,p)) and |f(p)| = K(p,p): the ratio at
         # q = p is exactly exp(4y^2/g^2) / exp(4y^2/g^2) = 1
