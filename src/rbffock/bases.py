@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import positive_finite
 from .hypercomplex import Quaternion, embed_in_slice, slice_decompose
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      multi_factorial, multi_order)
@@ -40,8 +41,7 @@ MAX_HERMITE_ORDER = 64
 
 
 def _check_hermite_args(nu: float, n: int) -> None:
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
+    positive_finite("nu", nu)
     if not 0 <= n <= MAX_HERMITE_ORDER:
         raise ValueError(f"order must lie in [0, {MAX_HERMITE_ORDER}]")
 
@@ -91,8 +91,7 @@ def hermite_psi(nu: float, n: int, x):
 
 def rbf_basis_coeff(gamma: float, n: int) -> float:
     """Normalization sqrt(2^n / (gamma^{2n} n!)), computed in log space."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    positive_finite("gamma", gamma)
     return math.exp(0.5 * (n * math.log(2.0) - 2.0 * n * math.log(gamma)
                            - math.lgamma(n + 1)))
 

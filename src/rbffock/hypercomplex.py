@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import positive_finite
+
 __all__ = [
     "Quaternion",
     "ImaginaryUnit",
@@ -225,8 +227,7 @@ def intrinsic_exp_sq(gamma: float, q: Quaternion, sign: int = -1) -> Quaternion:
     commutes with every quaternion on the same slice.  Raises
     OverflowError, naming gamma, when the value is not finite.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    positive_finite("gamma", gamma)
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     sp = slice_decompose(q)
@@ -255,8 +256,7 @@ def star_exp_on_slice(nu: float, z, unit: ImaginaryUnit, p: Quaternion):
     OverflowError once nu Re(z conj(w)) or nu Re(z w) passes log(DBL_MAX),
     or an exponent is not finite.
     """
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
+    positive_finite("nu", nu)
     sp = slice_decompose(p)
     w = complex(sp.x, sp.y)
     # the check below reports overflow, so numpy's warnings are redundant

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import positive_finite
 from .bases import rbf_basis_q
 from .hypercomplex import Quaternion, intrinsic_exp_sq, star_exp
 
@@ -55,8 +56,7 @@ class KernelParams:
     normalization: str = "unitary"
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        positive_finite("gamma", self.gamma)
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
 
@@ -67,8 +67,7 @@ class KernelParams:
 
 def rbf_kernel_c(gamma: float, z: complex, w: complex) -> complex:
     """Complex Gaussian RBF kernel exp(-(z - conj(w))^2 / gamma^2)."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    positive_finite("gamma", gamma)
     u = complex(z) - complex(w).conjugate()
     return cmath.exp(-(u * u) / (gamma * gamma))
 
@@ -93,8 +92,7 @@ def _finite(kernel_id: str, compute):
 def rbf_kernel_d(gamma: float, z, w):
     """Gaussian RBF kernel on C^d with the convention v^2 = sum_l v_l^2;
     on real points it is the real Gaussian exp(-|x - y|^2 / gamma^2)."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    positive_finite("gamma", gamma)
     z, w = _points(z, w)
     u = z - np.conj(w)
     return _finite("rbf",
@@ -103,8 +101,7 @@ def rbf_kernel_d(gamma: float, z, w):
 
 def fock_kernel_d(alpha: float, z, w):
     """Fock-space reproducing kernel exp(alpha * z . conj(w)) on C^d."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    positive_finite("alpha", alpha)
     z, w = _points(z, w, complex)
     return _finite("fock",
                    lambda: np.exp(alpha * np.sum(z * np.conj(w), axis=-1)))
@@ -118,8 +115,7 @@ def rbf_kernel_qslice(gamma: float, q: Quaternion, p: Quaternion) -> Quaternion:
     collapses to the complex kernel; on the diagonal it equals the real
     value exp(4 y^2 / gamma^2).
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    positive_finite("gamma", gamma)
     left = intrinsic_exp_sq(gamma, q, -1)
     mid = star_exp(2.0 / (gamma * gamma), q, p)
     right = intrinsic_exp_sq(gamma, p.conjugate(), -1)

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._checks import positive_finite
 from .hypercomplex import ImaginaryUnit, Quaternion, SlicePoint
 
 __all__ = [
@@ -78,8 +79,7 @@ def gauss_hermite(order: int, nu: float = 1.0) -> QuadratureRule:
     """
     if not 1 <= order <= 512:
         raise ValueError("order must lie in [1, 512]")
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
+    positive_finite("nu", nu)
     if order == 1:
         nodes = np.zeros(1)
         weights = np.array([math.sqrt(math.pi)])

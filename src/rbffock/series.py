@@ -20,6 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _quatarray as qa
+from ._checks import positive_finite
 from .hypercomplex import ImaginaryUnit, Quaternion, intrinsic_exp_sq
 
 __all__ = [
@@ -70,8 +71,7 @@ class QPowerSeries:
     @classmethod
     def exp_sq(cls, gamma: float, sign: int = 1, degree: int = DEGREE_CAP) -> "QPowerSeries":
         """Series of exp(sign * q^2 / gamma^2) up to the given degree."""
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        positive_finite("gamma", gamma)
         if sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
         coeffs = [_ZERO] * (degree + 1)
@@ -121,8 +121,7 @@ class GaussSeries:
     series: QPowerSeries
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        positive_finite("gamma", self.gamma)
 
     @property
     def degree(self) -> int:
@@ -132,12 +131,13 @@ class GaussSeries:
         return intrinsic_exp_sq(self.gamma, q, -1) * self.series.eval(q)
 
     def eval_slice_grid(self, x, y, unit: ImaginaryUnit) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        z = x + 1j * y
+        """Values over q = x + unit*y, shape (..., 4).  The envelope lies
+        in C_unit and multiplies from the left, so it scales both complex
+        parts F1, F2 of the series (``_quatarray.split_horner``)."""
+        z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
         env = np.exp(-(z * z) / (self.gamma * self.gamma))
-        env4 = qa.embed_complex_arr(env, unit)
-        return qa.qmul(env4, self.series.eval_slice_grid(x, y, unit))
+        return qa.join_pair(env * qa.split_horner(self.series.coeffs, z, unit),
+                            unit)
 
     def to_json(self) -> dict:
         return {"gamma": self.gamma, "coeffs": [c.to_list() for c in self.series.coeffs]}
@@ -230,8 +230,7 @@ class GaussCSeries:
     series: CPowerSeries
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        positive_finite("gamma", self.gamma)
 
     @property
     def dim(self) -> int:
@@ -281,8 +280,7 @@ def beta_coeffs(gamma: float, coeffs: Sequence[Quaternion], k_max: int,
     each a finite exact sum; indices of ``coeffs`` beyond its length count
     as zero.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    positive_finite("gamma", gamma)
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     a = [_as_quaternion(c) for c in coeffs]

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _quatarray as qa
+from ._checks import positive_finite
 from .hypercomplex import (I_DEFAULT, ImaginaryUnit, Quaternion, SlicePoint,
                            intrinsic_exp_sq, star_exp)
 from .kernels import fock_kernel_d, rbf_kernel_d, rbf_kernel_qslice
@@ -87,8 +88,7 @@ class FockSliceSpace:
 
     def __init__(self, nu: float, unit: ImaginaryUnit = I_DEFAULT,
                  quad_order: int = DEFAULT_QUAD_ORDER):
-        if nu <= 0.0:
-            raise ValueError("nu must be positive")
+        positive_finite("nu", nu)
         self.nu = nu
         self.unit = unit
         self.quad_order = quad_order
@@ -160,8 +160,7 @@ class RBFSliceSpace:
 
     def __init__(self, gamma: float, unit: ImaginaryUnit = I_DEFAULT,
                  quad_order: int = DEFAULT_QUAD_ORDER):
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        positive_finite("gamma", gamma)
         self.gamma = gamma
         self.nu = 2.0 / (gamma * gamma)
         self.unit = unit
@@ -237,8 +236,7 @@ class FockCSpace:
     """
 
     def __init__(self, alpha: float, dim: int, quad_order: int | None = None):
-        if alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        positive_finite("alpha", alpha)
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         self.alpha = alpha
@@ -306,8 +304,7 @@ class RBFCSpace:
     """Gaussian RBF space on C^d, routed through the Fock side (nu = 2/g^2)."""
 
     def __init__(self, gamma: float, dim: int, quad_order: int | None = None):
-        if gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        positive_finite("gamma", gamma)
         self.gamma = gamma
         self.nu = 2.0 / (gamma * gamma)
         self.dim = dim

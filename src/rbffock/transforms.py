@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _quatarray as qa
+from ._checks import positive_finite
 from .bases import hermite_psi_all
 from .hypercomplex import (Quaternion, embed_in_slice, intrinsic_exp_sq,
                            slice_decompose)
@@ -67,8 +68,7 @@ class HermiteCoeffFunction:
     coeffs: tuple[Quaternion, ...]
 
     def __post_init__(self) -> None:
-        if self.nu <= 0.0:
-            raise ValueError("nu must be positive")
+        positive_finite("nu", self.nu)
         coerced = tuple(c if isinstance(c, Quaternion) else Quaternion.from_real(c)
                         for c in self.coeffs)
         object.__setattr__(self, "coeffs", coerced)
@@ -111,8 +111,7 @@ class HermiteCoeffFunctionD:
     terms: tuple[tuple[tuple[int, ...], complex], ...]
 
     def __post_init__(self) -> None:
-        if self.nu <= 0.0:
-            raise ValueError("nu must be positive")
+        positive_finite("nu", self.nu)
         cleaned = tuple((tuple(int(i) for i in idx), complex(c))
                         for idx, c in self.terms)
         for idx, _ in cleaned:
@@ -173,8 +172,7 @@ def sb_kernel(nu: float, q: Quaternion, x: float,
     Intrinsic in q, hence computed on the slice of q.  c(nu) is
     (nu/pi)^{1/4} under ``unitary`` and (nu/pi)^{3/4} under ``literal``.
     """
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
+    positive_finite("nu", nu)
     sp = slice_decompose(q)
     zq = complex(sp.x, sp.y)
     val = _sb_prefactor(nu, normalization) * cmath.exp(
@@ -215,8 +213,7 @@ def sb_transform(nu: float, phi, q: Quaternion,
     ``method="quadrature"`` integrates against the closed-form kernel, and
     ``auto`` picks the exact path whenever it applies.
     """
-    if nu <= 0.0:
-        raise ValueError("nu must be positive")
+    positive_finite("nu", nu)
     _check_normalization(normalization)
     if method not in ("auto", "coeffs", "quadrature"):
         raise ValueError("method must be auto, coeffs, or quadrature")
@@ -257,8 +254,7 @@ def rbf_sb_kernel(gamma: float, q: Quaternion, x: float,
     c is (2/(pi gamma^2))^{1/4} under ``unitary``, exponent 3/4 under
     ``literal``.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    positive_finite("gamma", gamma)
     _check_normalization(normalization)
     power = 0.25 if normalization == "unitary" else 0.75
     pref = (2.0 / (math.pi * gamma * gamma)) ** power
@@ -283,8 +279,7 @@ def rbf_sb_transform(gamma: float, phi, q: Quaternion,
     Computed as exp(-q^2/gamma^2) * (Fock transform at nu = 2/gamma^2),
     the operator factorization through the multiplication isometry.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    positive_finite("gamma", gamma)
     nu = 2.0 / (gamma * gamma)
     value = sb_transform(nu, phi, q, normalization, method, quad_order)
     return intrinsic_exp_sq(gamma, q, -1) * value
@@ -296,8 +291,7 @@ def rbf_sb_transform(gamma: float, phi, q: Quaternion,
 def rbf_sb_kernel_d(gamma: float, z: Sequence[complex],
                     x: Sequence[float]) -> complex:
     """(2/(pi gamma^2))^{d/4} exp(-(sqrt2 z - x)^2 / gamma^2) on C^d x R^d."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    positive_finite("gamma", gamma)
     z = np.asarray(z, dtype=complex)
     x = np.asarray(x, dtype=float)
     if z.shape != x.shape:
@@ -330,8 +324,7 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi,
     Kernel and Hermite terms factor over coordinates; the quadrature path
     integrates psi_n(x) exp(-(sqrt2 z_l - x)^2/gamma^2) per axis.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    positive_finite("gamma", gamma)
     if method not in ("auto", "coeffs", "quadrature"):
         raise ValueError("method must be auto, coeffs, or quadrature")
     nu = 2.0 / (gamma * gamma)
