@@ -9,3 +9,15 @@ def positive_finite(name: str, value) -> None:
     """Raise ValueError naming ``name`` unless 0 < value < inf; NaN fails."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def nu_from_gamma(gamma) -> float:
+    """nu = 2/gamma^2; raise ValueError naming gamma unless gamma and nu
+    are both positive finite numbers (gamma^2 may underflow or overflow)."""
+    positive_finite("gamma", gamma)
+    square = float(gamma) * float(gamma)
+    nu = 2.0 / square if square else math.inf
+    if not 0.0 < nu < math.inf:
+        raise ValueError("gamma must give a positive finite nu = 2/gamma^2, "
+                         f"got {gamma!r}")
+    return nu

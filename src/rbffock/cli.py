@@ -13,12 +13,16 @@ Exit codes: 0 success / all checks passed, 1 numerical check failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
+from ._checks import nu_from_gamma
 from .bases import hermite_h, hermite_psi, rbf_basis_c, rbf_basis_q
 from .gram import GRAM_KERNELS, build_gram, psd_check
 from .hypercomplex import Quaternion
@@ -64,13 +68,10 @@ def _require(data: dict, field: str, where: str):
     return data[field]
 
 
-def _write_lines(lines: list[str], path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_lines(lines: Iterable[str], path: str | None) -> None:
+    """Write each line as it comes, to ``path`` or to stdout."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _columns(layout: type) -> tuple[str, ...]:
@@ -130,8 +131,11 @@ def _kernel_input(data: dict, args, command: str, field: str):
         value = data.get(name)
         if value is None and gamma is not None and name in ("gamma", "alpha"):
             value = _parameter("gamma", float, gamma, command)
-            if name == "alpha":  # inf, rejected below, once gamma^2 underflows
-                value = 2.0 / (value * value) if value * value else math.inf
+            if name == "alpha":
+                try:
+                    value = nu_from_gamma(value)
+                except ValueError as exc:
+                    raise InputError(f"{command}: {exc}")
         if value is None:
             hint = {"gamma": " or via --gamma", "alpha": ", or gamma to "
                     "derive alpha = 2/gamma^2"}.get(name, "")
@@ -164,6 +168,25 @@ def cmd_kernel(args) -> int:
     return 0
 
 
+def _gram_rows(g: np.ndarray) -> Iterator[str]:
+    """CSV rows of a Gram, each formatted by one %-template, as _fmt would.
+
+    Quaternion cells are four numbers, complex cells re,im; a real Gram's
+    imaginary column is +0.0 throughout and is written as the constant 0.
+    """
+    if g.ndim == 3:
+        cell = "%.17g,%.17g,%.17g,%.17g"
+    elif np.iscomplexobj(g):
+        cell = "%.17g,%.17g"
+    else:
+        cell = "%.17g,0"
+    template = ",".join([cell] * g.shape[1])
+    for row in g:
+        if np.iscomplexobj(row):  # a float view of all of g would copy it
+            row = np.ascontiguousarray(row).view(float)
+        yield template % tuple(row.ravel().tolist())
+
+
 def cmd_gram(args) -> int:
     kernel_id, spec, params, raw_points = _kernel_input(
         _load_json(args.input), args, "gram", "points")
@@ -180,13 +203,10 @@ def cmd_gram(args) -> int:
     report = psd_check(gram, tol=args.tol)
 
     n = gram.size
-    lines = [",".join(f"g{b}.{c}" for b in range(n)
-                      for c in _columns(spec.layout))]
-    for row in gram.entries:
-        if not gram.is_quaternionic:
-            row = np.stack([row.real, row.imag], axis=-1)
-        lines.append(",".join(map(_fmt, row.ravel().tolist())))
-    _write_lines(lines, args.output)
+    header = ",".join(f"g{b}.{c}" for b in range(n)
+                      for c in _columns(spec.layout))
+    _write_lines(itertools.chain([header], _gram_rows(gram.entries)),
+                 args.output)
 
     payload = {"kernel": kernel_id, "params": params, "size": n,
                "min_eig": report.min_eigenvalue, "tol": report.tol,
@@ -351,10 +371,13 @@ def cmd_verify(args) -> int:
         if unknown:
             raise InputError(f"verify: unknown criteria {unknown}; "
                              f"choose from {sorted(CRITERIA)}")
-    cfg = VerifyConfig(gamma=args.gamma if args.gamma is not None else 1.0,
-                       quad_order=args.quad_order,
-                       normalization=args.normalization,
-                       tol_scale=args.tol, seed=args.seed)
+    try:
+        cfg = VerifyConfig(gamma=args.gamma if args.gamma is not None else 1.0,
+                           quad_order=args.quad_order,
+                           normalization=args.normalization,
+                           tol_scale=args.tol, seed=args.seed)
+    except ValueError as exc:
+        raise InputError(f"verify: {exc}")
     results = run_all(cfg, only)
     payload = {"config": {"gamma": cfg.gamma, "quad_order": cfg.quad_order,
                           "normalization": cfg.normalization,

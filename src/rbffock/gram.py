@@ -1,10 +1,11 @@
 """Kernel Gram matrices and positive-semidefiniteness certification.
 
-Complex and real Grams go straight to a Hermitian eigensolve.  Quaternionic
-Grams are certified through the complex adjoint representation: each entry
-a + b*j (a, b in C_i) becomes the 2x2 complex block [[a, b], [-conj(b),
-conj(a)]], an algebra homomorphism that doubles the size, preserves
-Hermitian structure, and doubles eigenvalue multiplicities.
+Complex Grams go straight to a Hermitian eigensolve, and real Grams to a
+real symmetric one without a cast to complex.  Quaternionic Grams are
+certified through the complex adjoint representation: each entry a + b*j
+(a, b in C_i) becomes the 2x2 complex block [[a, b], [-conj(b), conj(a)]],
+an algebra homomorphism that doubles the size, preserves Hermitian
+structure, and doubles eigenvalue multiplicities.
 """
 
 from __future__ import annotations
@@ -126,10 +127,8 @@ def psd_check(gram: GramMatrix, tol: float | None = None) -> PsdReport:
     """
     g = gram.entries
     herm_dev = float(np.max(np.abs(g - _adjoint(g))))
-    if gram.is_quaternionic:
-        mat = quat_matrix_to_complex(g)
-    else:
-        mat = np.asarray(g, dtype=complex)
+    # real Grams take a real symmetric solve, complex ones a Hermitian one
+    mat = quat_matrix_to_complex(g) if gram.is_quaternionic else g
     scale = float(np.max(np.abs(mat))) or 1.0
     if herm_dev > HERMITIAN_TOL * max(1.0, scale):
         raise ValueError(f"matrix is not Hermitian: deviation {herm_dev:.3e}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import positive_finite
+from ._checks import nu_from_gamma, positive_finite
 from .bases import rbf_basis_q
 from .hypercomplex import Quaternion, intrinsic_exp_sq, star_exp
 
@@ -56,13 +56,13 @@ class KernelParams:
     normalization: str = "unitary"
 
     def __post_init__(self) -> None:
-        positive_finite("gamma", self.gamma)
+        nu_from_gamma(self.gamma)
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
 
     @property
     def nu(self) -> float:
-        return 2.0 / (self.gamma * self.gamma)
+        return nu_from_gamma(self.gamma)
 
 
 def rbf_kernel_c(gamma: float, z: complex, w: complex) -> complex:
@@ -115,9 +115,9 @@ def rbf_kernel_qslice(gamma: float, q: Quaternion, p: Quaternion) -> Quaternion:
     collapses to the complex kernel; on the diagonal it equals the real
     value exp(4 y^2 / gamma^2).
     """
-    positive_finite("gamma", gamma)
+    nu = nu_from_gamma(gamma)
     left = intrinsic_exp_sq(gamma, q, -1)
-    mid = star_exp(2.0 / (gamma * gamma), q, p)
+    mid = star_exp(nu, q, p)
     right = intrinsic_exp_sq(gamma, p.conjugate(), -1)
     value = (left * mid) * right
     if not all(map(math.isfinite, value.to_list())):
@@ -146,7 +146,7 @@ def kernel_sum_tail_bound(gamma: float, q: Quaternion, p: Quaternion,
     t = nu |q| |p|; the intrinsic envelopes contribute at most
     exp((y_q^2 + y_p^2)/gamma^2).
     """
-    nu = 2.0 / (gamma * gamma)
+    nu = nu_from_gamma(gamma)
     t = nu * abs(q) * abs(p)
     n = n_terms + 1
     if t >= n:

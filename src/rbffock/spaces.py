@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _quatarray as qa
-from ._checks import positive_finite
+from ._checks import nu_from_gamma, positive_finite
 from .hypercomplex import (I_DEFAULT, ImaginaryUnit, Quaternion, SlicePoint,
                            intrinsic_exp_sq, star_exp)
 from .kernels import fock_kernel_d, rbf_kernel_d, rbf_kernel_qslice
@@ -121,7 +121,9 @@ class FockSliceSpace:
         if _slice_poly_degree(f) + _slice_poly_degree(g) > 2 * self.quad_order - 1:
             raise ValueError("combined integrand degree exceeds quadrature "
                              "exactness; raise quad_order")
-        return self._pair_integral(self._grid_values(f), self._grid_values(g))
+        vals_f = self._grid_values(f)
+        return self._pair_integral(
+            vals_f, vals_f if g is f else self._grid_values(g))
 
     def norm_sq(self, f) -> float:
         return self.inner_product(f, f).w
@@ -160,9 +162,8 @@ class RBFSliceSpace:
 
     def __init__(self, gamma: float, unit: ImaginaryUnit = I_DEFAULT,
                  quad_order: int = DEFAULT_QUAD_ORDER):
-        positive_finite("gamma", gamma)
+        self.nu = nu_from_gamma(gamma)
         self.gamma = gamma
-        self.nu = 2.0 / (gamma * gamma)
         self.unit = unit
         self.quad_order = quad_order
         self._fock = FockSliceSpace(self.nu, unit, quad_order)
@@ -190,7 +191,8 @@ class RBFSliceSpace:
         g = self._require_member(g)
         fock = self._fock
         vals_f = f.eval_slice_grid(fock._xg, fock._yg, self.unit)
-        vals_g = g.eval_slice_grid(fock._xg, fock._yg, self.unit)
+        vals_g = (vals_f if g is f
+                  else g.eval_slice_grid(fock._xg, fock._yg, self.unit))
         y = fock._yg
         comp = np.exp(-4.0 * y * y / (self.gamma * self.gamma)
                       + self.nu * (fock._xg ** 2 + y ** 2))
@@ -304,9 +306,8 @@ class RBFCSpace:
     """Gaussian RBF space on C^d, routed through the Fock side (nu = 2/g^2)."""
 
     def __init__(self, gamma: float, dim: int, quad_order: int | None = None):
-        positive_finite("gamma", gamma)
+        self.nu = nu_from_gamma(gamma)
         self.gamma = gamma
-        self.nu = 2.0 / (gamma * gamma)
         self.dim = dim
         self._fock = FockCSpace(self.nu, dim, quad_order)
         self.quad_order = self._fock.quad_order

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _quatarray as qa
-from ._checks import positive_finite
+from ._checks import nu_from_gamma, positive_finite
 from .bases import hermite_psi_all
 from .hypercomplex import (Quaternion, embed_in_slice, intrinsic_exp_sq,
                            slice_decompose)
@@ -267,7 +267,7 @@ def rbf_sb_kernel(gamma: float, q: Quaternion, x: float,
 def rbf_sb_image_series(gamma: float, phi: HermiteCoeffFunction,
                         normalization: str = "unitary") -> GaussSeries:
     """Exact RBF-side image; psi_n maps to e_n under ``unitary``."""
-    return GaussSeries(gamma, sb_image_series(2.0 / (gamma * gamma), phi,
+    return GaussSeries(gamma, sb_image_series(nu_from_gamma(gamma), phi,
                                               normalization))
 
 
@@ -279,8 +279,7 @@ def rbf_sb_transform(gamma: float, phi, q: Quaternion,
     Computed as exp(-q^2/gamma^2) * (Fock transform at nu = 2/gamma^2),
     the operator factorization through the multiplication isometry.
     """
-    positive_finite("gamma", gamma)
-    nu = 2.0 / (gamma * gamma)
+    nu = nu_from_gamma(gamma)
     value = sb_transform(nu, phi, q, normalization, method, quad_order)
     return intrinsic_exp_sq(gamma, q, -1) * value
 
@@ -305,7 +304,7 @@ def rbf_sb_kernel_d(gamma: float, z: Sequence[complex],
 def rbf_sb_image_series_d(gamma: float,
                           phi: HermiteCoeffFunctionD) -> GaussCSeries:
     """Exact image on C^d: psi_n maps to the multi-index basis e_n."""
-    nu = 2.0 / (gamma * gamma)
+    nu = nu_from_gamma(gamma)
     if phi.nu != nu:
         raise ValueError("coefficient basis scale must match 2/gamma^2")
     terms = []
@@ -324,10 +323,9 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi,
     Kernel and Hermite terms factor over coordinates; the quadrature path
     integrates psi_n(x) exp(-(sqrt2 z_l - x)^2/gamma^2) per axis.
     """
-    positive_finite("gamma", gamma)
+    nu = nu_from_gamma(gamma)
     if method not in ("auto", "coeffs", "quadrature"):
         raise ValueError("method must be auto, coeffs, or quadrature")
-    nu = 2.0 / (gamma * gamma)
     z = np.asarray(z, dtype=complex)
     if z.size != dim:
         raise ValueError("evaluation point has the wrong dimension")

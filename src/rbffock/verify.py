@@ -17,6 +17,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._checks import nu_from_gamma
 from .bases import (hermite_psi, rbf_basis_q, rbf_basis_series,
                     rbf_basis_series_d)
 from .gram import build_gram, psd_check, quat_matrix_to_complex
@@ -49,6 +50,9 @@ class VerifyConfig:
     normalization: str = "unitary"
     tol_scale: float = 1.0
     seed: int = DEFAULT_SEED
+
+    def __post_init__(self) -> None:
+        nu_from_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -299,7 +303,7 @@ def crit_factorizations(cfg: VerifyConfig) -> list[CheckResult]:
     """Product and Fock factorizations of the C^d kernel, d = 3."""
     rng = np.random.default_rng(cfg.seed + 5)
     gamma = cfg.gamma
-    nu = 2.0 / (gamma * gamma)
+    nu = nu_from_gamma(gamma)
     worst_prod = 0.0
     worst_fock = 0.0
     for _ in range(10):
@@ -324,7 +328,7 @@ def crit_sb_unitarity(cfg: VerifyConfig) -> list[CheckResult]:
     exactly sqrt(nu/pi) under the literal convention)."""
     rng = np.random.default_rng(cfg.seed + 6)
     gamma = cfg.gamma
-    nu = 2.0 / (gamma * gamma)
+    nu = nu_from_gamma(gamma)
     out = []
 
     images = [rbf_sb_image_series(gamma, hermite_basis_l2(nu, n),
@@ -368,7 +372,7 @@ def crit_sb_kernel_match(cfg: VerifyConfig) -> list[CheckResult]:
     its generating series truncated at N = 40."""
     rng = np.random.default_rng(cfg.seed + 7)
     gamma = cfg.gamma
-    nu = 2.0 / (gamma * gamma)
+    nu = nu_from_gamma(gamma)
     worst_match = 0.0
     for _ in range(20):
         q = _random_quaternion(rng, 1.2)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbffock import Quaternion
+from rbffock import GramMatrix, Quaternion, build_gram
+from rbffock import cli
 from rbffock.cli import main
 from rbffock.gram import GRAM_KERNELS
 from rbffock.kernels import KERNELS
@@ -202,6 +203,85 @@ class TestGramCommand:
         assert "'points'" in err and out == ""
 
 
+def reference_gram_csv(gram: GramMatrix) -> str:
+    """The Gram CSV written one f"{float(v):.17g}" call per number, as the
+    writer did before it formatted each row with one %-template."""
+    columns = ("w", "x", "y", "z") if gram.is_quaternionic else ("re", "im")
+    lines = [",".join(f"g{b}.{c}" for b in range(gram.size) for c in columns)]
+    for row in gram.entries:
+        if not gram.is_quaternionic:
+            row = np.stack([row.real, row.imag], axis=-1)
+        lines.append(",".join(f"{float(v):.17g}" for v in row.ravel().tolist()))
+    return "\n".join(lines) + "\n"
+
+
+_rng = np.random.default_rng(52)
+GRAM_PAYLOADS = {
+    "rbf-real": {"gamma": 1.3, "points": _rng.uniform(-2, 2, (7, 2)).tolist()},
+    "rbf-complex": {"gamma": 0.8,
+                    "points": _rng.uniform(-1, 1, (7, 2, 2)).tolist()},
+    "fock": {"alpha": 0.7, "points": _rng.uniform(-1, 1, (7, 2)).tolist()},
+    "polynomial": {"degree": 3,
+                   "points": _rng.uniform(-1, 1, (7, 3)).tolist()},
+    "rbf-qslice": {"gamma": 1.0,
+                   "points": _rng.uniform(-0.8, 0.8, (7, 4)).tolist()},
+}
+
+# Hermitian Grams with -0.0, +0.0, subnormal and integer-valued entries
+_TINY = 5e-324
+EDGE_GRAMS = {
+    "rbf-real": np.array([[3.0, -0.0, _TINY],
+                          [-0.0, 0.0, 1e22],
+                          [_TINY, 1e22, 2.0 ** 60]]),
+    "rbf-complex": np.array([[2.0, complex(-0.0, _TINY)],
+                             [complex(-0.0, -_TINY), complex(7.0, -0.0)]]),
+    "rbf-qslice": np.array([[[1.0, 0.0, 0.0, 0.0], [-0.0, _TINY, 3.0, -0.0]],
+                            [[-0.0, -_TINY, -3.0, 0.0],
+                             [2.0 ** 53, -0.0, 0.0, -0.0]]]),
+}
+
+
+def run_gram_csv(tmp_path, capsys, payload, to_stdout):
+    """Run gram on ``payload``; return the CSV bytes from --output or stdout."""
+    inp = tmp_path / "g.json"
+    inp.write_text(json.dumps(payload))
+    out_csv = tmp_path / "g.csv"
+    argv = ["gram", "--input", str(inp), "--report", str(tmp_path / "r.json")]
+    code, out, _ = run_cli(argv + ([] if to_stdout else
+                                   ["--output", str(out_csv)]), capsys)
+    assert code == 0
+    return out.encode() if to_stdout else out_csv.read_bytes()
+
+
+class TestGramCsvBytes:
+    """The row-template writer is byte-identical to the per-entry one."""
+
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
+    @pytest.mark.parametrize("kernel", GRAM_PAYLOADS)
+    def test_matches_per_entry_writer(self, tmp_path, capsys, monkeypatch,
+                                      kernel, to_stdout):
+        built = []
+        monkeypatch.setattr(cli, "build_gram",
+                            lambda *a: built.append(build_gram(*a)) or built[0])
+        payload = {"kernel": kernel, **GRAM_PAYLOADS[kernel]}
+        data = run_gram_csv(tmp_path, capsys, payload, to_stdout)
+        assert data == reference_gram_csv(built[0]).encode()
+
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
+    @pytest.mark.parametrize("kernel", EDGE_GRAMS)
+    def test_signed_zero_subnormal_and_integer_entries(
+            self, tmp_path, capsys, monkeypatch, kernel, to_stdout):
+        gram = GramMatrix(EDGE_GRAMS[kernel], kernel)
+        monkeypatch.setattr(cli, "build_gram", lambda *_: gram)
+        point = {"rbf-real": [0.5], "rbf-complex": [0.5, 0.0],
+                 "rbf-qslice": [0.5, 0.0, 0.0, 0.0]}[kernel]
+        payload = {"kernel": kernel, "gamma": 1.0, "points": [point] * gram.size}
+        data = run_gram_csv(tmp_path, capsys, payload, to_stdout)
+        want = reference_gram_csv(gram)
+        assert "-0," in want and "4.9406564584124654e-324" in want
+        assert data == want.encode()
+
+
 def run_input(tmp_path, capsys, command, payload, *flags):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(payload))
@@ -231,6 +311,16 @@ class TestKernelAndGramAgree:
         code, out, err = run_input(tmp_path, capsys, command, payload)
         assert code == 2 and out == ""
         assert f"{command}: {field} must be" in err
+
+    @pytest.mark.parametrize("command", ["kernel", "gram"])
+    @pytest.mark.parametrize("gamma", [1e-200, 1e200])
+    def test_derived_alpha_out_of_range_names_gamma(self, tmp_path, capsys,
+                                                    command, gamma):
+        payload = {"kernel": "fock", "gamma": gamma,
+                   "pairs": [[[0.5], [0.5]]], "points": [[0.5], [0.5]]}
+        code, out, err = run_input(tmp_path, capsys, command, payload)
+        assert code == 2 and out == ""
+        assert f"{command}: gamma must give a positive finite nu" in err
 
     @pytest.mark.parametrize("command, kernel, items, field", [
         ("kernel", "rbf-real", [[[1, 2], [2]]], "pairs[0]"),
@@ -376,6 +466,18 @@ class TestTransformCommand:
         assert run_cli(["transform", "--gamma", "1", "--dim", "5",
                         "--input", str(inp)], capsys)[0] == 2
 
+    @pytest.mark.parametrize("gamma", ["1e-200", "1e200"])
+    def test_gamma_with_nu_out_of_range_exits_2(self, tmp_path, capsys,
+                                                gamma):
+        payload = {"hermite": {"nu": 2.0, "coeffs": [[1, 0, 0, 0]]},
+                   "grid": {"points": [[0.5, 0, 0, 0]]}}
+        inp = tmp_path / "t.json"
+        inp.write_text(json.dumps(payload))
+        code, out, err = run_cli(["transform", "--gamma", gamma,
+                                  "--input", str(inp)], capsys)
+        assert code == 2 and out == ""
+        assert "error: transform: gamma must give a positive finite nu" in err
+
 
 class TestBasisCommand:
     def test_hermite_table(self, tmp_path, capsys):
@@ -455,6 +557,13 @@ class TestVerifyCommand:
         assert all(c["pass"] for c in data["checks"])
         for check in data["checks"]:
             assert set(check) >= {"check", "params", "value", "bound", "pass"}
+
+    @pytest.mark.parametrize("gamma", ["1e-200", "1e200"])
+    def test_gamma_with_nu_out_of_range_exits_2(self, capsys, gamma):
+        code, out, err = run_cli(["verify", "--gamma", gamma,
+                                  "--only", "reproduce"], capsys)
+        assert code == 2 and out == ""
+        assert "error: verify: gamma must give a positive finite nu" in err
 
     def test_unknown_criterion_exits_2(self, capsys):
         code, _, err = run_cli(["verify", "--only", "nope"], capsys)

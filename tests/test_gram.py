@@ -117,6 +117,27 @@ class TestPsdCheck:
         with pytest.raises(ValueError, match="Hermitian"):
             psd_check(GramMatrix(bad, "precomputed"))
 
+    def test_real_gram_takes_a_real_eigensolve(self, monkeypatch):
+        dtypes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def record(mat):
+            dtypes.append(mat.dtype)
+            return eigvalsh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        psd_check(build_gram("rbf-real", {"gamma": 1.0}, [[0.0], [0.7]]))
+        psd_check(build_gram("rbf-complex", {"gamma": 1.0}, [[0.1j], [0.7]]))
+        assert dtypes == [np.dtype(float), np.dtype(complex)]
+
+    def test_real_eigensolve_matches_complex_cast(self):
+        rng = np.random.default_rng(46)
+        gram = build_gram("rbf-real", {"gamma": 1.0},
+                          rng.uniform(-1.5, 1.5, (200, 3)))
+        report = psd_check(gram)
+        cast = np.linalg.eigvalsh(gram.entries.astype(complex))[0]
+        assert abs(report.min_eigenvalue - cast) <= report.tol
+
 
 class TestAdjointRepresentation:
     def test_scalar_one(self):

@@ -102,6 +102,15 @@ class TestRBFSliceSpace:
             direct = space.inner_product_direct(f, f).w
             assert direct == pytest.approx(fock_route, rel=1e-10)
 
+    def test_direct_route_of_two_elements(self):
+        rng = np.random.default_rng(25)
+        space = RBFSliceSpace(1.3, UNIT_TILTED, 80)
+        f, g = (GaussSeries(1.3, QPowerSeries(
+            tuple(random_quaternion(rng) for _ in range(8)))) for _ in range(2))
+        for a, b in ((f, g), (g, f), (f, f)):
+            assert_qclose(space.inner_product_direct(a, b),
+                          space.inner_product(a, b), tol=1e-10)
+
     def test_kernel_self_inner_product(self):
         # <K^q, K^p> = K(p, q): represent K^q by its Gaussian-enveloped
         # series, coefficients (nu^n/n!) conj(q)^n exp(-conj(q)^2/g^2)

@@ -1,5 +1,6 @@
 """Every public constructor and transform entry point refuses a Gaussian
-scale (nu, gamma, alpha) that is not a positive finite number, naming it."""
+scale (nu, gamma, alpha) that is not a positive finite number, naming it,
+and a gamma whose nu = 2/gamma^2 leaves double range."""
 
 import math
 
@@ -8,8 +9,11 @@ import pytest
 from rbffock import (CPowerSeries, FockCSpace, FockSliceSpace, GaussCSeries,
                      GaussSeries, HermiteCoeffFunction, HermiteCoeffFunctionD,
                      KernelParams, QPowerSeries, Quaternion, RBFCSpace,
-                     RBFSliceSpace, gauss_hermite, rbf_sb_transform,
+                     RBFSliceSpace, gauss_hermite, kernel_sum_tail_bound,
+                     rbf_kernel_qslice, rbf_sb_image_series,
+                     rbf_sb_image_series_d, rbf_sb_transform,
                      rbf_sb_transform_d, sb_transform)
+from rbffock.verify import VerifyConfig
 
 BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0]
 
@@ -48,3 +52,34 @@ def test_refuses_non_positive_or_non_finite(target, value):
 @pytest.mark.parametrize("target", CALLS)
 def test_accepts_a_positive_finite_value(target):
     CALLS[target][1](1.0)
+
+
+# gamma^2 underflows to 0, is subnormal (2/gamma^2 = inf), or overflows
+OUT_OF_RANGE = [1e-200, 1e-160, 1e155, 1e200]
+
+GAMMA_CALLS = {
+    "RBFSliceSpace": lambda v: RBFSliceSpace(v),
+    "RBFCSpace": lambda v: RBFCSpace(v, 2),
+    "KernelParams.nu": lambda v: KernelParams(v).nu,
+    "rbf_kernel_qslice": lambda v: rbf_kernel_qslice(v, _Q, _Q),
+    "kernel_sum_tail_bound": lambda v: kernel_sum_tail_bound(v, _Q, _Q, 4),
+    "rbf_sb_image_series": lambda v: rbf_sb_image_series(v, _PHI),
+    "rbf_sb_transform": lambda v: rbf_sb_transform(v, _PHI, _Q),
+    "rbf_sb_image_series_d": lambda v: rbf_sb_image_series_d(v, _PHI_D),
+    "rbf_sb_transform_d": lambda v: rbf_sb_transform_d(v, 1, _PHI_D, [0.1j]),
+    "VerifyConfig": lambda v: VerifyConfig(gamma=v),
+}
+
+
+@pytest.mark.parametrize("value", OUT_OF_RANGE, ids=repr)
+@pytest.mark.parametrize("target", GAMMA_CALLS)
+def test_refuses_gamma_with_nu_out_of_range(target, value):
+    with pytest.raises(ValueError, match=r"^gamma must give a positive finite "
+                                         r"nu = 2/gamma\^2"):
+        GAMMA_CALLS[target](value)
+
+
+@pytest.mark.parametrize("gamma", [1e-150, 1.0, 1e154])
+def test_nu_is_two_over_gamma_squared(gamma):
+    assert KernelParams(gamma).nu == 2.0 / (gamma * gamma)
+    assert RBFSliceSpace(gamma, quad_order=8).nu == 2.0 / (gamma * gamma)
