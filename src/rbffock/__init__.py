@@ -22,19 +22,17 @@ from .kernels import (KERNELS, NORMALIZATIONS, KernelParams, KernelSpec,
                       kernel_sum_truncated, polynomial_kernel, rbf_kernel_c,
                       rbf_kernel_d, rbf_kernel_qslice)
 from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, gauss_hermite,
-                         integrate_rd, integrate_slice)
+                         integrate_rd)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      beta_coeffs, cauchy_mul, multi_factorial, multi_indices,
                      multi_order, sequential_norm)
-from .spaces import (BoundCheckReport, FockCSpace, FockSliceSpace,
-                     HandleFunction, RBFCSpace, RBFSliceSpace,
-                     SliceIndependenceReport, m_operator,
+from .spaces import (BoundCheckReport, FockCSpace, FockSliceSpace, RBFCSpace,
+                     RBFSliceSpace, SliceIndependenceReport, m_operator,
                      pointwise_bound_check, slice_independence_check)
 from .transforms import (HermiteCoeffFunction, HermiteCoeffFunctionD,
-                         SampledL2Function, hermite_basis_l2, rbf_sb_kernel,
-                         rbf_sb_kernel_d, rbf_sb_image_series,
-                         rbf_sb_image_series_d, rbf_sb_transform,
-                         rbf_sb_transform_d, sb_image_series, sb_kernel,
-                         sb_transform)
+                         hermite_basis_l2, rbf_sb_kernel, rbf_sb_kernel_d,
+                         rbf_sb_image_series, rbf_sb_image_series_d,
+                         rbf_sb_transform, rbf_sb_transform_d,
+                         sb_image_series, sb_kernel, sb_transform)
 
 __version__ = "0.1.0"

@@ -21,10 +21,6 @@ from .hypercomplex import ImaginaryUnit, Quaternion, star_exp_on_slice
 CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def qconst(q: Quaternion) -> np.ndarray:
-    return np.array([q.w, q.x, q.y, q.z])
-
-
 def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Componentwise Hamilton product, broadcasting over leading axes."""
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
@@ -72,7 +68,7 @@ def split_horner(coeffs, z: np.ndarray, unit: ImaginaryUnit) -> np.ndarray:
     """
     z = np.asarray(z, dtype=complex)
     frame = slice_frame(unit)
-    parts = np.array([qconst(a) for a in coeffs])
+    parts = np.array([a.to_list() for a in coeffs])
     dots = parts[:, 1:] @ frame.T
     pair = np.array([parts[:, 0] + 1j * dots[:, 0],
                      dots[:, 1] + 1j * dots[:, 2]])

@@ -148,7 +148,8 @@ class ImaginaryUnit:
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "z", float(self.z))
         n = math.hypot(self.x, self.y, self.z)
-        if abs(n - 1.0) > 1e-9:
+        # written so that a NaN norm fails it too
+        if not abs(n - 1.0) <= 1e-9:
             raise ValueError(f"imaginary unit must have norm 1, got {n!r}")
 
     @classmethod
@@ -200,8 +201,11 @@ def slice_decompose(q: Quaternion) -> SlicePoint:
     """Write q as x + I*y with y > 0 and I a unit imaginary quaternion.
 
     A real quaternion lies on every slice; it is returned with y = 0, the
-    default unit i, and the ``degenerate`` flag set.
+    default unit i, and the ``degenerate`` flag set.  A quaternion with a
+    non-finite component lies on no slice; it raises ValueError.
     """
+    if not all(map(math.isfinite, (q.w, q.x, q.y, q.z))):
+        raise ValueError(f"cannot decompose the non-finite quaternion {q}")
     v = math.hypot(q.x, q.y, q.z)
     if v == 0.0:
         return SlicePoint(q.w, 0.0, I_DEFAULT, degenerate=True)

@@ -24,13 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import positive_finite
-from .hypercomplex import ImaginaryUnit, Quaternion, SlicePoint
 
 __all__ = [
     "DEFAULT_QUAD_ORDER",
     "QuadratureRule",
     "gauss_hermite",
-    "integrate_slice",
     "axis_moments",
     "separable_sum",
     "integrate_rd",
@@ -115,31 +113,6 @@ def compensated_sum(values: np.ndarray) -> float:
         return float(values.sum())
     parts = [float(values[i:i + _BLOCK].sum()) for i in range(0, values.size, _BLOCK)]
     return math.fsum(parts)
-
-
-def integrate_slice(rule: QuadratureRule, fn, unit: ImaginaryUnit) -> Quaternion:
-    """Tensor 2-D sum over the slice C_unit against the rule's Gaussian.
-
-    Approximates integral fn(q) exp(-nu(x^2+y^2)) dx dy for q = x + unit*y;
-    ``fn`` must NOT include the Gaussian weight.  Accepts either an object
-    with ``eval_slice_grid(x, y, unit)`` (vectorized path) or a plain
-    callable SlicePoint -> Quaternion.
-    """
-    x = rule.nodes
-    xg, yg = np.meshgrid(x, x, indexing="ij")
-    if hasattr(fn, "eval_slice_grid"):
-        vals = fn.eval_slice_grid(xg, yg, unit)
-    elif callable(fn):
-        vals = np.empty((x.size, x.size, 4))
-        for a in range(x.size):
-            for b in range(x.size):
-                q = fn(SlicePoint(float(x[a]), float(x[b]), unit))
-                vals[a, b] = (q.w, q.x, q.y, q.z)
-    else:
-        raise TypeError("integrand must be callable or provide eval_slice_grid")
-    wgrid = rule.weights[:, None] * rule.weights[None, :]
-    comps = [compensated_sum(wgrid * vals[..., c]) for c in range(4)]
-    return Quaternion(*comps)
 
 
 def axis_moments(weights: np.ndarray, table) -> np.ndarray:

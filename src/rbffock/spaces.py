@@ -8,16 +8,16 @@ therefore routed through the multiplication isometry onto the Fock side
 (strip the Gaussian envelope, integrate against the full Gaussian weight
 exp(-nu|q|^2) with nu = 2/gamma^2), where Gauss-Hermite rules are exact.
 That forces a representation discipline: RBF-space elements enter as
-``GaussSeries`` / ``GaussCSeries`` (envelope times series); plain callables
-are accepted only with a polynomial-growth certificate and only on the
-Fock side.
+``GaussSeries`` / ``GaussCSeries`` (envelope times series), Fock-space
+elements as ``QPowerSeries`` / ``CPowerSeries``, and anything else is
+refused.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      beta_coeffs)
 
 __all__ = [
-    "HandleFunction",
     "FockSliceSpace",
     "RBFSliceSpace",
     "FockCSpace",
@@ -48,39 +47,11 @@ __all__ = [
 _M_OUT_DEGREE = 48
 
 
-@dataclass(frozen=True)
-class HandleFunction:
-    """Slice-domain integrand given as a callable with a growth certificate.
-
-    ``poly_degree`` certifies that fn grows at most like a polynomial of
-    that degree, so a rule of order M integrates products exactly whenever
-    the combined degree stays below 2M.
-    """
-
-    fn: Callable[..., Quaternion]
-    poly_degree: int
-
-    def eval_slice_grid(self, x, y, unit: ImaginaryUnit) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        vals = np.empty(x.shape + (4,))
-        it = np.nditer(x, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            q = self.fn(SlicePoint(float(x[idx]), float(y[idx]), unit))
-            vals[idx] = (q.w, q.x, q.y, q.z)
-        return vals
-
-
-def _slice_poly_degree(f) -> int:
-    if isinstance(f, (QPowerSeries, GaussSeries)):
-        return f.degree
-    if isinstance(f, HandleFunction):
-        return f.poly_degree
-    raise TypeError(
-        "inner products need a series, a Gaussian-enveloped series, or a "
-        "HandleFunction carrying a polynomial-growth certificate; a bare "
-        "callable gives the quadrature no decay guarantee")
+def _slice_series(f) -> QPowerSeries:
+    if not isinstance(f, QPowerSeries):
+        raise TypeError("slice Fock-space elements must be QPowerSeries; "
+                        "Gaussian-enveloped series belong to RBFSliceSpace")
+    return f
 
 
 class FockSliceSpace:
@@ -100,10 +71,10 @@ class FockSliceSpace:
     # -- evaluation ---------------------------------------------------
 
     def _grid_values(self, f) -> np.ndarray:
-        degree = _slice_poly_degree(f)
-        if degree > 2 * self.quad_order - 1:
+        f = _slice_series(f)
+        if f.degree > 2 * self.quad_order - 1:
             raise ValueError(
-                f"certified degree {degree} exceeds quadrature exactness "
+                f"series degree {f.degree} exceeds quadrature exactness "
                 f"{2 * self.quad_order - 1}; raise quad_order")
         return f.eval_slice_grid(self._xg, self._yg, self.unit)
 
@@ -118,7 +89,8 @@ class FockSliceSpace:
 
     def inner_product(self, f, g) -> Quaternion:
         """<f, g> = (nu/pi) * integral conj(g) f exp(-nu|q|^2)."""
-        if _slice_poly_degree(f) + _slice_poly_degree(g) > 2 * self.quad_order - 1:
+        f, g = _slice_series(f), _slice_series(g)
+        if f.degree + g.degree > 2 * self.quad_order - 1:
             raise ValueError("combined integrand degree exceeds quadrature "
                              "exactness; raise quad_order")
         vals_f = self._grid_values(f)
@@ -180,15 +152,13 @@ class RBFSliceSpace:
         return f
 
     def inner_product(self, f, g) -> Quaternion:
-        f = self._require_member(f)
-        g = self._require_member(g)
-        return self._fock.inner_product(f.series, g.series)
+        return self._fock.inner_product(self._require_member(f).series,
+                                        self._require_member(g).series)
 
     def inner_product_direct(self, f, g) -> Quaternion:
         """Direct-weight route: pointwise values times exp(-4y^2/gamma^2),
         with the rule's Gaussian compensated explicitly."""
-        f = self._require_member(f)
-        g = self._require_member(g)
+        f, g = self._require_member(f), self._require_member(g)
         fock = self._fock
         vals_f = f.eval_slice_grid(fock._xg, fock._yg, self.unit)
         vals_g = (vals_f if g is f
@@ -196,11 +166,8 @@ class RBFSliceSpace:
         y = fock._yg
         comp = np.exp(-4.0 * y * y / (self.gamma * self.gamma)
                       + self.nu * (fock._xg ** 2 + y ** 2))
-        integrand = qa.qmul(qa.qconj(vals_g), vals_f) * comp[..., None]
-        scale = 2.0 / (math.pi * self.gamma * self.gamma)
-        comps = [scale * compensated_sum(fock._wg * integrand[..., c])
-                 for c in range(4)]
-        return Quaternion(*comps)
+        # 2/(pi gamma^2) = nu/pi, so the Fock rule's sum applies as it is
+        return fock._pair_integral(vals_f * comp[..., None], vals_g)
 
     def norm_sq(self, f) -> float:
         return self.inner_product(f, f).w
@@ -214,12 +181,11 @@ class RBFSliceSpace:
     def reproduce(self, f, w: Quaternion) -> Quaternion:
         """<f, K_w> by Fock-side quadrature; equals f(w) for members."""
         f = self._require_member(f)
-        fock = self._fock
-        # envelope-stripped kernel section: star_exp(q, w) * exp(-conj(w)^2/g^2)
-        kvals = qa.star_exp_grid(self.nu, fock._xg, fock._yg, self.unit, w)
-        tail = intrinsic_exp_sq(self.gamma, w.conjugate(), -1)
-        kvals = qa.qmul(kvals, qa.qconst(tail))
-        return fock._pair_integral(fock._grid_values(f.series), kvals)
+        # the stripped kernel section star_exp(q, w) exp(-conj(w)^2/g^2) has
+        # a constant right factor; it leaves the integral as its conjugate
+        # exp(-w^2/g^2), on the left since the envelope is intrinsic
+        return (intrinsic_exp_sq(self.gamma, w, -1)
+                * self._fock.reproduce(f.series, w))
 
 
 def _cd_series(f, dim: int) -> CPowerSeries:
@@ -295,6 +261,8 @@ class FockCSpace:
         w = np.asarray(w, dtype=complex)
         if w.shape != (self.dim,):
             raise ValueError("evaluation point has the wrong dimension")
+        if not np.isfinite(w).all():
+            raise ValueError(f"evaluation point must be finite, got {w}")
         powers = self._powers(f.max_axis_degree)
         tables = [powers * np.exp(self.alpha * np.conj(self._z) * wl)
                   for wl in w]
@@ -335,10 +303,11 @@ class RBFCSpace:
         return rbf_kernel_d(self.gamma, z, w)
 
     def reproduce(self, f, w: Sequence[complex]) -> complex:
-        f = self._require_member(f)
+        # the Fock side checks w before the envelope is formed from it
+        value = self._fock.reproduce(self._require_member(f).series, w)
         w = np.asarray(w, dtype=complex)
         env = np.exp(-np.sum(w * w) / (self.gamma * self.gamma))
-        return complex(env) * self._fock.reproduce(f.series, w)
+        return complex(env) * value
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ gamma^2) is already unitary, so it takes no normalization switch.
 
 Transforms of functions given by Hermite coefficients are computed exactly
 through the action on the basis; quadrature against the closed-form kernel
-is kept as an independent route and for certified callables.
+is kept as an independent route.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
 __all__ = [
     "HermiteCoeffFunction",
     "HermiteCoeffFunctionD",
-    "SampledL2Function",
     "hermite_basis_l2",
     "sb_kernel",
     "sb_transform",
@@ -138,24 +137,6 @@ class HermiteCoeffFunctionD:
         return total
 
 
-@dataclass(frozen=True)
-class SampledL2Function:
-    """Callable L^2 function with a decay certificate.
-
-    ``fn`` maps a real node array (m,) to quaternion values (m, 4).
-    ``gauss_scale`` certifies fn(x) = exp(-gauss_scale x^2 / 2) * p(x) with
-    p of polynomial growth at most ``poly_degree``; quadrature refuses
-    anything without this certificate.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    gauss_scale: float
-    poly_degree: int
-
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(np.asarray(x, dtype=float)), dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # one-variable (quaternionic slice) transforms
 
@@ -225,17 +206,12 @@ def sb_transform(nu: float, phi, q: Quaternion,
                              "matching scale")
         return sb_image_series(nu, phi, normalization).eval(q)
 
-    if isinstance(phi, HermiteCoeffFunction):
-        gauss_scale, degree = phi.nu, phi.degree
-    elif isinstance(phi, SampledL2Function):
-        gauss_scale, degree = phi.gauss_scale, phi.poly_degree
-    else:
-        raise TypeError("quadrature path needs Hermite coefficients or a "
-                        "SampledL2Function with a decay certificate")
-    if 2 * quad_order - 1 < degree:
-        raise ValueError("certified degree exceeds quadrature exactness; "
+    if not isinstance(phi, HermiteCoeffFunction):
+        raise TypeError("quadrature path needs HermiteCoeffFunction")
+    if 2 * quad_order - 1 < phi.degree:
+        raise ValueError("Hermite degree exceeds quadrature exactness; "
                          "raise quad_order")
-    nu_rule = 0.5 * (nu + gauss_scale)
+    nu_rule = 0.5 * (nu + phi.nu)
     rule = gauss_hermite(quad_order, nu_rule)
     x = rule.nodes
     kvals, unit = _sb_kernel_nodes(nu, q, x, normalization)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rbffock import (I_DEFAULT, ImaginaryUnit, QPowerSeries, Quaternion,
-                     gauss_hermite, integrate_rd, integrate_slice)
+from rbffock import (I_DEFAULT, FockSliceSpace, ImaginaryUnit, QPowerSeries,
+                     Quaternion, gauss_hermite, integrate_rd)
 
 
 def gaussian_moment(k: int, nu: float) -> float:
@@ -84,69 +84,45 @@ class TestGaussHermite:
 
 
 class TestIntegrateSlice:
+    """Integrals over a slice, through FockSliceSpace's one weighted sum
+    over the tensor rule; inner products carry the prefactor nu/pi."""
+
     def test_gaussian_mass(self):
-        rule = gauss_hermite(20, 1.0)
-        val = integrate_slice(rule, lambda sp: Quaternion.from_real(1.0),
-                              I_DEFAULT)
-        assert val.w == pytest.approx(math.pi, rel=1e-14)
+        one = QPowerSeries.monomial(0)
+        val = FockSliceSpace(1.0, I_DEFAULT, 20).inner_product(one, one)
+        assert val.w == pytest.approx(1.0, rel=1e-14)
         assert abs(val - Quaternion.from_real(val.w)) == 0.0
 
     def test_odd_integrand_vanishes(self):
-        rule = gauss_hermite(20, 1.0)
-        f = QPowerSeries.monomial(1)
-        val = integrate_slice(rule, f, I_DEFAULT)
+        val = FockSliceSpace(1.0, I_DEFAULT, 20).inner_product(
+            QPowerSeries.monomial(1), QPowerSeries.monomial(0))
         assert abs(val) <= 1e-15
 
     @pytest.mark.parametrize("m,n", [(0, 0), (1, 1), (3, 3), (2, 5), (4, 1)])
     def test_monomial_orthogonality(self, m, n):
         # (nu/pi) * integral conj(q)^m q^n exp(-nu|q|^2) = delta mn n!/nu^n
         nu = 2.0
-        rule = gauss_hermite(40, nu)
-
-        def fn(sp):
-            q = sp.to_quaternion()
-            qc = q.conjugate()
-            out = Quaternion.from_real(1.0)
-            for _ in range(m):
-                out = out * qc
-            for _ in range(n):
-                out = out * q
-            return out
-
-        val = integrate_slice(rule, fn, I_DEFAULT) * (nu / math.pi)
+        val = FockSliceSpace(nu, I_DEFAULT, 40).inner_product(
+            QPowerSeries.monomial(n), QPowerSeries.monomial(m))
         expected = math.factorial(n) / nu ** n if m == n else 0.0
         assert val.w == pytest.approx(expected, abs=1e-12 * (1 + expected))
         assert abs(val - Quaternion.from_real(val.w)) <= 1e-12
 
     def test_slice_independence_of_radial_integrals(self):
         nu = 1.5
-        rule = gauss_hermite(32, nu)
         tilted = ImaginaryUnit.from_vector(1.0, 1.0, 1.0)
-
-        def make(m, n, unit):
-            def fn(sp):
-                q = sp.to_quaternion()
-                qc = q.conjugate()
-                out = Quaternion.from_real(1.0)
-                for _ in range(m):
-                    out = out * qc
-                for _ in range(n):
-                    out = out * q
-                return out
-            return fn
-
+        on_i = FockSliceSpace(nu, I_DEFAULT, 32)
+        on_tilted = FockSliceSpace(nu, tilted, 32)
         for m, n in [(2, 2), (3, 1)]:
-            a = integrate_slice(rule, make(m, n, I_DEFAULT), I_DEFAULT)
-            b = integrate_slice(rule, make(m, n, tilted), tilted)
+            f, g = QPowerSeries.monomial(n), QPowerSeries.monomial(m)
+            a = on_i.inner_product(f, g)
+            b = on_tilted.inner_product(f, g)
             assert abs(a - b) <= 1e-12 * (1 + abs(a))
 
     def test_doubling_order_self_consistency(self):
-        nu = 2.0
         f = QPowerSeries.monomial(6)
-        vals = []
-        for order in (40, 80):
-            rule = gauss_hermite(order, nu)
-            vals.append(integrate_slice(rule, f, I_DEFAULT))
+        vals = [FockSliceSpace(2.0, I_DEFAULT, order).inner_product(f, f)
+                for order in (40, 80)]
         assert abs(vals[0] - vals[1]) <= 1e-12 * (1.0 + abs(vals[1]))
 
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from conftest import assert_qclose, random_quaternion
 
-from rbffock import (FockCSpace, FockSliceSpace, GaussSeries, HandleFunction,
-                     ImaginaryUnit, QPowerSeries, Quaternion, RBFCSpace,
-                     RBFSliceSpace, SlicePoint, intrinsic_exp_sq, m_operator,
+from rbffock import (FockCSpace, FockSliceSpace, GaussSeries, ImaginaryUnit,
+                     QPowerSeries, Quaternion, RBFCSpace, RBFSliceSpace,
+                     SlicePoint, intrinsic_exp_sq, m_operator,
                      pointwise_bound_check, rbf_basis_series,
                      rbf_basis_series_d, rbf_kernel_qslice,
                      slice_independence_check, star_exp)
@@ -48,15 +48,19 @@ class TestFockSliceSpace:
         p = Quaternion(0.1, 0, -0.3, 0)
         assert space.kernel(q, p) == star_exp(1.5, q, p)
 
-    def test_handle_function_accepted(self):
-        space = FockSliceSpace(1.0, UNIT_I, 40)
-        h = HandleFunction(lambda sp: sp.to_quaternion(), poly_degree=1)
-        got = space.inner_product(h, QPowerSeries.monomial(1))
-        assert_qclose(got, Quaternion.from_real(1.0), tol=1e-12)
+    def test_enveloped_series_refused(self):
+        # the envelope breaks the series' degree certificate, and the
+        # Fock-weighted integral of |exp(-q^2)|^2 diverges
+        space = FockSliceSpace(1.0, UNIT_I)
+        f = GaussSeries(1.0, QPowerSeries.monomial(0))
+        with pytest.raises(TypeError, match="QPowerSeries"):
+            space.norm_sq(f)
+        with pytest.raises(TypeError, match="QPowerSeries"):
+            space.reproduce(f, Quaternion(0.3, 0.2, 0.0, 0.0))
 
     def test_bare_callable_refused(self):
         space = FockSliceSpace(1.0, UNIT_I, 40)
-        with pytest.raises(TypeError, match="certificate"):
+        with pytest.raises(TypeError, match="QPowerSeries"):
             space.inner_product(lambda sp: Quaternion(1, 0, 0, 0),
                                 QPowerSeries.monomial(0))
 

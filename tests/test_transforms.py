@@ -5,12 +5,12 @@ import pytest
 from conftest import assert_qclose, random_quaternion
 
 from rbffock import (FockSliceSpace, ImaginaryUnit, Quaternion, RBFCSpace,
-                     RBFSliceSpace, SampledL2Function, hermite_basis_l2,
-                     hermite_psi, intrinsic_exp_sq, rbf_basis_q,
-                     rbf_basis_series_d, rbf_sb_image_series,
-                     rbf_sb_image_series_d, rbf_sb_kernel, rbf_sb_kernel_d,
-                     rbf_sb_transform, rbf_sb_transform_d, sb_image_series,
-                     sb_kernel, sb_transform)
+                     RBFSliceSpace, hermite_basis_l2, hermite_psi,
+                     intrinsic_exp_sq, rbf_basis_q, rbf_basis_series_d,
+                     rbf_sb_image_series, rbf_sb_image_series_d,
+                     rbf_sb_kernel, rbf_sb_kernel_d, rbf_sb_transform,
+                     rbf_sb_transform_d, sb_image_series, sb_kernel,
+                     sb_transform)
 from rbffock.transforms import HermiteCoeffFunction, HermiteCoeffFunctionD
 
 UNIT_I = ImaginaryUnit(1.0, 0.0, 0.0)
@@ -94,20 +94,12 @@ class TestSBTransform:
             image = sb_image_series(nu, hermite_basis_l2(nu, n))
             assert space.norm_sq(image) == pytest.approx(1.0, rel=1e-10)
 
-    def test_sampled_function_with_certificate(self):
+    def test_quadrature_matches_exact_on_psi3(self):
         nu = 2.0
-        n = 3
-
-        def fn(x):
-            vals = hermite_psi(nu, n, x)
-            out = np.zeros(x.shape + (4,))
-            out[..., 0] = vals
-            return out
-
-        phi = SampledL2Function(fn, gauss_scale=nu, poly_degree=n)
+        phi = hermite_basis_l2(nu, 3)
         q = Quaternion(0.5, 0.0, 0.4, 0.0)
         got = sb_transform(nu, phi, q, method="quadrature")
-        want = sb_transform(nu, hermite_basis_l2(nu, n), q, method="coeffs")
+        want = sb_transform(nu, phi, q, method="coeffs")
         assert abs(got - want) <= 1e-10 * (1 + abs(want))
 
     def test_bare_callable_rejected(self):
