@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import positive_finite
+from ._checks import finite_points, positive_finite
 from .hypercomplex import Quaternion, embed_in_slice, slice_decompose
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      multi_factorial, multi_order)
@@ -98,6 +98,7 @@ def rbf_basis_coeff(gamma: float, n: int) -> float:
 
 def rbf_basis_c(gamma: float, n: int, z: complex) -> complex:
     """Orthonormal RBF basis element in one complex variable."""
+    finite_points([z])
     return rbf_basis_coeff(gamma, n) * z ** n * cmath.exp(-z * z / (gamma * gamma))
 
 

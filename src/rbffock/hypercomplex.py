@@ -207,6 +207,8 @@ def slice_decompose(q: Quaternion) -> SlicePoint:
     if not all(map(math.isfinite, (q.w, q.x, q.y, q.z))):
         raise ValueError(f"cannot decompose the non-finite quaternion {q}")
     v = math.hypot(q.x, q.y, q.z)
+    if v == math.inf:
+        raise ValueError(f"the vector part of {q} has a norm beyond double range")
     if v == 0.0:
         return SlicePoint(q.w, 0.0, I_DEFAULT, degenerate=True)
     x, y, z = q.x, q.y, q.z

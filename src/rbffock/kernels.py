@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import nu_from_gamma, positive_finite
+from ._checks import finite_points, nu_from_gamma, positive_finite
 from .bases import rbf_basis_q
 from .hypercomplex import Quaternion, intrinsic_exp_sq, star_exp
 
@@ -68,15 +68,18 @@ class KernelParams:
 def rbf_kernel_c(gamma: float, z: complex, w: complex) -> complex:
     """Complex Gaussian RBF kernel exp(-(z - conj(w))^2 / gamma^2)."""
     positive_finite("gamma", gamma)
+    finite_points([[z], [w]])
     u = complex(z) - complex(w).conjugate()
     return cmath.exp(-(u * u) / (gamma * gamma))
 
 
 def _points(z, w, dtype=None):
-    """Point arrays (..., d) of a common dimension d; leading axes broadcast."""
+    """Finite point arrays (..., d) of a common dimension d; leading axes broadcast."""
     z, w = (np.atleast_1d(np.asarray(v, dtype=dtype)) for v in (z, w))
     if z.shape[-1] != w.shape[-1]:
         raise ValueError(f"dimension mismatch: {z.shape[-1]} vs {w.shape[-1]}")
+    finite_points(z)
+    finite_points(w)
     return z, w
 
 

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _quatarray as qa
-from ._checks import positive_finite
+from ._checks import finite_points, positive_finite
 from .hypercomplex import ImaginaryUnit, Quaternion, intrinsic_exp_sq
 
 __all__ = [
@@ -96,6 +96,7 @@ class QPowerSeries:
         return QPowerSeries(self.coeffs[:degree + 1])
 
     def eval(self, q: Quaternion) -> Quaternion:
+        finite_points(q.to_list())
         acc = self.coeffs[-1]
         for a in reversed(self.coeffs[:-1]):
             acc = a + q * acc
@@ -212,6 +213,7 @@ class CPowerSeries:
     def eval_points(self, zpts: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at points of shape (npoints, dim)."""
         zpts = np.asarray(zpts, dtype=complex)
+        finite_points(zpts)
         total = np.zeros(zpts.shape[0], dtype=complex)
         for index, coeff in self.terms:
             p = np.full(zpts.shape[0], coeff, dtype=complex)
@@ -241,6 +243,7 @@ class GaussCSeries:
 
     def eval_points(self, zpts: np.ndarray) -> np.ndarray:
         zpts = np.asarray(zpts, dtype=complex)
+        finite_points(zpts)
         zsq = np.sum(zpts * zpts, axis=1)
         return np.exp(-zsq / (self.gamma * self.gamma)) * self.series.eval_points(zpts)
 
@@ -261,42 +264,26 @@ def cauchy_mul(f: QPowerSeries, g: QPowerSeries,
     out_degree = f.degree + g.degree
     if max_degree is not None:
         out_degree = min(out_degree, max_degree)
-    s = [c.w for c in f.coeffs]
-    out = []
-    for k in range(out_degree + 1):
-        acc = _ZERO
-        for j in range(max(0, k - g.degree), min(k, f.degree) + 1):
-            if s[j] != 0.0:
-                acc = acc + g.coeffs[k - j] * s[j]
-        out.append(acc)
-    return QPowerSeries(tuple(out))
+    a = np.array([c.to_list() for c in g.coeffs])
+    out = np.zeros((out_degree + 1, 4))
+    # term j adds s_j a_{k-j} to every coefficient k at once, in the order of j
+    for j, s in enumerate(c.w for c in f.coeffs[:out_degree + 1]):
+        if s != 0.0:
+            n = min(len(a), out_degree + 1 - j)
+            out[j:j + n] += a[:n] * s
+    return QPowerSeries(tuple(Quaternion(*row) for row in out))
 
 
 def beta_coeffs(gamma: float, coeffs: Sequence[Quaternion], k_max: int,
                 sign: int = 1) -> tuple[Quaternion, ...]:
     """Coefficients of exp(sign * q^2/gamma^2) * f for f = sum q^n a_n.
 
-    beta_k = sum_{j=0..floor(k/2)} sign^j * a_{k-2j} / (gamma^{2j} j!),
-    each a finite exact sum; indices of ``coeffs`` beyond its length count
-    as zero.
+    beta_k = sum_{j=0..floor(k/2)} sign^j * a_{k-2j} / (gamma^{2j} j!), the
+    Cauchy product with the envelope's series, each a finite exact sum;
+    indices of ``coeffs`` beyond its length count as zero.
     """
-    positive_finite("gamma", gamma)
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    a = [_as_quaternion(c) for c in coeffs]
-    out = []
-    g2 = gamma * gamma
-    for k in range(k_max + 1):
-        acc = _ZERO
-        w = 1.0
-        for j in range(k // 2 + 1):
-            if j > 0:
-                w *= sign / (g2 * j)
-            n = k - 2 * j
-            if n < len(a):
-                acc = acc + a[n] * w
-        out.append(acc)
-    return tuple(out)
+    envelope = QPowerSeries.exp_sq(gamma, sign, k_max)
+    return cauchy_mul(envelope, QPowerSeries(tuple(coeffs)), k_max).coeffs
 
 
 def sequential_norm(gamma: float, coeffs: Sequence[Quaternion], k_max: int) -> float:

@@ -22,13 +22,12 @@ from typing import Sequence
 import numpy as np
 
 from . import _quatarray as qa
-from ._checks import nu_from_gamma, positive_finite
+from ._checks import finite_points, nu_from_gamma, positive_finite
 from .hypercomplex import (I_DEFAULT, ImaginaryUnit, Quaternion, SlicePoint,
                            intrinsic_exp_sq, star_exp)
 from .kernels import fock_kernel_d, rbf_kernel_d, rbf_kernel_qslice
 from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, axis_moments,
-                         compensated_sum, gauss_hermite, integrate_rd,
-                         separable_sum)
+                         gauss_hermite, integrate_rd, separable_sum)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      beta_coeffs)
 
@@ -46,6 +45,9 @@ __all__ = [
 
 _M_OUT_DEGREE = 48
 
+# [d, c] = conj(e_d) e_c for e = 1, i, j, k, taken from the Hamilton product
+_CONJ_TIMES = qa.qmul(qa.qconj(np.eye(4))[:, None], np.eye(4)[None, :])
+
 
 def _slice_series(f) -> QPowerSeries:
     if not isinstance(f, QPowerSeries):
@@ -55,7 +57,8 @@ def _slice_series(f) -> QPowerSeries:
 
 
 class FockSliceSpace:
-    """Slice Fock space: weight exp(-nu|q|^2) on C_unit, prefactor nu/pi."""
+    """Slice Fock space: weight exp(-nu|q|^2) on C_unit, prefactor nu/pi.
+    Every integral is ``_pair_integral``, one weighted sum over the grid."""
 
     def __init__(self, nu: float, unit: ImaginaryUnit = I_DEFAULT,
                  quad_order: int = DEFAULT_QUAD_ORDER):
@@ -66,7 +69,8 @@ class FockSliceSpace:
         self.rule: QuadratureRule = gauss_hermite(quad_order, nu)
         self._xg, self._yg = np.meshgrid(self.rule.nodes, self.rule.nodes,
                                          indexing="ij")
-        self._wg = self.rule.weights[:, None] * self.rule.weights[None, :]
+        root_w = np.sqrt(self.rule.weights)
+        self._root_w = (root_w[:, None] * root_w[None, :]).ravel()
 
     # -- evaluation ---------------------------------------------------
 
@@ -78,12 +82,25 @@ class FockSliceSpace:
                 f"{2 * self.quad_order - 1}; raise quad_order")
         return f.eval_slice_grid(self._xg, self._yg, self.unit)
 
-    def _pair_integral(self, vals_f: np.ndarray, vals_g: np.ndarray) -> Quaternion:
-        integrand = qa.qmul(qa.qconj(vals_g), vals_f)
-        scale = self.nu / math.pi
-        comps = [scale * compensated_sum(self._wg * integrand[..., c])
-                 for c in range(4)]
-        return Quaternion(*comps)
+    def _stack(self, grids, n: int = 1) -> np.ndarray:
+        """n grids (M, M, 4) as one stack (n, 4, M^2) scaled by sqrt(weight)."""
+        out = np.empty((n, 4, self._root_w.size))
+        for row, values in zip(out, grids):
+            row[...] = values.reshape(-1, 4).T
+        out *= self._root_w
+        return out
+
+    def _pair_integral(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """All <f_a, g_b> = (nu/pi) sum_i w_i conj(g_b) f_a of two stacks,
+        shape (len(F), len(G), 4), by one real matrix product; given one
+        stack twice, the result is exactly quaternion-Hermitian."""
+        products = F.reshape(-1, F.shape[-1]) @ G.reshape(-1, G.shape[-1]).T
+        products = products.reshape(len(F), 4, len(G), 4)
+        out = np.einsum("acbd,dce->abe", products, _CONJ_TIMES)
+        out *= self.nu / math.pi
+        if F is G:
+            out = 0.5 * (out + qa.qconj(out.swapaxes(0, 1)))
+        return out
 
     # -- public api ---------------------------------------------------
 
@@ -93,25 +110,17 @@ class FockSliceSpace:
         if f.degree + g.degree > 2 * self.quad_order - 1:
             raise ValueError("combined integrand degree exceeds quadrature "
                              "exactness; raise quad_order")
-        vals_f = self._grid_values(f)
-        return self._pair_integral(
-            vals_f, vals_f if g is f else self._grid_values(g))
+        F = self._stack([self._grid_values(f)])
+        G = F if g is f else self._stack([self._grid_values(g)])
+        return Quaternion(*self._pair_integral(F, G)[0, 0])
 
     def norm_sq(self, f) -> float:
         return self.inner_product(f, f).w
 
     def gram(self, functions: Sequence) -> np.ndarray:
         """All pairwise inner products, shape (n, n, 4), G[a,b] = <f_a, f_b>."""
-        values = [self._grid_values(f) for f in functions]
-        n = len(values)
-        out = np.empty((n, n, 4))
-        for a in range(n):
-            for b in range(a, n):
-                ip = self._pair_integral(values[a], values[b])
-                out[a, b] = (ip.w, ip.x, ip.y, ip.z)
-                if a != b:
-                    out[b, a] = (ip.w, -ip.x, -ip.y, -ip.z)
-        return out
+        F = self._stack(map(self._grid_values, functions), len(functions))
+        return self._pair_integral(F, F)
 
     def kernel(self, q: Quaternion, p: Quaternion) -> Quaternion:
         return star_exp(self.nu, q, p)
@@ -119,7 +128,8 @@ class FockSliceSpace:
     def reproduce(self, f, w: Quaternion) -> Quaternion:
         """Evaluate <f, K_w> by quadrature; equals f(w) for f in the space."""
         kvals = qa.star_exp_grid(self.nu, self._xg, self._yg, self.unit, w)
-        return self._pair_integral(self._grid_values(f), kvals)
+        F, K = self._stack([self._grid_values(f)]), self._stack([kvals])
+        return Quaternion(*self._pair_integral(F, K)[0, 0])
 
 
 class RBFSliceSpace:
@@ -167,7 +177,8 @@ class RBFSliceSpace:
         comp = np.exp(-4.0 * y * y / (self.gamma * self.gamma)
                       + self.nu * (fock._xg ** 2 + y ** 2))
         # 2/(pi gamma^2) = nu/pi, so the Fock rule's sum applies as it is
-        return fock._pair_integral(vals_f * comp[..., None], vals_g)
+        F, G = fock._stack([vals_f * comp[..., None]]), fock._stack([vals_g])
+        return Quaternion(*fock._pair_integral(F, G)[0, 0])
 
     def norm_sq(self, f) -> float:
         return self.inner_product(f, f).w
@@ -246,6 +257,9 @@ class FockCSpace:
 
     def gram(self, functions: Sequence) -> np.ndarray:
         """G[a, b] = <f_a, f_b>, Hermitian by construction."""
+        functions = [_cd_series(f, self.dim) for f in functions]
+        # size the moment table for the whole Gram once, before the loop
+        self._moment_table(max((f.max_axis_degree for f in functions), default=0))
         out = np.zeros((len(functions),) * 2, dtype=complex)
         for a, b in zip(*np.triu_indices(len(functions))):
             ip = self.inner_product(functions[a], functions[b])
@@ -261,8 +275,7 @@ class FockCSpace:
         w = np.asarray(w, dtype=complex)
         if w.shape != (self.dim,):
             raise ValueError("evaluation point has the wrong dimension")
-        if not np.isfinite(w).all():
-            raise ValueError(f"evaluation point must be finite, got {w}")
+        finite_points(w)
         powers = self._powers(f.max_axis_degree)
         tables = [powers * np.exp(self.alpha * np.conj(self._z) * wl)
                   for wl in w]

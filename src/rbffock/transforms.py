@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _quatarray as qa
-from ._checks import nu_from_gamma, positive_finite
+from ._checks import finite_points, nu_from_gamma, positive_finite
 from .bases import hermite_psi_all
 from .hypercomplex import (Quaternion, embed_in_slice, intrinsic_exp_sq,
                            slice_decompose)
@@ -305,6 +305,7 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi,
     z = np.asarray(z, dtype=complex)
     if z.size != dim:
         raise ValueError("evaluation point has the wrong dimension")
+    finite_points(z.ravel())
 
     exact_ok = isinstance(phi, HermiteCoeffFunctionD) and phi.nu == nu
     if method == "coeffs" or (method == "auto" and exact_ok):

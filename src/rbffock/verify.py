@@ -27,8 +27,8 @@ from .kernels import (fock_kernel_d, kernel_sum_tail_bound,
                       kernel_sum_truncated, rbf_kernel_c, rbf_kernel_d,
                       rbf_kernel_qslice)
 from .quadrature import DEFAULT_QUAD_ORDER
-from .series import (GaussSeries, QPowerSeries, beta_coeffs, multi_indices,
-                     sequential_norm)
+from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
+                     beta_coeffs, multi_indices, sequential_norm)
 from .spaces import (FockCSpace, FockSliceSpace, RBFCSpace, RBFSliceSpace,
                      slice_independence_check)
 from .transforms import (HermiteCoeffFunctionD, hermite_basis_l2,
@@ -148,64 +148,45 @@ def crit_isometry(cfg: VerifyConfig) -> list[CheckResult]:
                     worst, 1e-10, cfg)]
 
 
+def _worst_reproduce(space, draws) -> float:
+    """Worst |<f, K_w> - f(w)| / (1 + |f(w)|) over the draws (f, w), or NaN."""
+    return np.max([abs(space.reproduce(f, w) - f.eval(w)) / (1.0 + abs(f.eval(w)))
+                   for f, w in draws])
+
+
 def crit_reproduce(cfg: VerifyConfig) -> list[CheckResult]:
     """<f, K_w> recovers f(w) in all four space families."""
     rng = np.random.default_rng(cfg.seed + 1)
-    out = []
-
-    worst = 0.0
-    space = FockSliceSpace(2.0, UNIT_I, cfg.quad_order)
-    for _ in range(20):
-        f = _random_qseries(rng, 8)
-        w = _random_quaternion(rng, 0.8)
-        err = abs(space.reproduce(f, w) - f.eval(w)) / (1.0 + abs(f.eval(w)))
-        worst = np.maximum(worst, err)
-    out.append(_result("reproducing-property", {"space": "fock-slice"},
-                       worst, 1e-7, cfg))
-
-    worst = 0.0
-    rspace = RBFSliceSpace(cfg.gamma, UNIT_I, cfg.quad_order)
-    for _ in range(20):
-        f = GaussSeries(cfg.gamma, _random_qseries(rng, 8))
-        w = _random_quaternion(rng, 0.8)
-        err = abs(rspace.reproduce(f, w) - f.eval(w)) / (1.0 + abs(f.eval(w)))
-        worst = np.maximum(worst, err)
-    out.append(_result("reproducing-property", {"space": "rbf-slice",
-                                                "gamma": cfg.gamma},
-                       worst, 1e-7, cfg))
-
-    from .series import CPowerSeries, GaussCSeries
     indices = list(multi_indices(2, 3))
-    worst = 0.0
-    fspace = FockCSpace(2.0, 2, 32)
-    for _ in range(20):
-        series = CPowerSeries(2, tuple(
-            (idx, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-            for idx in indices))
-        w = tuple(complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-                  for _ in range(2))
-        err = (abs(fspace.reproduce(series, w) - series.eval(w))
-               / (1.0 + abs(series.eval(w))))
-        worst = np.maximum(worst, err)
-    out.append(_result("reproducing-property", {"space": "fock-C2"},
-                       worst, 1e-7, cfg))
 
-    worst = 0.0
-    rcspace = RBFCSpace(cfg.gamma, 2, 32)
-    for _ in range(20):
-        series = CPowerSeries(2, tuple(
-            (idx, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
-            for idx in indices))
-        f = GaussCSeries(cfg.gamma, series)
-        w = tuple(complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-                  for _ in range(2))
-        err = (abs(rcspace.reproduce(f, w) - f.eval(w))
-               / (1.0 + abs(f.eval(w))))
-        worst = np.maximum(worst, err)
-    out.append(_result("reproducing-property", {"space": "rbf-C2",
-                                                "gamma": cfg.gamma},
-                       worst, 1e-7, cfg))
-    return out
+    # 20 draws (series, point) each, taken from rng lazily, check by check
+    def slice_draws(member):
+        for _ in range(20):
+            f = member(_random_qseries(rng, 8))
+            yield f, _random_quaternion(rng, 0.8)
+
+    def c2_draws(member):
+        for _ in range(20):
+            f = member(CPowerSeries(2, tuple(
+                (idx, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                for idx in indices)))
+            yield f, tuple(complex(rng.uniform(-0.8, 0.8),
+                                   rng.uniform(-0.8, 0.8)) for _ in range(2))
+
+    checks = [
+        ({"space": "fock-slice"}, FockSliceSpace(2.0, UNIT_I, cfg.quad_order),
+         slice_draws(lambda series: series)),
+        ({"space": "rbf-slice", "gamma": cfg.gamma},
+         RBFSliceSpace(cfg.gamma, UNIT_I, cfg.quad_order),
+         slice_draws(lambda series: GaussSeries(cfg.gamma, series))),
+        ({"space": "fock-C2"}, FockCSpace(2.0, 2, 32),
+         c2_draws(lambda series: series)),
+        ({"space": "rbf-C2", "gamma": cfg.gamma}, RBFCSpace(cfg.gamma, 2, 32),
+         c2_draws(lambda series: GaussCSeries(cfg.gamma, series))),
+    ]
+    return [_result("reproducing-property", params,
+                    _worst_reproduce(space, draws), 1e-7, cfg)
+            for params, space, draws in checks]
 
 
 def crit_kernel_sum(cfg: VerifyConfig) -> list[CheckResult]:

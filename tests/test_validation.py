@@ -1,9 +1,10 @@
 """Every public constructor and transform entry point refuses a Gaussian
 scale (nu, gamma, alpha) that is not a positive finite number, naming it,
 and a gamma whose nu = 2/gamma^2 leaves double range.  Quaternion points,
-imaginary units and C^d evaluation points with a non-finite component are
-refused too."""
+imaginary units, series and kernel arguments and C^d evaluation points
+with a non-finite component are refused too, naming the point."""
 
+import json
 import math
 
 import pytest
@@ -11,11 +12,14 @@ import pytest
 from rbffock import (CPowerSeries, FockCSpace, FockSliceSpace, GaussCSeries,
                      GaussSeries, HermiteCoeffFunction, HermiteCoeffFunctionD,
                      ImaginaryUnit, KernelParams, QPowerSeries, Quaternion,
-                     RBFCSpace, RBFSliceSpace, gauss_hermite,
-                     kernel_sum_tail_bound, rbf_basis_q, rbf_kernel_qslice,
-                     rbf_sb_image_series, rbf_sb_image_series_d,
-                     rbf_sb_transform, rbf_sb_transform_d, sb_transform,
-                     slice_decompose, star_exp)
+                     RBFCSpace, RBFSliceSpace, fock_kernel_d, gauss_hermite,
+                     hermite_basis_l2, kernel_sum_tail_bound, rbf_basis_c,
+                     rbf_basis_q, rbf_kernel_c, rbf_kernel_d,
+                     rbf_kernel_qslice, rbf_sb_image_series,
+                     rbf_sb_image_series_d, rbf_sb_transform,
+                     rbf_sb_transform_d, sb_transform, slice_decompose,
+                     star_exp)
+from rbffock.cli import main
 from rbffock.verify import VerifyConfig
 
 BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0]
@@ -138,3 +142,52 @@ def test_cd_reproduce_refuses_non_finite_point(space, value):
         target, f = RBFCSpace(1.0, 2, 8), GaussCSeries(1.0, series)
     with pytest.raises(ValueError, match="must be finite"):
         target.reproduce(f, [0.1, value])
+
+
+NAN = math.nan
+
+# entry points that take points refuse a non-finite one, naming it
+NON_FINITE_POINT_CALLS = {
+    "QPowerSeries.eval": lambda: QPowerSeries((1.0, 2.0)).eval(_NAN_Q),
+    "CPowerSeries.eval": lambda: CPowerSeries(1, (((1,), 1.0),)).eval((NAN,)),
+    "GaussCSeries.eval": lambda: GaussCSeries(
+        1.0, CPowerSeries(1, (((1,), 1.0),))).eval((complex(math.inf, 0.0),)),
+    "rbf_kernel_c": lambda: rbf_kernel_c(1.0, NAN, 0j),
+    "rbf_basis_c": lambda: rbf_basis_c(1.0, 2, NAN),
+    "sb_transform": lambda: sb_transform(1.0, hermite_basis_l2(1.0, 1),
+                                         Quaternion(NAN, 0.0, 0.0, 0.0)),
+    "rbf_sb_transform_d": lambda: rbf_sb_transform_d(1.0, 1, _PHI_D, [NAN]),
+    "rbf_sb_transform_d-quadrature": lambda: rbf_sb_transform_d(
+        1.0, 1, _PHI_D, [NAN], method="quadrature"),
+    "rbf_kernel_d": lambda: rbf_kernel_d(1.0, [[0.0, 1.0], [NAN, 0.0]], [0.0, 0.0]),
+    "fock_kernel_d": lambda: fock_kernel_d(1.0, [0.5j], [complex(0.0, NAN)]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target", NON_FINITE_POINT_CALLS)
+def test_non_finite_point_refused(target):
+    with pytest.raises(ValueError, match=r"point \[.*(nan|inf).*\] must be finite"):
+        NON_FINITE_POINT_CALLS[target]()
+
+
+def test_kernel_overflow_stays_overflow():
+    with pytest.raises(OverflowError, match="overflows"):
+        rbf_kernel_d(1.0, [30j], [30j])
+
+
+_HUGE_Q = Quaternion(0.0, 1.7e308, 1.7e308, 0.0)
+
+
+def test_slice_decompose_refuses_vector_norm_beyond_double_range():
+    with pytest.raises(ValueError, match="vector part .* beyond double range"):
+        slice_decompose(_HUGE_Q)
+
+
+def test_cli_kernel_names_pair_with_huge_vector_part(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"kernel": "rbf-qslice", "gamma": 1.0,
+                                "pairs": [[_HUGE_Q.to_list(), [1, 0, 0, 0]]]}))
+    assert main(["kernel", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "pairs[0]" in err and "beyond double range" in err
