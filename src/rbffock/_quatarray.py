@@ -14,6 +14,9 @@ and F2 = sum z^n B_n.  ``split_horner`` evaluates the pair (F1, F2) and
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 from .hypercomplex import ImaginaryUnit, Quaternion, star_exp_on_slice
@@ -37,11 +40,43 @@ def qconj(a: np.ndarray) -> np.ndarray:
     return a * CONJ_SIGNS
 
 
-def embed_complex_arr(z: np.ndarray, unit: ImaginaryUnit) -> np.ndarray:
-    """Embed complex x + i*y arrays as quaternions x + unit*y."""
-    z = np.asarray(z, dtype=complex)
-    return np.stack([z.real, unit.x * z.imag, unit.y * z.imag, unit.z * z.imag],
-                    axis=-1)
+def _hypot_rows(v: np.ndarray) -> np.ndarray:
+    """math.hypot of each row of v, shape (..., 3) -> (...)."""
+    rows = v.reshape(-1, 3).T.tolist()
+    return np.fromiter(map(math.hypot, *rows), float,
+                       len(rows[0])).reshape(v.shape[:-1])
+
+
+def slice_decompose_arr(q: np.ndarray):
+    """``hypercomplex.slice_decompose`` of every point of q, shape (..., 4).
+
+    Returns x, y of shape (...) and the units, shape (..., 3), equal bit
+    for bit to the scalar form: y is math.hypot of the vector part, a real
+    point gets y = 0 and the unit i, and a subnormal vector part is scaled
+    by 2^600 before it is normalized.  Raises ValueError, as the scalar
+    form does, naming the first point with a non-finite component or a
+    vector part whose norm leaves double range.
+    """
+    q = np.asarray(q, dtype=float)
+    finite = np.isfinite(q).all(axis=-1)
+    if not finite.all():
+        raise ValueError("cannot decompose the non-finite quaternion "
+                         f"{q[~finite][0].tolist()}")
+    vec = q[..., 1:]
+    y = _hypot_rows(vec)
+    if (y == math.inf).any():
+        raise ValueError(f"the vector part of {q[y == math.inf][0].tolist()} "
+                         "has a norm beyond double range")
+    # subnormal parts carry too few bits for a unit of norm 1; scaling by a
+    # power of two is exact
+    tiny = (y > 0.0) & (y < sys.float_info.min)
+    vec = vec.copy()
+    vec[tiny] *= 2.0 ** 600
+    norm = np.where(y == 0.0, 1.0, y)
+    norm[tiny] = _hypot_rows(vec[tiny])
+    units = vec / norm[..., None]
+    units[y == 0.0] = (1.0, 0.0, 0.0)
+    return q[..., 0], y, units
 
 
 def slice_frame(unit: ImaginaryUnit) -> np.ndarray:

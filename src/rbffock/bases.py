@@ -71,6 +71,7 @@ def hermite_psi_all(nu: float, n_max: int, x) -> np.ndarray:
     """
     _check_hermite_args(nu, n_max)
     x = np.asarray(x, dtype=float)
+    finite_points(x.reshape(-1, 1))
     u = math.sqrt(nu) * x
     out = np.empty((n_max + 1,) + x.shape)
     scale = (nu / math.pi) ** 0.25

@@ -220,56 +220,97 @@ def cmd_gram(args) -> int:
     return 0
 
 
+def _grid_values(apply, points: np.ndarray) -> np.ndarray:
+    """apply(points), the whole grid in one call.  A refusal names the
+    transform when it refuses even no points, or else the first grid point
+    that it refuses on its own."""
+    refused = (TypeError, ValueError, OverflowError)
+    try:
+        return apply(points)
+    except refused as exc:
+        error = InputError(f"transform: {exc}")
+    parts = [("transform", points[:0])] + [
+        (f"grid.points[{i}]", points[i:i + 1]) for i in range(len(points))]
+    for where, part in parts:
+        try:
+            apply(part)
+        except refused as exc:
+            raise InputError(f"{where}: {exc}")
+    raise error
+
+
+def _transform_rows(points: np.ndarray, values: np.ndarray) -> Iterator[str]:
+    """CSV rows: each point's coordinates, then its value's, as _fmt would;
+    a complex number is written as re,im."""
+    table = np.column_stack([points, values])
+    if np.iscomplexobj(table):
+        table = table.view(float)
+    template = ",".join(["%.17g"] * table.shape[1])
+    for row in table.tolist():
+        yield template % tuple(row)
+
+
+def _hermite_nu(fn_data) -> float:
+    where = "transform input.hermite"
+    return _parameter("nu", float, _require(fn_data, "nu", where), where)
+
+
+def _grid_points(data) -> list:
+    grid = _require(data, "grid", "transform input")
+    raw_points = _require(grid, "points", "transform input.grid")
+    if not isinstance(raw_points, list):
+        raise InputError("transform input.grid: field 'points' must be a list")
+    return raw_points
+
+
 def _transform_d(args, data) -> int:
     """Several-complex-variable branch of the transform command."""
     dim = args.dim
     fn_data = _require(data, "hermite", "transform input")
-    nu_phi = float(_require(fn_data, "nu", "transform input.hermite"))
+    nu_phi = _hermite_nu(fn_data)
     raw_terms = _require(fn_data, "terms", "transform input.hermite")
+    if not isinstance(raw_terms, list):
+        raise InputError("transform input.hermite: field 'terms' must be a list")
     terms = []
     for i, item in enumerate(raw_terms):
         where = f"transform input.hermite.terms[{i}]"
         if not (isinstance(item, list) and len(item) == 2):
             raise InputError(f"{where}: expected [multi_index, [re, im]]")
         index, coeff = item
-        if not (isinstance(index, list) and len(index) == dim):
-            raise InputError(f"{where}: multi-index must have length {dim}")
+        if not (isinstance(index, list) and len(index) == dim
+                and all(_is_number(n) and n >= 0 and int(n) == n
+                        for n in index)):
+            raise InputError(f"{where}: multi-index must be {dim} whole "
+                             "numbers >= 0")
         terms.append((tuple(int(n) for n in index),
                       _parse_complex(coeff, where)))
     try:
         phi = HermiteCoeffFunctionD(nu_phi, dim, tuple(terms))
     except (TypeError, ValueError) as exc:
         raise InputError(f"transform input.hermite: {exc}")
-    grid = _require(data, "grid", "transform input")
-    raw_points = _require(grid, "points", "transform input.grid")
     points = []
-    for i, item in enumerate(raw_points):
+    for i, item in enumerate(_grid_points(data)):
         where = f"grid.points[{i}]"
         if not (isinstance(item, list) and len(item) == dim):
             raise InputError(f"{where}: points in C^{dim} are lists of "
                              f"{dim} [re, im] pairs")
-        points.append(tuple(_parse_complex(v, where) for v in item))
+        points.append([_parse_complex(v, where) for v in item])
     if args.gamma is None:
         raise InputError("transform: the C^d transform needs --gamma")
+    points = np.array(points, dtype=complex).reshape(-1, dim)
 
+    values = _grid_values(lambda z: rbf_sb_transform_d(
+        args.gamma, dim, phi, z, quad_order=args.quad_order), points)
     header = ",".join(f"z{l}.re,z{l}.im" for l in range(dim))
-    lines = [header + ",value.re,value.im"]
-    for z in points:
-        try:
-            value = rbf_sb_transform_d(args.gamma, dim, phi, z,
-                                       quad_order=args.quad_order)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"transform: {exc}")
-        row = [v for zl in z for v in (zl.real, zl.imag)]
-        row += [value.real, value.imag]
-        lines.append(",".join(_fmt(v) for v in row))
-    _write_lines(lines, args.output)
+    _write_lines(itertools.chain(
+        [header + ",value.re,value.im"],
+        _transform_rows(points, values)), args.output)
     return 0
 
 
 def cmd_transform(args) -> int:
     data = _load_json(args.input)
-    if "samples" in data:
+    if isinstance(data, dict) and "samples" in data:
         raise InputError(
             "transform: sampled input carries no decay certificate the "
             "quadrature can trust; provide the function as "
@@ -277,20 +318,18 @@ def cmd_transform(args) -> int:
     if args.dim is not None and args.dim != 1:
         return _transform_d(args, data)
     fn_data = _require(data, "hermite", "transform input")
-    nu_phi = float(_require(fn_data, "nu", "transform input.hermite"))
+    nu_phi = _hermite_nu(fn_data)
     coeffs = _require(fn_data, "coeffs", "transform input.hermite")
+    if not isinstance(coeffs, list):
+        raise InputError("transform input.hermite: field 'coeffs' must be a list")
+    coeffs = [_parse_point(Quaternion, c, f"transform input.hermite.coeffs[{i}]")
+              for i, c in enumerate(coeffs)]
     try:
-        phi = HermiteCoeffFunction(
-            nu_phi, tuple(Quaternion.from_list(c) for c in coeffs))
+        phi = HermiteCoeffFunction(nu_phi, tuple(coeffs))
     except (TypeError, ValueError) as exc:
         raise InputError(f"transform input.hermite.coeffs: {exc}")
-    grid = _require(data, "grid", "transform input")
-    raw_points = _require(grid, "points", "transform input.grid")
-    points = []
-    for i, item in enumerate(raw_points):
-        if not (isinstance(item, list) and len(item) == 4):
-            raise InputError(f"grid.points[{i}]: quaternions are [w, x, y, z]")
-        points.append(Quaternion.from_list(item))
+    points = np.array([_parse_point(Quaternion, p, f"grid.points[{i}]").to_list()
+                       for i, p in enumerate(_grid_points(data))]).reshape(-1, 4)
 
     if args.gamma is not None:
         def apply(q):
@@ -304,14 +343,10 @@ def cmd_transform(args) -> int:
         raise InputError("transform: choose the target with --gamma "
                          "(RBF-side) or --nu (Fock-side)")
 
-    lines = ["q.w,q.x,q.y,q.z,value.w,value.x,value.y,value.z"]
-    for q in points:
-        try:
-            value = apply(q)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"transform: {exc}")
-        lines.append(",".join(_fmt(v) for v in q.to_list() + value.to_list()))
-    _write_lines(lines, args.output)
+    values = _grid_values(apply, points)
+    _write_lines(itertools.chain(
+        ["q.w,q.x,q.y,q.z,value.w,value.x,value.y,value.z"],
+        _transform_rows(points, values)), args.output)
     return 0
 
 

@@ -102,6 +102,20 @@ class QPowerSeries:
             acc = a + q * acc
         return acc
 
+    def eval_points(self, q: np.ndarray) -> np.ndarray:
+        """Values at quaternion points of shape (..., 4), equal bit for bit
+        to ``eval`` at each point: the same left Horner step acc = a + q acc,
+        with the same Hamilton product.  A value past double range is inf
+        or NaN, as in ``eval``."""
+        q = np.asarray(q, dtype=float)
+        finite_points(q)
+        coeffs = np.array([c.to_list() for c in self.coeffs])
+        acc = np.broadcast_to(coeffs[-1], q.shape).copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in coeffs[-2::-1]:
+                acc = a + qa.qmul(q, acc)
+        return acc
+
     def eval_slice_grid(self, x, y, unit: ImaginaryUnit) -> np.ndarray:
         """Values over the slice grid q = x + unit*y, shape (..., 4)."""
         return qa.horner_slice(self.coeffs, x, y, unit)

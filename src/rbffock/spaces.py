@@ -104,12 +104,15 @@ class FockSliceSpace:
 
     # -- public api ---------------------------------------------------
 
+    def _check_pair_degree(self, degree: int) -> None:
+        if degree > 2 * self.quad_order - 1:
+            raise ValueError("combined integrand degree exceeds quadrature "
+                             "exactness; raise quad_order")
+
     def inner_product(self, f, g) -> Quaternion:
         """<f, g> = (nu/pi) * integral conj(g) f exp(-nu|q|^2)."""
         f, g = _slice_series(f), _slice_series(g)
-        if f.degree + g.degree > 2 * self.quad_order - 1:
-            raise ValueError("combined integrand degree exceeds quadrature "
-                             "exactness; raise quad_order")
+        self._check_pair_degree(f.degree + g.degree)
         F = self._stack([self._grid_values(f)])
         G = F if g is f else self._stack([self._grid_values(g)])
         return Quaternion(*self._pair_integral(F, G)[0, 0])
@@ -119,6 +122,8 @@ class FockSliceSpace:
 
     def gram(self, functions: Sequence) -> np.ndarray:
         """All pairwise inner products, shape (n, n, 4), G[a,b] = <f_a, f_b>."""
+        functions = [_slice_series(f) for f in functions]
+        self._check_pair_degree(2 * max((f.degree for f in functions), default=0))
         F = self._stack(map(self._grid_values, functions), len(functions))
         return self._pair_integral(F, F)
 

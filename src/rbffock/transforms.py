@@ -12,7 +12,8 @@ gamma^2) is already unitary, so it takes no normalization switch.
 
 Transforms of functions given by Hermite coefficients are computed exactly
 through the action on the basis; quadrature against the closed-form kernel
-is kept as an independent route.
+is kept as an independent route.  The transforms take a whole grid of
+points and build what does not depend on the point once per call.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ import numpy as np
 from . import _quatarray as qa
 from ._checks import finite_points, nu_from_gamma, positive_finite
 from .bases import hermite_psi_all
-from .hypercomplex import (Quaternion, embed_in_slice, intrinsic_exp_sq,
-                           slice_decompose)
+from .hypercomplex import Quaternion, embed_in_slice, slice_decompose
 from .kernels import NORMALIZATIONS
 from .quadrature import DEFAULT_QUAD_ORDER, gauss_hermite, integrate_rd
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
@@ -140,10 +140,43 @@ class HermiteCoeffFunctionD:
 # ---------------------------------------------------------------------------
 # one-variable (quaternionic slice) transforms
 
+# points per block of the quadrature route's kernel matrix, so that its
+# memory does not grow with the grid
+_BLOCK_POINTS = 128
+
+
 def _sb_prefactor(nu: float, normalization: str) -> float:
     _check_normalization(normalization)
     power = 0.25 if normalization == "unitary" else 0.75
     return (nu / math.pi) ** power
+
+
+def _quaternion_points(q) -> np.ndarray:
+    """A Quaternion, or an array of shape (..., 4), as a float array."""
+    points = np.asarray(q.to_list() if isinstance(q, Quaternion) else q,
+                        dtype=float)
+    if points.ndim == 0 or points.shape[-1] != 4:
+        raise ValueError("quaternion points are arrays of shape (..., 4)")
+    return points
+
+
+def _like(q, values: np.ndarray):
+    """Values in the form of the argument: a Quaternion for a Quaternion."""
+    return Quaternion(*values.tolist()) if isinstance(q, Quaternion) else values
+
+
+def _finite_values(points: np.ndarray, compute) -> np.ndarray:
+    """compute() without numpy's overflow warnings; OverflowError naming
+    the first of ``points`` (last axis) whose value is not finite."""
+    with np.errstate(all="ignore"):
+        values = compute()
+    finite = np.isfinite(values)
+    if finite.ndim == points.ndim:  # quaternion values
+        finite = finite.all(axis=-1)
+    if not finite.all():
+        raise OverflowError(f"the transform value at point "
+                            f"{points[~finite][0].tolist()} is not finite")
+    return values
 
 
 def sb_kernel(nu: float, q: Quaternion, x: float,
@@ -154,21 +187,12 @@ def sb_kernel(nu: float, q: Quaternion, x: float,
     (nu/pi)^{1/4} under ``unitary`` and (nu/pi)^{3/4} under ``literal``.
     """
     positive_finite("nu", nu)
+    finite_points([x])
     sp = slice_decompose(q)
     zq = complex(sp.x, sp.y)
     val = _sb_prefactor(nu, normalization) * cmath.exp(
         -0.5 * nu * (zq * zq + x * x) + nu * math.sqrt(2.0) * zq * x)
     return embed_in_slice(val, sp.unit)
-
-
-def _sb_kernel_nodes(nu: float, q: Quaternion, x: np.ndarray,
-                     normalization: str):
-    """Kernel values at many x for fixed q: complex array on the slice of q."""
-    sp = slice_decompose(q)
-    zq = complex(sp.x, sp.y)
-    vals = _sb_prefactor(nu, normalization) * np.exp(
-        -0.5 * nu * (zq * zq + x * x) + nu * math.sqrt(2.0) * zq * x)
-    return vals, sp.unit
 
 
 def sb_image_series(nu: float, phi: HermiteCoeffFunction,
@@ -185,41 +209,76 @@ def sb_image_series(nu: float, phi: HermiteCoeffFunction,
     return QPowerSeries(tuple(coeffs))
 
 
-def sb_transform(nu: float, phi, q: Quaternion,
-                 normalization: str = "unitary", method: str = "auto",
-                 quad_order: int = DEFAULT_QUAD_ORDER) -> Quaternion:
-    """Apply the Segal-Bargmann transform to phi and evaluate at q.
+def _sb_quadrature(nu: float, phi: HermiteCoeffFunction, q: np.ndarray,
+                   normalization: str, quad_order: int) -> np.ndarray:
+    """The transform at points q (..., 4) by quadrature against the kernel.
 
-    ``method="coeffs"`` uses the exact action on Hermite coefficients,
-    ``method="quadrature"`` integrates against the closed-form kernel, and
-    ``auto`` picks the exact path whenever it applies.
+    On the slice of q the kernel is a complex K, and the weighted node sum
+    of (Re K + I Im K) phi is Re K @ F + I (Im K @ F) with
+    F = phi(x) w exp(nu_rule x^2): one real matrix product per block of
+    points, on the interleaved (Re, Im) columns of K, and one Hamilton
+    product for all points.
+    """
+    nu_rule = 0.5 * (nu + phi.nu)
+    rule = gauss_hermite(quad_order, nu_rule)
+    x = rule.nodes
+    f = phi.eval_array(x) * (rule.weights * np.exp(nu_rule * x * x))[:, None]
+    # row 2m gives Re K_m F_m in columns 0-3, row 2m+1 Im K_m F_m in 4-7
+    f_pair = np.zeros((x.size, 2, 8))
+    f_pair[:, 0, :4] = f_pair[:, 1, 4:] = f
+    f_pair = f_pair.reshape(2 * x.size, 8)
+    re, im, units = qa.slice_decompose_arr(q.reshape(-1, 4))
+    z = re + 1j * im
+    pref = _sb_prefactor(nu, normalization)
+    parts = np.empty((z.size, 8))
+    for start in range(0, z.size, _BLOCK_POINTS):
+        zb = z[start:start + _BLOCK_POINTS]
+        k = np.add.outer(zb * zb, x * x)
+        k *= -0.5 * nu
+        k += np.multiply.outer(nu * math.sqrt(2.0) * zb, x)
+        np.exp(k, out=k)
+        k *= pref
+        parts[start:start + zb.size] = k.view(float) @ f_pair
+    unit_q = np.concatenate([np.zeros((z.size, 1)), units], axis=1)
+    values = parts[:, :4] + qa.qmul(unit_q, parts[:, 4:])
+    return values.reshape(q.shape)
+
+
+def sb_transform(nu: float, phi, q, normalization: str = "unitary",
+                 method: str = "auto", quad_order: int = DEFAULT_QUAD_ORDER):
+    """Apply the Segal-Bargmann transform to phi and evaluate it at q.
+
+    q is a Quaternion, giving a Quaternion, or points of shape (..., 4),
+    giving values of that shape; what does not depend on the point (the
+    image series, or the rule and phi at its nodes) is built once per
+    call.  ``method="coeffs"`` uses the exact action on Hermite
+    coefficients, ``method="quadrature"`` integrates against the
+    closed-form kernel, and ``auto`` picks the exact path whenever it
+    applies.  A value that is not finite raises OverflowError naming its
+    point.
     """
     positive_finite("nu", nu)
     _check_normalization(normalization)
     if method not in ("auto", "coeffs", "quadrature"):
         raise ValueError("method must be auto, coeffs, or quadrature")
+    points = _quaternion_points(q)
 
     exact_ok = isinstance(phi, HermiteCoeffFunction) and phi.nu == nu
     if method == "coeffs" or (method == "auto" and exact_ok):
         if not exact_ok:
             raise ValueError("exact path needs Hermite coefficients with a "
                              "matching scale")
-        return sb_image_series(nu, phi, normalization).eval(q)
+        series = sb_image_series(nu, phi, normalization)
+        return _like(q, _finite_values(points,
+                                       lambda: series.eval_points(points)))
 
     if not isinstance(phi, HermiteCoeffFunction):
         raise TypeError("quadrature path needs HermiteCoeffFunction")
     if 2 * quad_order - 1 < phi.degree:
         raise ValueError("Hermite degree exceeds quadrature exactness; "
                          "raise quad_order")
-    nu_rule = 0.5 * (nu + phi.nu)
-    rule = gauss_hermite(quad_order, nu_rule)
-    x = rule.nodes
-    kvals, unit = _sb_kernel_nodes(nu, q, x, normalization)
-    comp = np.exp(nu_rule * x * x)
-    integrand = qa.qmul(qa.embed_complex_arr(kvals, unit),
-                        phi.eval_array(x)) * comp[:, None]
-    sums = [float(np.sum(rule.weights * integrand[:, c])) for c in range(4)]
-    return Quaternion(*sums)
+    return _like(q, _finite_values(points, lambda: _sb_quadrature(
+        nu, phi, points, normalization, quad_order)))
 
 
 def rbf_sb_kernel(gamma: float, q: Quaternion, x: float,
@@ -232,6 +291,7 @@ def rbf_sb_kernel(gamma: float, q: Quaternion, x: float,
     """
     positive_finite("gamma", gamma)
     _check_normalization(normalization)
+    finite_points([x])
     power = 0.25 if normalization == "unitary" else 0.75
     pref = (2.0 / (math.pi * gamma * gamma)) ** power
     sp = slice_decompose(q)
@@ -247,17 +307,33 @@ def rbf_sb_image_series(gamma: float, phi: HermiteCoeffFunction,
                                               normalization))
 
 
-def rbf_sb_transform(gamma: float, phi, q: Quaternion,
-                     normalization: str = "unitary", method: str = "auto",
-                     quad_order: int = DEFAULT_QUAD_ORDER) -> Quaternion:
+def _envelope(gamma: float, q: np.ndarray) -> np.ndarray:
+    """exp(-q^2/gamma^2) at points q (..., 4), by the components
+    ``hypercomplex.intrinsic_exp_sq`` forms on the slice of each point."""
+    x, y, units = qa.slice_decompose_arr(q)
+    g2 = gamma * gamma
+    exponent = np.empty(x.shape, dtype=complex)
+    exponent.real = -(x * x - y * y) / g2
+    exponent.imag = -2.0 * x * y / g2
+    value = np.exp(exponent)
+    return np.concatenate([value.real[..., None],
+                           units * value.imag[..., None]], axis=-1)
+
+
+def rbf_sb_transform(gamma: float, phi, q, normalization: str = "unitary",
+                     method: str = "auto",
+                     quad_order: int = DEFAULT_QUAD_ORDER):
     """RBF Segal-Bargmann transform: strip-envelope inverse of the Fock one.
 
     Computed as exp(-q^2/gamma^2) * (Fock transform at nu = 2/gamma^2),
-    the operator factorization through the multiplication isometry.
+    the operator factorization through the multiplication isometry.  q
+    and the values take the forms of ``sb_transform``.
     """
     nu = nu_from_gamma(gamma)
-    value = sb_transform(nu, phi, q, normalization, method, quad_order)
-    return intrinsic_exp_sq(gamma, q, -1) * value
+    points = _quaternion_points(q)
+    value = sb_transform(nu, phi, points, normalization, method, quad_order)
+    return _like(q, _finite_values(
+        points, lambda: qa.qmul(_envelope(gamma, points), value)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +347,8 @@ def rbf_sb_kernel_d(gamma: float, z: Sequence[complex],
     x = np.asarray(x, dtype=float)
     if z.shape != x.shape:
         raise ValueError("dimension mismatch between z and x")
+    finite_points(z)
+    finite_points(x)
     d = z.size
     pref = (2.0 / (math.pi * gamma * gamma)) ** (d / 4.0)
     u = math.sqrt(2.0) * z - x
@@ -291,36 +369,49 @@ def rbf_sb_image_series_d(gamma: float,
     return GaussCSeries(gamma, CPowerSeries(phi.dim, tuple(terms)))
 
 
-def rbf_sb_transform_d(gamma: float, dim: int, phi,
-                       z: Sequence[complex], method: str = "auto",
-                       quad_order: int = DEFAULT_QUAD_ORDER) -> complex:
+def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",
+                       quad_order: int = DEFAULT_QUAD_ORDER):
     """d-dimensional RBF Segal-Bargmann transform evaluated at z in C^d.
 
-    Kernel and Hermite terms factor over coordinates; the quadrature path
-    integrates psi_n(x) exp(-(sqrt2 z_l - x)^2/gamma^2) per axis.
+    z holds points of shape (..., dim) and gives values of shape (...); one
+    point, a sequence of dim complex numbers, gives a complex number.  The
+    image series, or the rule and the Hermite table at its nodes, is built
+    once per call.  Kernel and Hermite terms factor over coordinates; the
+    quadrature path integrates psi_n(x) exp(-(sqrt2 z_l - x)^2/gamma^2)
+    per axis, point by point.  A value that is not finite raises
+    OverflowError naming its point.
     """
     nu = nu_from_gamma(gamma)
     if method not in ("auto", "coeffs", "quadrature"):
         raise ValueError("method must be auto, coeffs, or quadrature")
-    z = np.asarray(z, dtype=complex)
-    if z.size != dim:
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if z.shape[-1] != dim:
         raise ValueError("evaluation point has the wrong dimension")
-    finite_points(z.ravel())
+    finite_points(z)
+    rows = z.reshape(-1, dim)
 
     exact_ok = isinstance(phi, HermiteCoeffFunctionD) and phi.nu == nu
     if method == "coeffs" or (method == "auto" and exact_ok):
         if not exact_ok:
             raise ValueError("exact path needs multi-index Hermite "
                              "coefficients with scale 2/gamma^2")
-        return rbf_sb_image_series_d(gamma, phi).eval(tuple(z))
+        series = rbf_sb_image_series_d(gamma, phi)
+        values = _finite_values(z, lambda: series.eval_points(rows).reshape(
+            z.shape[:-1]))
+    else:
+        if not isinstance(phi, HermiteCoeffFunctionD):
+            raise TypeError("quadrature path needs HermiteCoeffFunctionD")
+        rule = gauss_hermite(quad_order, nu)
+        x = rule.nodes
+        n_max = max((max(idx) for idx, _ in phi.terms), default=0)
+        psis = hermite_psi_all(phi.nu, n_max, x) * np.exp(nu * x * x)
+        pref = (2.0 / (math.pi * gamma * gamma)) ** (dim / 4.0)
 
-    if not isinstance(phi, HermiteCoeffFunctionD):
-        raise TypeError("quadrature path needs HermiteCoeffFunctionD")
-    rule = gauss_hermite(quad_order, nu)
-    x = rule.nodes
-    n_max = max((max(idx) for idx, _ in phi.terms), default=0)
-    psis = hermite_psi_all(phi.nu, n_max, x) * np.exp(nu * x * x)
-    tables = [psis * np.exp(-(math.sqrt(2.0) * zl - x) ** 2 / (gamma * gamma))
-              for zl in z.ravel()]
-    pref = (2.0 / (math.pi * gamma * gamma)) ** (dim / 4.0)
-    return pref * integrate_rd(rule.weights, tables, phi.terms)
+        def at(point):
+            tables = [psis * np.exp(-(math.sqrt(2.0) * zl - x) ** 2
+                                    / (gamma * gamma)) for zl in point]
+            return pref * integrate_rd(rule.weights, tables, phi.terms)
+
+        values = _finite_values(z, lambda: np.array(
+            [at(point) for point in rows], dtype=complex).reshape(z.shape[:-1]))
+    return complex(values) if values.ndim == 0 else values

@@ -6,18 +6,25 @@ two grids, weighted and summed component by component.  The coefficient
 maps add one whole shifted row per term; the reference is the scalar
 Quaternion loop, which they must equal bit for bit.  C^d Grams build
 their moment table once; each entry must equal the per-pair inner product
-bit for bit.
+bit for bit.  The transforms take a whole grid of points; the references
+are the scalar series Horner loop, the scalar slice decomposition and, per
+point, the node sum of the scalar kernel against phi.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from conftest import random_quaternion
 
 from rbffock import (CPowerSeries, FockCSpace, FockSliceSpace, GaussSeries,
+                     HermiteCoeffFunction, HermiteCoeffFunctionD,
                      ImaginaryUnit, QPowerSeries, Quaternion, RBFSliceSpace,
-                     beta_coeffs, cauchy_mul)
+                     beta_coeffs, cauchy_mul, gauss_hermite, intrinsic_exp_sq,
+                     multi_indices, rbf_sb_image_series_d, rbf_sb_transform,
+                     rbf_sb_transform_d, sb_image_series, sb_kernel,
+                     sb_transform, slice_decompose)
 from rbffock import _quatarray as qa
 from rbffock.quadrature import compensated_sum
 
@@ -177,3 +184,118 @@ def test_cd_gram_builds_one_table_and_matches_inner_products(dim, monkeypatch):
             want = (space.inner_product(f, g) if a <= b
                     else np.conj(space.inner_product(g, f)))
             assert gram[a, b] == want
+
+
+def quaternion_grid(rng, count, scale=1.5):
+    """Random points, some of them real, on the coordinate axes, or with
+    a subnormal vector part."""
+    q = rng.uniform(-scale, scale, (count, 4))
+    q[::7, 1:] = 0.0
+    q[1::11, 2:] = 0.0
+    q[2::13, 1:] *= 1e-310
+    return q
+
+
+def test_eval_points_equals_eval_bit_for_bit():
+    rng = np.random.default_rng(21)
+    series = random_series(rng, 24)
+    q = quaternion_grid(rng, 200, 2.0)
+    values = series.eval_points(q)
+    assert values.shape == (200, 4)
+    for point, value in zip(q, values):
+        assert value.tolist() == series.eval(Quaternion(*point)).to_list()
+    grid = q.reshape(2, 100, 4)
+    assert np.array_equal(series.eval_points(grid), values.reshape(2, 100, 4))
+
+
+def test_slice_decompose_arr_equals_slice_decompose():
+    rng = np.random.default_rng(22)
+    q = np.concatenate([quaternion_grid(rng, 300),
+                        [[1.0, 5e-324, 0.0, 0.0], [0.0, 3e-320, -4e-320, 1e-322],
+                         [2.0, 1e300, 1e300, 1e300], [-0.0, -0.0, 0.0, -0.0]]])
+    x, y, units = qa.slice_decompose_arr(q)
+    for i, point in enumerate(q):
+        sp = slice_decompose(Quaternion(*point))
+        assert (x[i], y[i]) == (sp.x, sp.y)
+        assert units[i].tolist() == [sp.unit.x, sp.unit.y, sp.unit.z]
+    x2, y2, units2 = qa.slice_decompose_arr(q.reshape(2, -1, 4))
+    assert np.array_equal(units2.reshape(-1, 3), units)
+
+
+@pytest.mark.parametrize("bad", [[0.0, 1.7e308, 1.7e308, 0.0],
+                                 [0.0, math.nan, 0.0, 0.0],
+                                 [math.inf, 0.0, 0.0, 0.0]],
+                         ids=["norm-beyond-range", "nan", "inf"])
+def test_slice_decompose_arr_refuses_what_the_scalar_form_refuses(bad):
+    with pytest.raises(ValueError):
+        slice_decompose(Quaternion(*bad))
+    with pytest.raises(ValueError, match=re.escape(str(bad))):
+        qa.slice_decompose_arr(np.array([[0.5, 0.1, 0.0, 0.0], bad]))
+
+
+def sb_quadrature_reference(nu, phi, q, normalization, order):
+    """sum_m w_m exp(nu_rule x_m^2) K(q, x_m) phi(x_m), scalar per node."""
+    nu_rule = 0.5 * (nu + phi.nu)
+    rule = gauss_hermite(order, nu_rule)
+    phis = phi.eval_array(rule.nodes)
+    total = Quaternion(0.0, 0.0, 0.0, 0.0)
+    for x, w, f in zip(rule.nodes, rule.weights, phis):
+        total = total + (sb_kernel(nu, q, x, normalization) * Quaternion(*f)
+                         * (w * math.exp(nu_rule * x * x)))
+    return total
+
+
+@pytest.mark.parametrize("normalization", ["unitary", "literal"])
+@pytest.mark.parametrize("route", ["coeffs", "quadrature"])
+def test_quaternion_transforms_match_per_point_reference(route, normalization):
+    rng = np.random.default_rng(23)
+    gamma = 1.2
+    nu = 2.0 / gamma ** 2
+    phi_nu = nu if route == "coeffs" else 0.7
+    phi = HermiteCoeffFunction(phi_nu, tuple(random_quaternion(rng)
+                                             for _ in range(10)))
+    q = quaternion_grid(rng, 300)  # more than one block of points
+    fock = sb_transform(nu, phi, q, normalization, route, 40)
+    rbf = rbf_sb_transform(gamma, phi, q, normalization, route, 40)
+    assert fock.shape == rbf.shape == (300, 4)
+    assert np.array_equal(
+        sb_transform(nu, phi, q.reshape(3, 100, 4), normalization, route, 40),
+        fock.reshape(3, 100, 4))
+    fock_tol = 1e-14 * np.abs(fock).max()
+    rbf_tol = 1e-14 * np.abs(rbf).max()
+    for i in range(0, 300, 7):
+        point = Quaternion(*q[i])
+        one = sb_transform(nu, phi, point, normalization, route, 40)
+        assert isinstance(one, Quaternion)
+        assert np.abs(fock[i] - one.to_list()).max() <= fock_tol
+        if route == "coeffs":
+            want = sb_image_series(nu, phi, normalization).eval(point)
+        else:
+            want = sb_quadrature_reference(nu, phi, point, normalization, 40)
+        assert np.abs(fock[i] - want.to_list()).max() <= fock_tol
+        want = intrinsic_exp_sq(gamma, point, -1) * want
+        assert np.abs(rbf[i] - want.to_list()).max() <= rbf_tol
+        one = rbf_sb_transform(gamma, phi, point, normalization, route, 40)
+        assert np.abs(rbf[i] - one.to_list()).max() <= rbf_tol
+
+
+@pytest.mark.parametrize("route", ["coeffs", "quadrature"])
+def test_c2_transform_matches_per_point_calls(route):
+    rng = np.random.default_rng(24)
+    gamma, dim = 1.0, 2
+    indices = list(multi_indices(dim, 4))
+    phi = HermiteCoeffFunctionD(2.0 / gamma ** 2, dim, tuple(
+        (idx, complex(*rng.uniform(-1.0, 1.0, 2))) for idx in indices))
+    z = rng.uniform(-1.0, 1.0, (30, dim)) + 1j * rng.uniform(-1.0, 1.0, (30, dim))
+    values = rbf_sb_transform_d(gamma, dim, phi, z, route, 24)
+    assert values.shape == (30,)
+    tol = 1e-14 * np.abs(values).max()
+    series = rbf_sb_image_series_d(gamma, phi)
+    for point, value in zip(z, values):
+        one = rbf_sb_transform_d(gamma, dim, phi, list(point), route, 24)
+        assert isinstance(one, complex)
+        if route == "quadrature":
+            # the same per-point integral, so the same bytes
+            assert one == value
+        assert abs(value - one) <= tol
+        assert abs(value - series.eval(point)) <= 1e-12 * np.abs(values).max()

@@ -14,7 +14,7 @@ from rbffock import GramMatrix, Quaternion, build_gram
 from rbffock import cli
 from rbffock.cli import main
 from rbffock.gram import GRAM_KERNELS
-from rbffock.kernels import KERNELS
+from rbffock.kernels import KERNELS, NORMALIZATIONS
 
 
 def run_cli(args, capsys):
@@ -410,6 +410,66 @@ class TestFuzzKernelAndGram:
                                parse_constant=_reject_constant)
 
 
+@st.composite
+def transform_inputs(draw):
+    """Flags and input of a transform on H (the quaternions, --gamma or
+    --nu) or on C^2, by the exact route (Hermite scale 2, matched by
+    --gamma 1 and --nu 2) or the quadrature route (scale 1), at points
+    drawn from ``numbers``; or with one field broken."""
+    dim = draw(st.sampled_from([1, 2]))
+    target = draw(st.sampled_from(["--gamma", "--nu"])) if dim == 1 else "--gamma"
+    argv = ["transform", target, "1" if target == "--gamma" else "2"]
+    nu = draw(st.sampled_from([1.0, 2.0]))
+    coefficient = st.floats(-1.0, 1.0)
+    if dim == 1:
+        argv += ["--normalization", draw(st.sampled_from(NORMALIZATIONS))]
+        key = "coeffs"
+        hermite = {"nu": nu, key: draw(st.lists(
+            st.lists(coefficient, min_size=4, max_size=4),
+            min_size=1, max_size=4))}
+        point = st.lists(numbers, min_size=4, max_size=4)
+    else:
+        argv += ["--dim", "2"]
+        key = "terms"
+        index = st.lists(st.integers(0, 3), min_size=2, max_size=2)
+        hermite = {"nu": nu, key: draw(st.lists(
+            st.tuples(index, st.lists(coefficient, min_size=2, max_size=2))
+            .map(list), min_size=1, max_size=3))}
+        point = st.lists(st.lists(numbers, min_size=2, max_size=2),
+                         min_size=2, max_size=2)
+    points = draw(st.lists(point, min_size=1, max_size=4))
+    broken = draw(st.sampled_from([None, None, None, "nu", "function",
+                                   "point", "points"]))
+    if broken == "nu":
+        hermite["nu"] = draw(st.one_of(numbers, junk))
+    elif broken == "function":
+        hermite[key].append(draw(odd_points))
+    elif broken == "point":
+        points.append(draw(odd_points))
+    elif broken == "points":
+        points = draw(junk)
+    return argv, {"hermite": hermite, "grid": {"points": points}}
+
+
+class TestFuzzTransform:
+    @given(case=transform_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_0_or_2_and_finite_output(self, case):
+        argv, payload = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "in.json").write_text(json.dumps(payload))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv + ["--input", str(tmp / "in.json"),
+                                    "--output", str(tmp / "out.csv")])
+            assert code in (0, 2)
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                csv = (tmp / "out.csv").read_text().lower()
+                assert "nan" not in csv and "inf" not in csv
+
+
 class TestTransformCommand:
     def test_rbf_transform_of_basis(self, tmp_path, capsys):
         payload = {
@@ -465,6 +525,41 @@ class TestTransformCommand:
         assert run_cli(["verify", "--quad-order", "4"], capsys)[0] == 2
         assert run_cli(["transform", "--gamma", "1", "--dim", "5",
                         "--input", str(inp)], capsys)[0] == 2
+
+    @pytest.mark.parametrize("flags, hermite, point, field", [
+        (["--gamma", "1"], {"nu": 2.0, "coeffs": [[1, 0, 0, 0]]},
+         [0, 30, 0, 0], "grid.points[1]: the transform value"),
+        (["--nu", "2"], {"nu": 1.0, "coeffs": [[1, 0, 0, 0], [0, 1, 0, 0]]},
+         [0, 0, 27, 0], "grid.points[1]: the transform value"),
+        (["--gamma", "1", "--dim", "2"],
+         {"nu": 2.0, "terms": [[[1, 0], [1.0, 0.0]]]},
+         [[0, 300], [0, 0]], "grid.points[1]: the transform value"),
+        (["--gamma", "1", "--dim", "2"],
+         {"nu": 1.0, "terms": [[[1, 0], [1.0, 0.0]]]},
+         [[0, 300], [0, 0]], "grid.points[1]: the transform value"),
+        (["--gamma", "1"], {"nu": 2.0, "coeffs": [[1, 0, 0, 0]]},
+         ["a", 0, 0, 0], "grid.points[1]: quaternion points"),
+        (["--gamma", "1"], {"nu": 2.0, "coeffs": [[1, 0, 0, 0]]},
+         [True, 0, 0, 0], "grid.points[1]: quaternion points"),
+        (["--gamma", "1"], {"nu": 2.0, "coeffs": [[1, 0, 0, 0]]},
+         [0, 1.7e308, 1.7e308, 0], "grid.points[1]: the vector part"),
+        (["--gamma", "1"], {"nu": "x", "coeffs": [[1, 0, 0, 0]]},
+         [0, 0, 0, 0], "transform input.hermite: nu must be"),
+        (["--gamma", "1", "--dim", "2"], {"nu": 2.0, "terms": [[[1, "a"], 1]]},
+         [[0, 0], [0, 0]], "transform input.hermite.terms[0]: multi-index"),
+    ], ids=["rbf-exact-overflow", "fock-quadrature-overflow",
+            "c2-exact-overflow", "c2-quadrature-overflow", "text-point",
+            "boolean-point", "huge-vector-part", "text-nu", "text-index"])
+    def test_refusal_exits_2_naming_the_field(self, tmp_path, capsys, flags,
+                                              hermite, point, field):
+        first = [[0.1, 0.2], [0, 0]] if "--dim" in flags else [0.1, 0, 0, 0]
+        inp = tmp_path / "t.json"
+        inp.write_text(json.dumps({"hermite": hermite,
+                                   "grid": {"points": [first, point]}}))
+        code, out, err = run_cli(["transform", *flags, "--input", str(inp)],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert f"error: {field}" in err
 
     @pytest.mark.parametrize("gamma", ["1e-200", "1e200"])
     def test_gamma_with_nu_out_of_range_exits_2(self, tmp_path, capsys,

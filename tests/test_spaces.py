@@ -284,3 +284,18 @@ class TestComplexSpaces:
         with pytest.raises(TypeError):
             space.inner_product(CPowerSeries(2, (((0, 0), 1.0),)),
                                 rbf_basis_series_d(1.0, (0, 0)))
+
+
+@pytest.mark.parametrize("space", [FockSliceSpace(1.0, quad_order=8),
+                                   RBFSliceSpace(1.0, quad_order=8)],
+                         ids=["fock", "rbf"])
+def test_gram_refuses_pairs_beyond_quadrature_exactness(space):
+    # q^10 paired with itself has degree 20 > 2*8 - 1; the rule alone
+    # would return 3,299,310 for ||q^10||^2 = 10! = 3,628,800
+    f = QPowerSeries.monomial(10)
+    if isinstance(space, RBFSliceSpace):
+        f = GaussSeries(1.0, f)
+    with pytest.raises(ValueError, match="combined integrand degree"):
+        space.inner_product(f, f)
+    with pytest.raises(ValueError, match="combined integrand degree"):
+        space.gram([f])

@@ -13,12 +13,13 @@ from rbffock import (CPowerSeries, FockCSpace, FockSliceSpace, GaussCSeries,
                      GaussSeries, HermiteCoeffFunction, HermiteCoeffFunctionD,
                      ImaginaryUnit, KernelParams, QPowerSeries, Quaternion,
                      RBFCSpace, RBFSliceSpace, fock_kernel_d, gauss_hermite,
-                     hermite_basis_l2, kernel_sum_tail_bound, rbf_basis_c,
-                     rbf_basis_q, rbf_kernel_c, rbf_kernel_d,
-                     rbf_kernel_qslice, rbf_sb_image_series,
-                     rbf_sb_image_series_d, rbf_sb_transform,
-                     rbf_sb_transform_d, sb_transform, slice_decompose,
-                     star_exp)
+                     hermite_basis_l2, hermite_psi, hermite_psi_all,
+                     kernel_sum_tail_bound, rbf_basis_c, rbf_basis_q,
+                     rbf_kernel_c, rbf_kernel_d, rbf_kernel_qslice,
+                     rbf_sb_image_series, rbf_sb_image_series_d,
+                     rbf_sb_kernel, rbf_sb_kernel_d, rbf_sb_transform,
+                     rbf_sb_transform_d, sb_kernel, sb_transform,
+                     slice_decompose, star_exp)
 from rbffock.cli import main
 from rbffock.verify import VerifyConfig
 
@@ -161,6 +162,12 @@ NON_FINITE_POINT_CALLS = {
         1.0, 1, _PHI_D, [NAN], method="quadrature"),
     "rbf_kernel_d": lambda: rbf_kernel_d(1.0, [[0.0, 1.0], [NAN, 0.0]], [0.0, 0.0]),
     "fock_kernel_d": lambda: fock_kernel_d(1.0, [0.5j], [complex(0.0, NAN)]),
+    # the real point x of the transform kernels and the Hermite functions
+    "sb_kernel": lambda: sb_kernel(1.0, _Q, NAN),
+    "rbf_sb_kernel": lambda: rbf_sb_kernel(1.0, _Q, NAN),
+    "rbf_sb_kernel_d": lambda: rbf_sb_kernel_d(1.0, [0j], [NAN]),
+    "hermite_psi": lambda: hermite_psi(1.0, 2, NAN),
+    "hermite_psi_all": lambda: hermite_psi_all(1.0, 3, [0.5, NAN]),
 }
 
 
@@ -169,6 +176,27 @@ NON_FINITE_POINT_CALLS = {
 def test_non_finite_point_refused(target):
     with pytest.raises(ValueError, match=r"point \[.*(nan|inf).*\] must be finite"):
         NON_FINITE_POINT_CALLS[target]()
+
+
+# a finite point whose transform value leaves double range names the point
+TRANSFORM_OVERFLOW_CALLS = {
+    "rbf_sb_transform-exact": lambda: rbf_sb_transform(
+        1.0, hermite_basis_l2(2.0, 1), [[0.1, 0, 0, 0], [0, 30, 0, 0]]),
+    "sb_transform-quadrature": lambda: sb_transform(
+        2.0, hermite_basis_l2(1.0, 1), Quaternion(0, 0, 27, 0)),
+    "rbf_sb_transform_d-exact": lambda: rbf_sb_transform_d(
+        1.0, 2, HermiteCoeffFunctionD(2.0, 2, (((1, 0), 1.0),)), [300j, 0j]),
+    "rbf_sb_transform_d-quadrature": lambda: rbf_sb_transform_d(
+        1.0, 2, HermiteCoeffFunctionD(1.0, 2, (((1, 0), 1.0),)), [300j, 0j]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target", TRANSFORM_OVERFLOW_CALLS)
+def test_transform_overflow_names_the_point(target):
+    with pytest.raises(OverflowError, match=r"value at point \[.*(30|27|300j).*\] "
+                                            "is not finite"):
+        TRANSFORM_OVERFLOW_CALLS[target]()
 
 
 def test_kernel_overflow_stays_overflow():
