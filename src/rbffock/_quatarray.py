@@ -69,13 +69,14 @@ def slice_decompose_arr(q: np.ndarray):
                          "has a norm beyond double range")
     # subnormal parts carry too few bits for a unit of norm 1; scaling by a
     # power of two is exact
-    tiny = (y > 0.0) & (y < sys.float_info.min)
+    real = y == 0.0
+    tiny = ~real & (y < sys.float_info.min)
     vec = vec.copy()
     vec[tiny] *= 2.0 ** 600
-    norm = np.where(y == 0.0, 1.0, y)
+    norm = np.where(real, 1.0, y)
     norm[tiny] = _hypot_rows(vec[tiny])
     units = vec / norm[..., None]
-    units[y == 0.0] = (1.0, 0.0, 0.0)
+    units[real] = (1.0, 0.0, 0.0)
     return q[..., 0], y, units
 
 
