@@ -6,6 +6,10 @@ certified through the complex adjoint representation: each entry a + b*j
 (a, b in C_i) becomes the 2x2 complex block [[a, b], [-conj(b), conj(a)]],
 an algebra homomorphism that doubles the size, preserves Hermitian
 structure, and doubles eigenvalue multiplicities.
+
+The quaternionic slice RBF kernel is the reproducing kernel of a slice
+Fock space, so K(p, q) = conj(K(q, p)): its Gram takes one scalar kernel
+call per unordered pair and fills the lower triangle by conjugation.
 """
 
 from __future__ import annotations
@@ -82,8 +86,12 @@ def build_gram(kernel_id: str, params: dict, points) -> GramMatrix:
     """Assemble G[a][b] = k(points[a], points[b]) and store it Hermitian.
 
     Points follow the kernel's layout in ``KERNELS``: (N, dim) floats or
-    complex numbers, or a sequence of Quaternion.  Raises OverflowError when
-    an entry is not finite.
+    complex numbers, or a sequence of Quaternion.  Array kernels take one
+    call on all pairs, and G is the average of that matrix and its adjoint.
+    The quaternionic kernel is called once per unordered pair, for b >= a:
+    G[a][b] is exactly k(points[a], points[b]) above the diagonal, its
+    quaternion conjugate below, and its real part on the diagonal.  Raises
+    OverflowError when an entry is not finite.
     """
     if kernel_id not in GRAM_KERNELS:
         raise ValueError(f"unknown kernel {kernel_id!r}; choose from {GRAM_KERNELS}")
@@ -93,8 +101,12 @@ def build_gram(kernel_id: str, params: dict, points) -> GramMatrix:
         if not all(isinstance(p, Quaternion) for p in pts):
             raise TypeError(f"{kernel_id} expects Quaternion points")
         n = len(pts)
-        g = np.array([[spec(params, a, b).to_list() for b in pts]
-                      for a in pts], dtype=float).reshape(n, n, 4)
+        # one call per unordered pair: K(p, q) = conj(K(q, p))
+        g = np.zeros((n, n, 4))
+        for a, q in enumerate(pts):
+            g[a, a:] = [spec(params, q, p).to_list() for p in pts[a:]]
+        upper = np.triu(np.ones((n, n), dtype=bool))[..., None]
+        g = np.where(upper, g, _adjoint(g))
         pts = np.array([p.to_list() for p in pts], dtype=float).reshape(n, 4)
     else:
         pts = np.atleast_2d(np.asarray(points, dtype=spec.layout))

@@ -282,11 +282,15 @@ def star_exp_on_slice(nu: float, z, unit: ImaginaryUnit, p: Quaternion):
     c0, c1 = a.real + b.real, a.imag + b.imag
     c2, c3 = a.imag - b.imag, b.real - a.real
     i, j = unit, sp.unit
-    ij = i.as_quaternion() * j.as_quaternion()
-    return (c0 + c3 * ij.w,
-            c1 * i.x + c2 * j.x + c3 * ij.x,
-            c1 * i.y + c2 * j.y + c3 * ij.y,
-            c1 * i.z + c2 * j.z + c3 * ij.z)
+    # I*J term for term as Quaternion.__mul__ rounds it, real parts 0.0
+    ij_w = 0.0 * 0.0 - i.x * j.x - i.y * j.y - i.z * j.z
+    ij_x = 0.0 * j.x + i.x * 0.0 + i.y * j.z - i.z * j.y
+    ij_y = 0.0 * j.y - i.x * j.z + i.y * 0.0 + i.z * j.x
+    ij_z = 0.0 * j.z + i.x * j.y - i.y * j.x + i.z * 0.0
+    return (c0 + c3 * ij_w,
+            c1 * i.x + c2 * j.x + c3 * ij_x,
+            c1 * i.y + c2 * j.y + c3 * ij_y,
+            c1 * i.z + c2 * j.z + c3 * ij_z)
 
 
 def star_exp(nu: float, q: Quaternion, p: Quaternion) -> Quaternion:

@@ -97,9 +97,16 @@ def rbf_kernel_d(gamma: float, z, w):
     on real points it is the real Gaussian exp(-|x - y|^2 / gamma^2)."""
     positive_finite("gamma", gamma)
     z, w = _points(z, w)
-    u = z - np.conj(w)
-    return _finite("rbf",
-                   lambda: np.exp(-np.sum(u * u, axis=-1) / (gamma * gamma)))
+
+    def values():
+        # one (..., d) temporary, squared in place (np.sum sees u * u) and
+        # dropped before the exponent's temporaries are made
+        u = z - np.conj(w)
+        np.multiply(u, u, out=u)
+        s = np.sum(u, axis=-1)
+        del u
+        return np.exp(-s / (gamma * gamma))
+    return _finite("rbf", values)
 
 
 def fock_kernel_d(alpha: float, z, w):

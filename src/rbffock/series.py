@@ -96,17 +96,22 @@ class QPowerSeries:
         return QPowerSeries(self.coeffs[:degree + 1])
 
     def eval(self, q: Quaternion) -> Quaternion:
+        """Value at q by the left Horner step acc = a + q acc; raises
+        OverflowError naming q when the value leaves double range."""
         finite_points(q.to_list())
         acc = self.coeffs[-1]
         for a in reversed(self.coeffs[:-1]):
             acc = a + q * acc
+        if not all(map(math.isfinite, acc.to_list())):
+            raise OverflowError(f"the series value at point {q.to_list()} "
+                                "is not finite")
         return acc
 
     def eval_points(self, q: np.ndarray) -> np.ndarray:
         """Values at quaternion points of shape (..., 4), equal bit for bit
         to ``eval`` at each point: the same left Horner step acc = a + q acc,
         with the same Hamilton product.  A value past double range is inf
-        or NaN, as in ``eval``."""
+        or NaN, where ``eval`` raises; callers check the values."""
         q = np.asarray(q, dtype=float)
         finite_points(q)
         coeffs = np.array([c.to_list() for c in self.coeffs])
@@ -225,16 +230,23 @@ class CPowerSeries:
         return complex(self.eval_points(np.reshape(z, (1, self.dim)))[0])
 
     def eval_points(self, zpts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation at points of shape (npoints, dim)."""
+        """Vectorized evaluation at points of shape (npoints, dim); raises
+        OverflowError naming the first point whose value is not finite."""
         zpts = np.asarray(zpts, dtype=complex)
         finite_points(zpts)
         total = np.zeros(zpts.shape[0], dtype=complex)
-        for index, coeff in self.terms:
-            p = np.full(zpts.shape[0], coeff, dtype=complex)
-            for axis, nl in enumerate(index):
-                if nl:
-                    p *= zpts[:, axis] ** nl
-            total += p
+        # the check below reports overflow, so numpy's warnings are redundant
+        with np.errstate(all="ignore"):
+            for index, coeff in self.terms:
+                p = np.full(zpts.shape[0], coeff, dtype=complex)
+                for axis, nl in enumerate(index):
+                    if nl:
+                        p *= zpts[:, axis] ** nl
+                total += p
+        finite = np.isfinite(total)
+        if not finite.all():
+            raise OverflowError(f"the series value at point "
+                                f"{zpts[~finite][0].tolist()} is not finite")
         return total
 
 

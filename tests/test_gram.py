@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import random_quaternion
 
-from rbffock import (GramMatrix, Quaternion, build_gram, psd_check,
+from rbffock import (GramMatrix, Quaternion, build_gram, kernels, psd_check,
                      quat_matrix_to_complex, rbf_basis_c,
                      kernel_sum_truncated, rbf_kernel_qslice)
 
@@ -42,15 +42,54 @@ class TestBuildGram:
         assert np.abs(gram.entries - flipped).max() == 0.0
 
     def test_quaternionic_gram_matches_entrywise_loop(self):
+        # upper entries are the kernel, lower ones their conjugates and the
+        # diagonal its real part, byte for byte
         rng = np.random.default_rng(43)
         pts = [random_quaternion(rng, 1.5) for _ in range(5)]
         signs = np.array([1.0, -1.0, -1.0, -1.0])
-        raw = [[np.array(rbf_kernel_qslice(1.0, a, b).to_list()) for b in pts]
-               for a in pts]
-        want = np.array([[0.5 * (raw[a][b] + signs * raw[b][a])
-                          for b in range(5)] for a in range(5)])
+        want = np.zeros((5, 5, 4))
+        for a in range(5):
+            for b in range(a, 5):
+                want[a, b] = rbf_kernel_qslice(1.0, pts[a], pts[b]).to_list()
+                want[b, a] = signs * want[a, b]
+            want[a, a, 1:] = 0.0
         got = build_gram("rbf-qslice", {"gamma": 1.0}, pts).entries
         assert got.tobytes() == want.tobytes()
+
+    def test_quaternionic_gram_calls_kernel_once_per_unordered_pair(
+            self, monkeypatch):
+        calls = []
+
+        def counted(gamma, q, p):
+            calls.append((q, p))
+            return rbf_kernel_qslice(gamma, q, p)
+
+        monkeypatch.setattr(kernels, "rbf_kernel_qslice", counted)
+        rng = np.random.default_rng(48)
+        for n in (1, 2, 7):
+            calls.clear()
+            pts = [random_quaternion(rng) for _ in range(n)]
+            build_gram("rbf-qslice", {"gamma": 1.0}, pts)
+            assert len(calls) == n * (n + 1) // 2
+
+    @pytest.mark.parametrize("points", [
+        [Quaternion(x, 0.0, 0.0, 0.0) for x in (-1.2, 0.0, 0.3, 0.9)],
+        [Quaternion(x, 0.6 * y, 0.0, 0.8 * y)
+         for x, y in ((0.1, 0.5), (-0.7, -1.1), (0.4, 0.0), (1.0, 0.3))],
+        [Quaternion(0.3, 5e-324, 0.0, 0.0),
+         Quaternion(-0.2, 0.0, 1e-310, 3e-320),
+         Quaternion(0.5, 0.4, -0.3, 0.2), Quaternion(-1.0, 0.0, 0.0, 0.0)],
+    ], ids=["real", "common-slice", "subnormal-vector-part"])
+    def test_quaternionic_gram_hermitian_and_near_two_sided_average(
+            self, points):
+        signs = np.array([1.0, -1.0, -1.0, -1.0])
+        got = build_gram("rbf-qslice", {"gamma": 1.0}, points).entries
+        assert np.array_equal(got, signs * np.transpose(got, (1, 0, 2)))
+        raw = np.array([[rbf_kernel_qslice(1.0, a, b).to_list()
+                         for b in points] for a in points])
+        average = 0.5 * (raw + signs * np.transpose(raw, (1, 0, 2)))
+        assert (np.abs(got - average).max()
+                <= 1e-14 * np.abs(average).max())
 
     def test_polynomial_and_exponential(self):
         gram = build_gram("polynomial", {"degree": 2}, [[1.0, 1.0], [0.0, 0.0]])

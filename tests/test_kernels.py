@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,38 @@ class TestDKernel:
             rbf_kernel_d(1.0, (1j, 0j), (1j,))
         with pytest.raises(ValueError):
             fock_kernel_d(1.0, (1j, 0j), (1j,))
+
+    @pytest.mark.parametrize("complex_points", [False, True],
+                             ids=["real", "complex"])
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_matches_numpy_sum_of_squares_bit_for_bit(self, d,
+                                                      complex_points):
+        rng = np.random.default_rng(d)
+        x = rng.uniform(-2.0, 2.0, (12, d))
+        if complex_points:
+            x = x + 1j * rng.uniform(-1.0, 1.0, (12, d))
+        u = x[:, None] - np.conj(x[None, :])
+        want = np.exp(-np.sum(u * u, -1) / (1.3 * 1.3))
+        got = rbf_kernel_d(1.3, x[:, None], x[None, :])
+        assert got.tobytes() == want.tobytes()
+
+    def test_difference_past_double_range_underflows_without_warning(self):
+        # the true value exp(-4e616) underflows to 0; tier-1 turns a
+        # RuntimeWarning from the subtraction into an error
+        assert rbf_kernel_d(1.0, [1e308], [-1e308]) == 0.0
+
+    def test_gram_peak_memory_is_one_difference_array(self):
+        # the (N, N, d) difference is squared in place, so the peak is that
+        # array and the (N, N) sum, not two (N, N, d) arrays
+        n, d = 400, 3
+        x = np.random.default_rng(14).uniform(-1.5, 1.5, (n, d))
+        tracemalloc.start()
+        try:
+            rbf_kernel_d(1.0, x[:, None], x[None, :])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (d + 2) * n * n * x.itemsize
 
 
 class TestQuaternionicKernel:

@@ -199,6 +199,27 @@ def test_transform_overflow_names_the_point(target):
         TRANSFORM_OVERFLOW_CALLS[target]()
 
 
+# a finite point whose series value leaves double range names the point
+SERIES_OVERFLOW_CALLS = {
+    "QPowerSeries.eval": lambda: QPowerSeries((0.0, 0.0, 1.0)).eval(
+        Quaternion(1e200, 0, 0, 0)),
+    "GaussSeries.eval": lambda: GaussSeries(1.0, QPowerSeries(
+        (0.0, 0.0, 1.0))).eval(Quaternion(1e200, 0, 0, 0)),
+    "CPowerSeries.eval": lambda: CPowerSeries(1, (((2,), 1.0),)).eval(
+        (1e200,)),
+    "CPowerSeries.eval_points": lambda: CPowerSeries(
+        2, (((1, 1), 1.0),)).eval_points([[0.5, 1j], [1e200, 1e200j]]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target", SERIES_OVERFLOW_CALLS)
+def test_series_overflow_names_the_point(target):
+    with pytest.raises(OverflowError, match=r"series value at point "
+                                            r"\[.*1e\+200.*\] is not finite"):
+        SERIES_OVERFLOW_CALLS[target]()
+
+
 def test_kernel_overflow_stays_overflow():
     with pytest.raises(OverflowError, match="overflows"):
         rbf_kernel_d(1.0, [30j], [30j])
