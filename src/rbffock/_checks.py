@@ -1,7 +1,8 @@
-"""Argument checks shared by the public constructors and functions."""
+"""Argument checks, and the one refusal of a value that is not finite."""
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -13,13 +14,66 @@ def positive_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
+def _first_point(points, ok) -> list:
+    """The first point (last axis) whose entries of ``ok`` are not all true."""
+    points = np.atleast_1d(points)
+    ok = np.reshape(ok, points.shape[:-1] + (-1,)).all(axis=-1)
+    return points[~ok][0].tolist()
+
+
 def finite_points(points) -> None:
     """Raise ValueError naming the first point (last axis) that is not finite."""
     finite = np.isfinite(points)
     if not finite.all():
-        bad = ~np.atleast_1d(finite).all(axis=-1)
-        point = np.atleast_1d(points)[bad][0]
-        raise ValueError(f"point {point.tolist()} must be finite")
+        raise ValueError(f"point {_first_point(points, finite)} must be finite")
+
+
+def _listed(value):
+    """numpy values, Quaternions and sequences as numbers and lists."""
+    for method in ("tolist", "to_list"):
+        if hasattr(value, method):
+            return getattr(value, method)()
+    return [*map(_listed, value)] if isinstance(value, (list, tuple)) else value
+
+
+def finite_values(what: str, compute, points=None, *, numpy: bool = True,
+                  **params):
+    """compute(), or OverflowError naming ``what`` when a value is not finite.
+
+    The value is a number, a Quaternion, or an array with one value (maybe
+    of several axes) per point of ``points`` (last axis; a function giving
+    them is called only on a refusal).  The refusal, formatted only when
+    raised, names ``params`` and the first point whose value is not
+    finite, or a single value's ``points`` as given.  Python's
+    OverflowError and ZeroDivisionError in compute count as not finite.
+    numpy's warnings are off while compute runs, unless ``numpy=False``,
+    which saves a plain Python computation most of the cost on a scalar.
+    """
+    try:
+        if not numpy:
+            value = compute()
+        else:
+            with np.errstate(all="ignore"):
+                value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if isinstance(value, (float, complex)):
+        ok = cmath.isfinite(value)
+    elif hasattr(value, "to_list"):  # a Quaternion
+        ok = all(map(math.isfinite, value.to_list()))
+    else:
+        finite = np.isfinite(value)
+        ok = bool(finite.all())
+        if not ok and points is not None and finite.ndim:
+            points = _first_point(points() if callable(points) else points,
+                                  finite)
+    if ok:
+        return value
+    if params:
+        what += " with " + ", ".join(f"{k}={_listed(v)}" for k, v in params.items())
+    if points is not None:
+        what += f" at point {_listed(points)}"
+    raise OverflowError(f"{what} is not finite: it overflows double range")
 
 
 def nu_from_gamma(gamma) -> float:

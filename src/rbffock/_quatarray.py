@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from ._checks import finite_points
 from .hypercomplex import ImaginaryUnit, Quaternion, star_exp_on_slice
 
 CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
@@ -53,15 +54,12 @@ def slice_decompose_arr(q: np.ndarray):
     Returns x, y of shape (...) and the units, shape (..., 3), equal bit
     for bit to the scalar form: y is math.hypot of the vector part, a real
     point gets y = 0 and the unit i, and a subnormal vector part is scaled
-    by 2^600 before it is normalized.  Raises ValueError, as the scalar
-    form does, naming the first point with a non-finite component or a
-    vector part whose norm leaves double range.
+    by 2^600 before it is normalized.  Raises ValueError naming the first
+    point with a non-finite component or a vector part whose norm leaves
+    double range.
     """
     q = np.asarray(q, dtype=float)
-    finite = np.isfinite(q).all(axis=-1)
-    if not finite.all():
-        raise ValueError("cannot decompose the non-finite quaternion "
-                         f"{q[~finite][0].tolist()}")
+    finite_points(q)
     vec = q[..., 1:]
     y = _hypot_rows(vec)
     if (y == math.inf).any():
@@ -141,4 +139,4 @@ def star_exp_grid(nu: float, x: np.ndarray, y: np.ndarray, unit: ImaginaryUnit,
     """Star exponential sum_n nu^n q^n conj(p)^n / n! over the slice grid
     q = x + unit*y, in closed form (see ``hypercomplex.star_exp_on_slice``)."""
     z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-    return np.stack(star_exp_on_slice(nu, z, unit, p), axis=-1)
+    return star_exp_on_slice(nu, z, unit, p)

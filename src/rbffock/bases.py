@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import finite_points, positive_finite
+from ._checks import finite_points, finite_values, positive_finite
 from .hypercomplex import Quaternion, embed_in_slice, slice_decompose
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      multi_factorial, multi_order)
@@ -40,26 +40,30 @@ __all__ = [
 MAX_HERMITE_ORDER = 64
 
 
-def _check_hermite_args(nu: float, n: int) -> None:
+def _hermite_points(nu: float, n: int, x) -> np.ndarray:
+    """x as a float array, once nu, the order n and every x are checked."""
     positive_finite("nu", nu)
     if not 0 <= n <= MAX_HERMITE_ORDER:
         raise ValueError(f"order must lie in [0, {MAX_HERMITE_ORDER}]")
+    x = np.asarray(x, dtype=float)
+    finite_points(x.reshape(-1, 1))
+    return x
 
 
 def hermite_h(nu: float, n: int, x):
     """Weighted Hermite polynomial nu^{n/2} H_n(sqrt(nu) x).
 
     Three-term recurrence h_{k+1} = 2 nu x h_k - 2 k nu h_{k-1}; vectorized
-    over x.
+    over x, refusing the first x whose value is not finite.
     """
-    _check_hermite_args(nu, n)
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * nu * x
-    for k in range(1, n):
-        h_prev, h = h, 2.0 * nu * x * h - 2.0 * k * nu * h_prev
+    x = _hermite_points(nu, n, x)
+
+    def recurrence():
+        h_prev, h = np.ones_like(x), 2.0 * nu * x
+        for k in range(1, n):
+            h_prev, h = h, 2.0 * nu * x * h - 2.0 * k * nu * h_prev
+        return h if n else h_prev
+    h = finite_values("h_n(x)", recurrence, x[..., None], nu=nu, n=n)
     return h if h.ndim else float(h)
 
 
@@ -69,19 +73,21 @@ def hermite_psi_all(nu: float, n_max: int, x) -> np.ndarray:
     Returns an array of shape (n_max + 1,) + shape(x).  Uses the
     normalized recurrence, which keeps every row O(1) in magnitude.
     """
-    _check_hermite_args(nu, n_max)
-    x = np.asarray(x, dtype=float)
-    finite_points(x.reshape(-1, 1))
-    u = math.sqrt(nu) * x
-    out = np.empty((n_max + 1,) + x.shape)
-    scale = (nu / math.pi) ** 0.25
-    out[0] = scale * np.exp(-u * u / 2.0)
-    if n_max >= 1:
-        out[1] = math.sqrt(2.0) * u * out[0]
-    for k in range(1, n_max):
-        out[k + 1] = (math.sqrt(2.0 / (k + 1)) * u * out[k]
-                      - math.sqrt(k / (k + 1)) * out[k - 1])
-    return out
+    x = _hermite_points(nu, n_max, x)
+
+    def recurrence():
+        u = math.sqrt(nu) * x
+        out = np.empty((n_max + 1,) + x.shape)
+        out[0] = (nu / math.pi) ** 0.25 * np.exp(-u * u / 2.0)
+        if n_max >= 1:
+            out[1] = math.sqrt(2.0) * u * out[0]
+        for k in range(1, n_max):
+            out[k + 1] = (math.sqrt(2.0 / (k + 1)) * u * out[k]
+                          - math.sqrt(k / (k + 1)) * out[k - 1])
+        return out
+    # axis 0 of the values holds the order, so each point repeats along it
+    return finite_values("psi_n(x)", recurrence, lambda: np.broadcast_to(
+        x[..., None], (n_max + 1,) + x.shape + (1,)), nu=nu)
 
 
 def hermite_psi(nu: float, n: int, x):
@@ -100,7 +106,11 @@ def rbf_basis_coeff(gamma: float, n: int) -> float:
 def rbf_basis_c(gamma: float, n: int, z: complex) -> complex:
     """Orthonormal RBF basis element in one complex variable."""
     finite_points([z])
-    return rbf_basis_coeff(gamma, n) * z ** n * cmath.exp(-z * z / (gamma * gamma))
+    # Python numbers compute without numpy; only numpy scalars need its switch
+    return finite_values(
+        "the rbf basis value",
+        lambda: rbf_basis_coeff(gamma, n) * z ** n * cmath.exp(-z * z / (gamma * gamma)),
+        [z], numpy=isinstance(z, np.generic) or isinstance(gamma, np.generic))
 
 
 def rbf_basis_q(gamma: float, n: int, q: Quaternion) -> Quaternion:
@@ -117,10 +127,9 @@ def rbf_basis_d(gamma: float, index: Sequence[int], z: Sequence[complex]) -> com
     """Multi-index RBF basis element on C^d as the product of 1-D factors."""
     if len(index) != len(z):
         raise ValueError(f"index length {len(index)} != point dimension {len(z)}")
-    out = 1.0 + 0.0j
-    for nl, zl in zip(index, z):
-        out *= rbf_basis_c(gamma, nl, complex(zl))
-    return out
+    return finite_values("the rbf basis value", lambda: math.prod(
+        (rbf_basis_c(gamma, nl, complex(zl)) for nl, zl in zip(index, z)),
+        start=1.0 + 0.0j), z)
 
 
 def rbf_basis_series(gamma: float, n: int) -> GaussSeries:

@@ -23,7 +23,8 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from ._checks import nu_from_gamma
-from .bases import hermite_h, hermite_psi, rbf_basis_c, rbf_basis_q
+from .bases import (MAX_HERMITE_ORDER, hermite_h, hermite_psi, rbf_basis_c,
+                    rbf_basis_q)
 from .gram import GRAM_KERNELS, build_gram, psd_check
 from .hypercomplex import Quaternion
 from .kernels import KERNELS, NORMALIZATIONS
@@ -37,8 +38,21 @@ class InputError(Exception):
     """Schema or value problem in user-supplied input."""
 
 
+@contextlib.contextmanager
+def _refusal(where: str):
+    """Report the library's refusal of input inside the block at ``where``."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{where}: {exc}") from None
+
+
 def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
+
+
+def _re_im(value: complex) -> list:
+    return [value.real, value.imag]
 
 
 def _load_json(path: str) -> dict:
@@ -132,10 +146,8 @@ def _kernel_input(data: dict, args, command: str, field: str):
         if value is None and gamma is not None and name in ("gamma", "alpha"):
             value = _parameter("gamma", float, gamma, command)
             if name == "alpha":
-                try:
+                with _refusal(command):
                     value = nu_from_gamma(value)
-                except ValueError as exc:
-                    raise InputError(f"{command}: {exc}")
         if value is None:
             hint = {"gamma": " or via --gamma", "alpha": ", or gamma to "
                     "derive alpha = 2/gamma^2"}.get(name, "")
@@ -157,10 +169,8 @@ def cmd_kernel(args) -> int:
             raise InputError(f"pairs[{i}]: expected [point, point]")
         a = _parse_point(spec.layout, pair[0], f"pairs[{i}][0]")
         b = _parse_point(spec.layout, pair[1], f"pairs[{i}][1]")
-        try:
+        with _refusal(f"pairs[{i}]"):
             value = spec(params, a, b)
-        except (ValueError, OverflowError) as exc:
-            raise InputError(f"pairs[{i}]: {exc}")
         parts = (value.to_list() if isinstance(value, Quaternion)
                  else [value.real, value.imag])
         lines.append(f"{i}," + ",".join(map(_fmt, parts)))
@@ -196,10 +206,8 @@ def cmd_gram(args) -> int:
         if np.shape(p) != np.shape(points[0]):
             raise InputError(f"points[{i}]: shape {np.shape(p)} differs from "
                              f"points[0] {np.shape(points[0])}")
-    try:
+    with _refusal("gram"):
         gram = build_gram(kernel_id, params, points)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"gram: {exc}")
     report = psd_check(gram, tol=args.tol)
 
     n = gram.size
@@ -224,19 +232,16 @@ def _grid_values(apply, points: np.ndarray) -> np.ndarray:
     """apply(points), the whole grid in one call.  A refusal names the
     transform when it refuses even no points, or else the first grid point
     that it refuses on its own."""
-    refused = (TypeError, ValueError, OverflowError)
     try:
-        return apply(points)
-    except refused as exc:
-        error = InputError(f"transform: {exc}")
-    parts = [("transform", points[:0])] + [
-        (f"grid.points[{i}]", points[i:i + 1]) for i in range(len(points))]
-    for where, part in parts:
-        try:
-            apply(part)
-        except refused as exc:
-            raise InputError(f"{where}: {exc}")
-    raise error
+        with _refusal("transform"):
+            return apply(points)
+    except InputError:
+        parts = [("transform", points[:0])] + [
+            (f"grid.points[{i}]", points[i:i + 1]) for i in range(len(points))]
+        for where, part in parts:
+            with _refusal(where):
+                apply(part)
+        raise
 
 
 def _transform_rows(points: np.ndarray, values: np.ndarray) -> Iterator[str]:
@@ -284,10 +289,8 @@ def _transform_d(args, data) -> int:
                              "numbers >= 0")
         terms.append((tuple(int(n) for n in index),
                       _parse_complex(coeff, where)))
-    try:
+    with _refusal("transform input.hermite"):
         phi = HermiteCoeffFunctionD(nu_phi, dim, tuple(terms))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"transform input.hermite: {exc}")
     points = []
     for i, item in enumerate(_grid_points(data)):
         where = f"grid.points[{i}]"
@@ -324,10 +327,8 @@ def cmd_transform(args) -> int:
         raise InputError("transform input.hermite: field 'coeffs' must be a list")
     coeffs = [_parse_point(Quaternion, c, f"transform input.hermite.coeffs[{i}]")
               for i, c in enumerate(coeffs)]
-    try:
+    with _refusal("transform input.hermite.coeffs"):
         phi = HermiteCoeffFunction(nu_phi, tuple(coeffs))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"transform input.hermite.coeffs: {exc}")
     points = np.array([_parse_point(Quaternion, p, f"grid.points[{i}]").to_list()
                        for i, p in enumerate(_grid_points(data))]).reshape(-1, 4)
 
@@ -353,47 +354,42 @@ def cmd_transform(args) -> int:
 def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, count = text.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        start, stop = float(start), float(stop)
+        if not math.isfinite(stop - start):
+            raise InputError("--grid start and stop must be finite and less "
+                             f"than double range apart, got {text}")
+        return np.linspace(start, stop, int(count))
     except ValueError:
         raise InputError("grid must be start:stop:count")
 
 
+# basis family -> (its scale flag, column suffixes of one order, values at x)
+BASIS_FAMILIES = {
+    "rbf-q": ("gamma", (".w", ".x", ".y", ".z"), lambda args, x, n: rbf_basis_q(
+        args.gamma, n, Quaternion(x, args.imag, 0.0, 0.0)).to_list()),
+    "rbf-c": ("gamma", (".re", ".im"), lambda args, x, n: _re_im(
+        rbf_basis_c(args.gamma, n, complex(x, args.imag)))),
+    "hermite-h": ("nu", ("",), lambda args, x, n: [hermite_h(args.nu, n, x)]),
+    "hermite-psi": ("nu", ("",),
+                    lambda args, x, n: [hermite_psi(args.nu, n, x)]),
+}
+
+
 def cmd_basis(args) -> int:
     xs = _parse_grid(args.grid)
-    lines = []
-    if args.family in ("hermite-h", "hermite-psi"):
-        if args.nu is None:
-            raise InputError("basis: hermite families need --nu")
-        fn = hermite_h if args.family == "hermite-h" else hermite_psi
-        lines.append("x," + ",".join(f"n{n}" for n in range(args.n_max + 1)))
-        for x in xs:
-            vals = [fn(args.nu, n, float(x)) for n in range(args.n_max + 1)]
-            lines.append(_fmt(x) + "," + ",".join(_fmt(v) for v in vals))
-    elif args.family == "rbf-c":
-        if args.gamma is None:
-            raise InputError("basis: rbf families need --gamma")
-        lines.append("x," + ",".join(f"n{n}.re,n{n}.im"
-                                     for n in range(args.n_max + 1)))
-        for x in xs:
-            z = complex(x, args.imag)
-            row = [_fmt(x)]
-            for n in range(args.n_max + 1):
-                v = rbf_basis_c(args.gamma, n, z)
-                row += [_fmt(v.real), _fmt(v.imag)]
-            lines.append(",".join(row))
-    elif args.family == "rbf-q":
-        if args.gamma is None:
-            raise InputError("basis: rbf families need --gamma")
-        lines.append("x," + ",".join(f"n{n}.{c}" for n in range(args.n_max + 1)
-                                     for c in "wxyz"))
-        for x in xs:
-            q = Quaternion(float(x), args.imag, 0.0, 0.0)
-            row = [_fmt(x)]
-            for n in range(args.n_max + 1):
-                row += [_fmt(v) for v in rbf_basis_q(args.gamma, n, q).to_list()]
-            lines.append(",".join(row))
-    else:
-        raise InputError(f"basis: unknown family {args.family!r}")
+    scale, suffixes, values = BASIS_FAMILIES[args.family]
+    if not 0 <= args.n_max <= (MAX_HERMITE_ORDER if scale == "nu" else math.inf):
+        raise InputError(f"--n-max must be at least 0, and at most "
+                         f"{MAX_HERMITE_ORDER} for the hermite families, "
+                         f"got {args.n_max}")
+    if getattr(args, scale) is None:
+        raise InputError(f"basis: the {args.family} family needs --{scale}")
+    orders = range(args.n_max + 1)
+    lines = ["x," + ",".join(f"n{n}{c}" for n in orders for c in suffixes)]
+    with _refusal("basis"):
+        lines += [",".join(map(_fmt, [x, *(v for n in orders
+                                           for v in values(args, float(x), n))]))
+                  for x in xs]
     _write_lines(lines, args.output)
     return 0
 
@@ -406,13 +402,11 @@ def cmd_verify(args) -> int:
         if unknown:
             raise InputError(f"verify: unknown criteria {unknown}; "
                              f"choose from {sorted(CRITERIA)}")
-    try:
+    with _refusal("verify"):
         cfg = VerifyConfig(gamma=args.gamma if args.gamma is not None else 1.0,
                            quad_order=args.quad_order,
                            normalization=args.normalization,
                            tol_scale=args.tol, seed=args.seed)
-    except ValueError as exc:
-        raise InputError(f"verify: {exc}")
     results = run_all(cfg, only)
     payload = {"config": {"gamma": cfg.gamma, "quad_order": cfg.quad_order,
                           "normalization": cfg.normalization,
@@ -476,8 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", parents=[common],
                        help="tabulate basis functions on a grid to CSV")
-    p.add_argument("--family", required=True,
-                   choices=["rbf-q", "rbf-c", "hermite-h", "hermite-psi"])
+    p.add_argument("--family", required=True, choices=list(BASIS_FAMILIES))
     p.add_argument("--nu", type=float, default=None)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--grid", default="-2:2:81", help="start:stop:count")
@@ -500,10 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate_common(args) -> None:
-    for flag in ("gamma", "nu", "tol"):
+    for flag in ("gamma", "nu", "tol", "imag"):
         value = getattr(args, flag, None)
-        # gram's --tol is a PSD tolerance and may be zero or negative
-        low = -math.inf if (flag, args.command) == ("tol", "gram") else 0.0
+        # gram's --tol is a PSD tolerance and basis's --imag an offset;
+        # either may be zero or negative
+        signed = flag == "imag" or (flag, args.command) == ("tol", "gram")
+        low = -math.inf if signed else 0.0
         if value is not None and not low < value < math.inf:
             kind = "finite" if low < 0 else "positive and finite"
             raise InputError(f"--{flag} must be {kind}, got {value}")

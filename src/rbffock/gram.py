@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _quatarray as qa
+from ._checks import finite_values
 from .hypercomplex import Quaternion
-from .kernels import KERNELS, _finite
+from .kernels import KERNELS
 
 __all__ = [
     "GRAM_KERNELS",
@@ -112,7 +113,7 @@ def build_gram(kernel_id: str, params: dict, points) -> GramMatrix:
         pts = np.atleast_2d(np.asarray(points, dtype=spec.layout))
         g = spec(params, pts[:, None], pts[None, :])
     # halving the sum of two finite entries can still overflow
-    sym = _finite(kernel_id, lambda: 0.5 * (g + _adjoint(g)))
+    sym = finite_values(f"the {kernel_id} Gram", lambda: 0.5 * (g + _adjoint(g)))
     return GramMatrix(sym, kernel_id, dict(params), _hash_points(pts.view(float)))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import positive_finite
+from ._checks import finite_values, positive_finite
 
 __all__ = [
     "Quaternion",
@@ -32,10 +32,6 @@ __all__ = [
     "intrinsic_exp_sq",
     "star_exp",
 ]
-
-
-# exp(x) is finite exactly for x <= log(DBL_MAX) ~ 709.78
-LOG_DBL_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,66 +227,58 @@ def intrinsic_exp_sq(gamma: float, q: Quaternion, sign: int = -1) -> Quaternion:
 
     The result has real series coefficients (it is intrinsic), hence
     commutes with every quaternion on the same slice.  Raises
-    OverflowError, naming gamma, when the value is not finite.
+    OverflowError, naming gamma and q, when the value is not finite.
     """
     positive_finite("gamma", gamma)
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     sp = slice_decompose(q)
-    x, y, g2 = sp.x, sp.y, gamma * gamma
+    x, y, g2 = sp.x, sp.y, float(gamma) * float(gamma)
     # sign*(x + iy)^2/gamma^2 by components, as complex arithmetic rounds
     # them, but without the NaN it makes of 0 * inf
-    exponent = complex(sign * (x * x - y * y) / g2, sign * 2.0 * x * y / g2)
-    try:
-        value = cmath.exp(exponent)
-    except OverflowError:
-        value = math.inf
-    if not cmath.isfinite(value):
-        raise OverflowError(
-            f"exp({'-' if sign < 0 else '+'}q^2/gamma^2) overflows at "
-            f"gamma={gamma}: exponent {exponent}")
+    value = finite_values(
+        "exp(-q^2/gamma^2)" if sign < 0 else "exp(+q^2/gamma^2)",
+        lambda: cmath.exp(complex(sign * (x * x - y * y) / g2,
+                                  sign * 2.0 * x * y / g2)),
+        q, numpy=False, gamma=gamma)
     return embed_in_slice(value, sp.unit)
 
 
 def star_exp_on_slice(nu: float, z, unit: ImaginaryUnit, p: Quaternion):
-    """Real components of star_exp(nu; q, p) for q = Re z + unit*Im z.
+    """star_exp(nu; q, p) for q = Re z + unit*Im z: a Quaternion for a
+    complex number z, components of shape z.shape + (4,) for an array.
 
-    ``z`` is a complex scalar or array.  Write p = s + J*t as w = s + i*t,
-    A = exp(nu z conj(w)) and B = exp(nu z w); summing the series power by
-    power (slice representation formula) gives exactly (Re A + Re B)/2
-    + I (Im A + Im B)/2 + (Im A - Im B)/2 J + (Re B - Re A)/2 IJ.  Raises
-    OverflowError once nu Re(z conj(w)) or nu Re(z w) passes log(DBL_MAX),
-    or an exponent is not finite.
+    Write p = s + J*t as w = s + i*t, A = exp(nu z conj(w)) and
+    B = exp(nu z w); summing the series power by power (slice
+    representation formula) gives exactly (Re A + Re B)/2 + I (Im A + Im B)/2
+    + (Im A - Im B)/2 J + (Re B - Re A)/2 IJ.  Raises OverflowError, naming
+    nu and p, once a component is not finite: when nu Re(z conj(w)) or
+    nu Re(z w) passes log(DBL_MAX) ~ 709.78, or an exponent is not finite.
     """
     positive_finite("nu", nu)
     sp = slice_decompose(p)
     w = complex(sp.x, sp.y)
-    # the check below reports overflow, so numpy's warnings are redundant
-    with np.errstate(all="ignore"):
-        ea = nu * z * w.conjugate()
-        eb = nu * z * w
-        # halved before adding, so A + B cannot overflow
-        a = 0.5 * np.exp(ea)
-        b = 0.5 * np.exp(eb)
-    # an exponent real part past log(DBL_MAX) always makes A or B infinite
-    if not np.isfinite(a + b).all():
-        worst = np.maximum(ea.real, eb.real).max()
-        raise OverflowError(
-            f"star exponential overflows at nu={nu}: exponent real part "
-            f"{worst:.6g} (limit log(DBL_MAX) = {LOG_DBL_MAX:.6g}) or a "
-            "non-finite exponent")
-    c0, c1 = a.real + b.real, a.imag + b.imag
-    c2, c3 = a.imag - b.imag, b.real - a.real
     i, j = unit, sp.unit
     # I*J term for term as Quaternion.__mul__ rounds it, real parts 0.0
     ij_w = 0.0 * 0.0 - i.x * j.x - i.y * j.y - i.z * j.z
     ij_x = 0.0 * j.x + i.x * 0.0 + i.y * j.z - i.z * j.y
     ij_y = 0.0 * j.y - i.x * j.z + i.y * 0.0 + i.z * j.x
     ij_z = 0.0 * j.z + i.x * j.y - i.y * j.x + i.z * 0.0
-    return (c0 + c3 * ij_w,
-            c1 * i.x + c2 * j.x + c3 * ij_x,
-            c1 * i.y + c2 * j.y + c3 * ij_y,
-            c1 * i.z + c2 * j.z + c3 * ij_z)
+
+    def value():
+        # halved before adding, so A + B cannot overflow
+        a = 0.5 * np.exp(nu * z * w.conjugate())
+        b = 0.5 * np.exp(nu * z * w)
+        c0, c1 = a.real + b.real, a.imag + b.imag
+        c2, c3 = a.imag - b.imag, b.real - a.real
+        parts = (c0 + c3 * ij_w,
+                 c1 * i.x + c2 * j.x + c3 * ij_x,
+                 c1 * i.y + c2 * j.y + c3 * ij_y,
+                 c1 * i.z + c2 * j.z + c3 * ij_z)
+        if isinstance(z, np.ndarray):
+            return np.stack(parts, axis=-1)
+        return Quaternion(*parts)
+    return finite_values("the star exponential", value, nu=nu, p=p)
 
 
 def star_exp(nu: float, q: Quaternion, p: Quaternion) -> Quaternion:
@@ -302,4 +290,4 @@ def star_exp(nu: float, q: Quaternion, p: Quaternion) -> Quaternion:
     OverflowError once an exponent's real part passes log(DBL_MAX) ~ 709.78.
     """
     sq = slice_decompose(q)
-    return Quaternion(*star_exp_on_slice(nu, complex(sq.x, sq.y), sq.unit, p))
+    return star_exp_on_slice(nu, complex(sq.x, sq.y), sq.unit, p)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite_points, nu_from_gamma, positive_finite
+from ._checks import finite_points, finite_values, nu_from_gamma, positive_finite
 from .bases import rbf_basis_q
 from .hypercomplex import Quaternion, intrinsic_exp_sq, star_exp
 
@@ -70,7 +70,8 @@ def rbf_kernel_c(gamma: float, z: complex, w: complex) -> complex:
     positive_finite("gamma", gamma)
     finite_points([[z], [w]])
     u = complex(z) - complex(w).conjugate()
-    return cmath.exp(-(u * u) / (gamma * gamma))
+    return finite_values("the rbf kernel value",
+                         lambda: cmath.exp(-(u * u) / (gamma * gamma)), [z, w])
 
 
 def _points(z, w, dtype=None):
@@ -81,15 +82,6 @@ def _points(z, w, dtype=None):
     finite_points(z)
     finite_points(w)
     return z, w
-
-
-def _finite(kernel_id: str, compute):
-    """compute(), or OverflowError in place of numpy's overflow warnings."""
-    with np.errstate(all="ignore"):
-        values = compute()
-    if not np.all(np.isfinite(values)):
-        raise OverflowError(f"{kernel_id} kernel overflows: a value is not finite")
-    return values
 
 
 def rbf_kernel_d(gamma: float, z, w):
@@ -106,15 +98,15 @@ def rbf_kernel_d(gamma: float, z, w):
         s = np.sum(u, axis=-1)
         del u
         return np.exp(-s / (gamma * gamma))
-    return _finite("rbf", values)
+    return finite_values("the rbf kernel value", values)
 
 
 def fock_kernel_d(alpha: float, z, w):
     """Fock-space reproducing kernel exp(alpha * z . conj(w)) on C^d."""
     positive_finite("alpha", alpha)
     z, w = _points(z, w, complex)
-    return _finite("fock",
-                   lambda: np.exp(alpha * np.sum(z * np.conj(w), axis=-1)))
+    return finite_values("the fock kernel value",
+                         lambda: np.exp(alpha * np.sum(z * np.conj(w), axis=-1)))
 
 
 def rbf_kernel_qslice(gamma: float, q: Quaternion, p: Quaternion) -> Quaternion:
@@ -129,11 +121,9 @@ def rbf_kernel_qslice(gamma: float, q: Quaternion, p: Quaternion) -> Quaternion:
     left = intrinsic_exp_sq(gamma, q, -1)
     mid = star_exp(nu, q, p)
     right = intrinsic_exp_sq(gamma, p.conjugate(), -1)
-    value = (left * mid) * right
-    if not all(map(math.isfinite, value.to_list())):
-        raise OverflowError(f"rbf-qslice kernel overflows at gamma={gamma}: "
-                            "the product of its three factors is not finite")
-    return value
+    return finite_values("the rbf-qslice kernel value",
+                         lambda: (left * mid) * right, [q, p], numpy=False,
+                         gamma=gamma)
 
 
 def kernel_sum_truncated(gamma: float, q: Quaternion, p: Quaternion,
@@ -142,10 +132,10 @@ def kernel_sum_truncated(gamma: float, q: Quaternion, p: Quaternion,
     if not 0 <= n_terms <= 64:
         raise ValueError("n_terms must lie in [0, 64]")
     pbar = p.conjugate()
-    total = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for n in range(n_terms + 1):
-        total = total + rbf_basis_q(gamma, n, q) * rbf_basis_q(gamma, n, pbar)
-    return total
+    return finite_values("the truncated kernel sum", lambda: sum(
+        (rbf_basis_q(gamma, n, q) * rbf_basis_q(gamma, n, pbar)
+         for n in range(n_terms + 1)), Quaternion(0.0, 0.0, 0.0, 0.0)),
+        [q, p], numpy=False)
 
 
 def kernel_sum_tail_bound(gamma: float, q: Quaternion, p: Quaternion,
@@ -173,14 +163,15 @@ def polynomial_kernel(degree: int, x, y):
     if not (float(degree).is_integer() and degree >= 1):
         raise ValueError("polynomial degree must be a whole number of at least 1")
     x, y = _points(x, y, float)
-    return _finite("polynomial",
-                   lambda: (1.0 + np.sum(x * y, axis=-1)) ** degree)
+    return finite_values("the polynomial kernel value",
+                         lambda: (1.0 + np.sum(x * y, axis=-1)) ** degree)
 
 
 def exponential_kernel(x, y):
     """exp(<x, y>) on R^d."""
     x, y = _points(x, y, float)
-    return _finite("exponential", lambda: np.exp(np.sum(x * y, axis=-1)))
+    return finite_values("the exponential kernel value",
+                         lambda: np.exp(np.sum(x * y, axis=-1)))
 
 
 @dataclass(frozen=True)

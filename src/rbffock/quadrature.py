@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import positive_finite
+from ._checks import finite_values, positive_finite
 
 __all__ = [
     "DEFAULT_QUAD_ORDER",
@@ -139,6 +139,8 @@ def integrate_rd(weights: np.ndarray, tables: Sequence, terms) -> complex:
     ``weights`` belong to one axis' nodes (M for a real axis, M^2 for a
     complex coordinate's grid), ``tables[l][k]`` holds F_l[k] at them
     without the weight, and ``terms`` are the pairs (k_t, c_t).  Equals the
-    sum over the full tensor grid, in O(d K nodes + terms) work.
+    sum over the full tensor grid, in O(d K nodes + terms) work.  Raises
+    OverflowError when a table is not finite.
     """
-    return separable_sum([axis_moments(weights, t) for t in tables], terms)
+    return separable_sum([axis_moments(weights, finite_values(
+        "a quadrature integrand", lambda: t)) for t in tables], terms)

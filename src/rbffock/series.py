@@ -13,6 +13,7 @@ multiplication operator that maps them onto the Fock side simply strips it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -20,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _quatarray as qa
-from ._checks import finite_points, positive_finite
+from ._checks import finite_points, finite_values, positive_finite
 from .hypercomplex import ImaginaryUnit, Quaternion, intrinsic_exp_sq
 
 __all__ = [
@@ -99,27 +100,21 @@ class QPowerSeries:
         """Value at q by the left Horner step acc = a + q acc; raises
         OverflowError naming q when the value leaves double range."""
         finite_points(q.to_list())
-        acc = self.coeffs[-1]
-        for a in reversed(self.coeffs[:-1]):
-            acc = a + q * acc
-        if not all(map(math.isfinite, acc.to_list())):
-            raise OverflowError(f"the series value at point {q.to_list()} "
-                                "is not finite")
-        return acc
+        return finite_values("the series value", lambda: functools.reduce(
+            lambda acc, a: a + q * acc, self.coeffs[-2::-1], self.coeffs[-1]),
+            q, numpy=False)
 
     def eval_points(self, q: np.ndarray) -> np.ndarray:
         """Values at quaternion points of shape (..., 4), equal bit for bit
         to ``eval`` at each point: the same left Horner step acc = a + q acc,
-        with the same Hamilton product.  A value past double range is inf
-        or NaN, where ``eval`` raises; callers check the values."""
+        with the same Hamilton product.  Raises OverflowError, as ``eval``
+        does, naming the first point whose value is not finite."""
         q = np.asarray(q, dtype=float)
         finite_points(q)
         coeffs = np.array([c.to_list() for c in self.coeffs])
-        acc = np.broadcast_to(coeffs[-1], q.shape).copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for a in coeffs[-2::-1]:
-                acc = a + qa.qmul(q, acc)
-        return acc
+        return finite_values("the series value", lambda: functools.reduce(
+            lambda acc, a: a + qa.qmul(q, acc), coeffs[-2::-1],
+            np.broadcast_to(coeffs[-1], q.shape).copy()), q)
 
     def eval_slice_grid(self, x, y, unit: ImaginaryUnit) -> np.ndarray:
         """Values over the slice grid q = x + unit*y, shape (..., 4)."""
@@ -148,16 +143,20 @@ class GaussSeries:
         return self.series.degree
 
     def eval(self, q: Quaternion) -> Quaternion:
-        return intrinsic_exp_sq(self.gamma, q, -1) * self.series.eval(q)
+        env, value = intrinsic_exp_sq(self.gamma, q, -1), self.series.eval(q)
+        return finite_values("the series value", lambda: env * value, q,
+                             numpy=False)
 
     def eval_slice_grid(self, x, y, unit: ImaginaryUnit) -> np.ndarray:
         """Values over q = x + unit*y, shape (..., 4).  The envelope lies
         in C_unit and multiplies from the left, so it scales both complex
-        parts F1, F2 of the series (``_quatarray.split_horner``)."""
+        parts F1, F2 of the series (``_quatarray.split_horner``).  Raises
+        OverflowError naming the first point whose value is not finite."""
         z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
-        env = np.exp(-(z * z) / (self.gamma * self.gamma))
-        return qa.join_pair(env * qa.split_horner(self.series.coeffs, z, unit),
-                            unit)
+        return finite_values("the series value on a slice", lambda: qa.join_pair(
+            np.exp(-(z * z) / (self.gamma * self.gamma))
+            * qa.split_horner(self.series.coeffs, z, unit), unit),
+            z[..., None], unit=unit)
 
     def to_json(self) -> dict:
         return {"gamma": self.gamma, "coeffs": [c.to_list() for c in self.series.coeffs]}
@@ -234,20 +233,17 @@ class CPowerSeries:
         OverflowError naming the first point whose value is not finite."""
         zpts = np.asarray(zpts, dtype=complex)
         finite_points(zpts)
-        total = np.zeros(zpts.shape[0], dtype=complex)
-        # the check below reports overflow, so numpy's warnings are redundant
-        with np.errstate(all="ignore"):
+
+        def total():
+            out = np.zeros(zpts.shape[0], dtype=complex)
             for index, coeff in self.terms:
                 p = np.full(zpts.shape[0], coeff, dtype=complex)
                 for axis, nl in enumerate(index):
                     if nl:
                         p *= zpts[:, axis] ** nl
-                total += p
-        finite = np.isfinite(total)
-        if not finite.all():
-            raise OverflowError(f"the series value at point "
-                                f"{zpts[~finite][0].tolist()} is not finite")
-        return total
+                out += p
+            return out
+        return finite_values("the series value", total, zpts)
 
 
 @dataclass(frozen=True)
@@ -267,11 +263,16 @@ class GaussCSeries:
     def eval(self, z: Sequence[complex]) -> complex:
         return complex(self.eval_points(np.reshape(z, (1, self.dim)))[0])
 
+    def envelope(self, zpts: np.ndarray) -> np.ndarray:
+        """exp(-z^2/gamma^2) at points (npoints, dim), inf past double range."""
+        return np.exp(-np.sum(zpts * zpts, axis=1) / (self.gamma * self.gamma))
+
     def eval_points(self, zpts: np.ndarray) -> np.ndarray:
+        """Values at points (npoints, dim), refused as the series' are."""
         zpts = np.asarray(zpts, dtype=complex)
-        finite_points(zpts)
-        zsq = np.sum(zpts * zpts, axis=1)
-        return np.exp(-zsq / (self.gamma * self.gamma)) * self.series.eval_points(zpts)
+        values = self.series.eval_points(zpts)
+        return finite_values("the series value",
+                             lambda: self.envelope(zpts) * values, zpts)
 
 
 # ---------------------------------------------------------------------------

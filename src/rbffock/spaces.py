@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _quatarray as qa
-from ._checks import finite_points, nu_from_gamma, positive_finite
+from ._checks import finite_points, finite_values, nu_from_gamma, positive_finite
 from .hypercomplex import (I_DEFAULT, ImaginaryUnit, Quaternion, SlicePoint,
                            intrinsic_exp_sq, star_exp)
 from .kernels import fock_kernel_d, rbf_kernel_d, rbf_kernel_qslice
@@ -200,8 +200,10 @@ class RBFSliceSpace:
         # the stripped kernel section star_exp(q, w) exp(-conj(w)^2/g^2) has
         # a constant right factor; it leaves the integral as its conjugate
         # exp(-w^2/g^2), on the left since the envelope is intrinsic
-        return (intrinsic_exp_sq(self.gamma, w, -1)
-                * self._fock.reproduce(f.series, w))
+        env = intrinsic_exp_sq(self.gamma, w, -1)
+        value = self._fock.reproduce(f.series, w)
+        return finite_values("the reproduced value", lambda: env * value, w,
+                             numpy=False)
 
 
 def _cd_series(f, dim: int) -> CPowerSeries:
@@ -282,10 +284,10 @@ class FockCSpace:
             raise ValueError("evaluation point has the wrong dimension")
         finite_points(w)
         powers = self._powers(f.max_axis_degree)
-        tables = [powers * np.exp(self.alpha * np.conj(self._z) * wl)
-                  for wl in w]
-        value = integrate_rd(self._w, tables, f.terms)
-        return (self.alpha / math.pi) ** self.dim * value
+        return finite_values("the reproduced value", lambda: (
+            self.alpha / math.pi) ** self.dim * integrate_rd(self._w, [
+                powers * np.exp(self.alpha * np.conj(self._z) * wl) for wl in w],
+                f.terms), w)
 
 
 class RBFCSpace:
@@ -322,10 +324,11 @@ class RBFCSpace:
 
     def reproduce(self, f, w: Sequence[complex]) -> complex:
         # the Fock side checks w before the envelope is formed from it
-        value = self._fock.reproduce(self._require_member(f).series, w)
+        f = self._require_member(f)
+        value = self._fock.reproduce(f.series, w)
         w = np.asarray(w, dtype=complex)
-        env = np.exp(-np.sum(w * w) / (self.gamma * self.gamma))
-        return complex(env) * value
+        return finite_values("the reproduced value", lambda: complex(
+            f.envelope(w[None])[0]) * value, w)
 
 
 # ---------------------------------------------------------------------------

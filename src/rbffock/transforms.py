@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _quatarray as qa
-from ._checks import finite_points, nu_from_gamma, positive_finite
+from ._checks import finite_points, finite_values, nu_from_gamma, positive_finite
 from .bases import hermite_psi_all
 from .hypercomplex import Quaternion, embed_in_slice, slice_decompose
 from .kernels import NORMALIZATIONS
@@ -165,20 +165,6 @@ def _like(q, values: np.ndarray):
     return Quaternion(*values.tolist()) if isinstance(q, Quaternion) else values
 
 
-def _finite_values(points: np.ndarray, compute) -> np.ndarray:
-    """compute() without numpy's overflow warnings; OverflowError naming
-    the first of ``points`` (last axis) whose value is not finite."""
-    with np.errstate(all="ignore"):
-        values = compute()
-    finite = np.isfinite(values)
-    if finite.ndim == points.ndim:  # quaternion values
-        finite = finite.all(axis=-1)
-    if not finite.all():
-        raise OverflowError(f"the transform value at point "
-                            f"{points[~finite][0].tolist()} is not finite")
-    return values
-
-
 def sb_kernel(nu: float, q: Quaternion, x: float,
               normalization: str = "unitary") -> Quaternion:
     """Segal-Bargmann kernel c(nu) exp(-(nu/2)(q^2+x^2) + nu sqrt2 q x).
@@ -190,8 +176,9 @@ def sb_kernel(nu: float, q: Quaternion, x: float,
     finite_points([x])
     sp = slice_decompose(q)
     zq = complex(sp.x, sp.y)
-    val = _sb_prefactor(nu, normalization) * cmath.exp(
-        -0.5 * nu * (zq * zq + x * x) + nu * math.sqrt(2.0) * zq * x)
+    pref = _sb_prefactor(nu, normalization)
+    val = finite_values("the Segal-Bargmann kernel value", lambda: pref * cmath.exp(
+        -0.5 * nu * (zq * zq + x * x) + nu * math.sqrt(2.0) * zq * x), [q, x])
     return embed_in_slice(val, sp.unit)
 
 
@@ -269,16 +256,15 @@ def sb_transform(nu: float, phi, q, normalization: str = "unitary",
             raise ValueError("exact path needs Hermite coefficients with a "
                              "matching scale")
         series = sb_image_series(nu, phi, normalization)
-        return _like(q, _finite_values(points,
-                                       lambda: series.eval_points(points)))
+        return _like(q, series.eval_points(points))
 
     if not isinstance(phi, HermiteCoeffFunction):
         raise TypeError("quadrature path needs HermiteCoeffFunction")
     if 2 * quad_order - 1 < phi.degree:
         raise ValueError("Hermite degree exceeds quadrature exactness; "
                          "raise quad_order")
-    return _like(q, _finite_values(points, lambda: _sb_quadrature(
-        nu, phi, points, normalization, quad_order)))
+    return _like(q, finite_values("the transform value", lambda: _sb_quadrature(
+        nu, phi, points, normalization, quad_order), points))
 
 
 def rbf_sb_kernel(gamma: float, q: Quaternion, x: float,
@@ -293,11 +279,13 @@ def rbf_sb_kernel(gamma: float, q: Quaternion, x: float,
     _check_normalization(normalization)
     finite_points([x])
     power = 0.25 if normalization == "unitary" else 0.75
-    pref = (2.0 / (math.pi * gamma * gamma)) ** power
     sp = slice_decompose(q)
-    zq = complex(sp.x, sp.y)
-    u = x - math.sqrt(2.0) * zq
-    return embed_in_slice(pref * cmath.exp(-(u * u) / (gamma * gamma)), sp.unit)
+    u = x - math.sqrt(2.0) * complex(sp.x, sp.y)
+    # gamma^2 may underflow to zero: the division is part of the check
+    val = finite_values("the RBF Segal-Bargmann kernel value", lambda: (
+        2.0 / (math.pi * gamma * gamma)) ** power * cmath.exp(
+        -(u * u) / (gamma * gamma)), [q, x])
+    return embed_in_slice(val, sp.unit)
 
 
 def rbf_sb_image_series(gamma: float, phi: HermiteCoeffFunction,
@@ -332,8 +320,9 @@ def rbf_sb_transform(gamma: float, phi, q, normalization: str = "unitary",
     nu = nu_from_gamma(gamma)
     points = _quaternion_points(q)
     value = sb_transform(nu, phi, points, normalization, method, quad_order)
-    return _like(q, _finite_values(
-        points, lambda: qa.qmul(_envelope(gamma, points), value)))
+    return _like(q, finite_values(
+        "the transform value",
+        lambda: qa.qmul(_envelope(gamma, points), value), points))
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +338,12 @@ def rbf_sb_kernel_d(gamma: float, z: Sequence[complex],
         raise ValueError("dimension mismatch between z and x")
     finite_points(z)
     finite_points(x)
-    d = z.size
-    pref = (2.0 / (math.pi * gamma * gamma)) ** (d / 4.0)
-    u = math.sqrt(2.0) * z - x
-    return pref * complex(cmath.exp(-complex(np.sum(u * u)) / (gamma * gamma)))
+
+    def value():
+        pref = (2.0 / (math.pi * gamma * gamma)) ** (z.size / 4.0)
+        u = math.sqrt(2.0) * z - x
+        return pref * complex(cmath.exp(-complex(np.sum(u * u)) / (gamma * gamma)))
+    return finite_values("the RBF Segal-Bargmann kernel value", value, [z, x])
 
 
 def rbf_sb_image_series_d(gamma: float,
@@ -395,9 +386,10 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",
         if not exact_ok:
             raise ValueError("exact path needs multi-index Hermite "
                              "coefficients with scale 2/gamma^2")
-        series = rbf_sb_image_series_d(gamma, phi)
-        values = _finite_values(z, lambda: series.eval_points(rows).reshape(
-            z.shape[:-1]))
+        image = rbf_sb_image_series_d(gamma, phi)
+        fock = image.series.eval_points(rows)
+        values = finite_values("the transform value",
+                               lambda: image.envelope(rows) * fock, rows)
     else:
         if not isinstance(phi, HermiteCoeffFunctionD):
             raise TypeError("quadrature path needs HermiteCoeffFunctionD")
@@ -408,10 +400,11 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",
         pref = (2.0 / (math.pi * gamma * gamma)) ** (dim / 4.0)
 
         def at(point):
-            tables = [psis * np.exp(-(math.sqrt(2.0) * zl - x) ** 2
-                                    / (gamma * gamma)) for zl in point]
-            return pref * integrate_rd(rule.weights, tables, phi.terms)
+            return finite_values("the transform value", lambda: pref * integrate_rd(
+                rule.weights, [psis * np.exp(-(math.sqrt(2.0) * zl - x) ** 2
+                                             / (gamma * gamma)) for zl in point],
+                phi.terms), point)
 
-        values = _finite_values(z, lambda: np.array(
-            [at(point) for point in rows], dtype=complex).reshape(z.shape[:-1]))
+        values = np.array([at(point) for point in rows], dtype=complex)
+    values = values.reshape(z.shape[:-1])
     return complex(values) if values.ndim == 0 else values

@@ -593,6 +593,63 @@ class TestBasisCommand:
         assert code == 2
         assert "start:stop:count" in err
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--family", "rbf-c", "--gamma", "1", "--imag", "30"],
+         "basis: the rbf basis value at point [(-2+30j)]"),
+        (["--family", "rbf-q", "--gamma", "1", "--imag", "30"],
+         "basis: the rbf basis value at point [(-2+30j)]"),
+        (["--family", "hermite-psi", "--nu", "1", "--grid", "nan:1:3"],
+         "--grid start and stop must be finite"),
+        (["--family", "hermite-psi", "--nu", "1", "--grid=-1e308:1e308:3"],
+         "--grid start and stop must be finite and less than double range"),
+        (["--family", "rbf-q", "--gamma", "1", "--imag", "nan"],
+         "--imag must be finite"),
+        (["--family", "hermite-psi", "--nu", "1", "--n-max", "70"],
+         "--n-max must be at least 0, and at most 64"),
+        (["--family", "hermite-psi", "--nu", "1", "--n-max", "-1"],
+         "--n-max must be at least 0"),
+        (["--family", "hermite-h", "--nu", "1", "--n-max", "60",
+          "--grid", "0:1e200:2"], "basis: h_n(x) with nu=1.0, n=2 at point"),
+    ], ids=["rbf-c-overflow", "rbf-q-overflow", "nan-grid", "grid-overflow",
+            "nan-imag", "n-max-above-64", "negative-n-max",
+            "hermite-h-overflow"])
+    @pytest.mark.filterwarnings("error")
+    def test_refusal_exits_2_naming_the_field(self, capsys, flags, field):
+        code, out, err = run_cli(["basis", *flags], capsys)
+        assert code == 2 and out == ""
+        assert f"error: {field}" in err
+
+
+@st.composite
+def basis_inputs(draw):
+    """basis flags for a random family: widths and offsets from ``numbers``
+    or non-finite, orders from -1 to 70, and grids with any such ends."""
+    wide = st.one_of(numbers, st.sampled_from(["nan", "inf", "-inf", "1e-300"]))
+    family = draw(st.sampled_from(["rbf-q", "rbf-c", "hermite-h",
+                                   "hermite-psi"]))
+    width = "--nu" if family.startswith("hermite") else "--gamma"
+    start, stop, imag = draw(wide), draw(wide), draw(wide)
+    return ["basis", "--family", family, f"{width}={draw(wide)}",
+            f"--n-max={draw(st.integers(-1, 70))}",
+            f"--grid={start}:{stop}:{draw(st.integers(-1, 4))}",
+            f"--imag={imag}"]
+
+
+class TestFuzzBasis:
+    @given(argv=basis_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_0_or_2_and_finite_output(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out.csv"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv + ["--output", str(out)])
+            assert code in (0, 2)
+            assert "Traceback" not in err.getvalue()
+            if code == 0:
+                csv = out.read_text().lower()
+                assert "nan" not in csv and "inf" not in csv
+
 
 class TestFlagValidation:
     @pytest.mark.parametrize("argv, flag", [

@@ -9,17 +9,18 @@ import math
 
 import pytest
 
-from rbffock import (CPowerSeries, FockCSpace, FockSliceSpace, GaussCSeries,
-                     GaussSeries, HermiteCoeffFunction, HermiteCoeffFunctionD,
-                     ImaginaryUnit, KernelParams, QPowerSeries, Quaternion,
-                     RBFCSpace, RBFSliceSpace, fock_kernel_d, gauss_hermite,
-                     hermite_basis_l2, hermite_psi, hermite_psi_all,
-                     kernel_sum_tail_bound, rbf_basis_c, rbf_basis_q,
-                     rbf_kernel_c, rbf_kernel_d, rbf_kernel_qslice,
-                     rbf_sb_image_series, rbf_sb_image_series_d,
-                     rbf_sb_kernel, rbf_sb_kernel_d, rbf_sb_transform,
-                     rbf_sb_transform_d, sb_kernel, sb_transform,
-                     slice_decompose, star_exp)
+from rbffock import (I_DEFAULT, CPowerSeries, FockCSpace, FockSliceSpace,
+                     GaussCSeries, GaussSeries, HermiteCoeffFunction,
+                     HermiteCoeffFunctionD, ImaginaryUnit, KernelParams,
+                     QPowerSeries, Quaternion, RBFCSpace, RBFSliceSpace,
+                     fock_kernel_d, gauss_hermite, hermite_basis_l2, hermite_h,
+                     hermite_psi, hermite_psi_all, intrinsic_exp_sq,
+                     kernel_sum_tail_bound, kernel_sum_truncated, rbf_basis_c,
+                     rbf_basis_d, rbf_basis_q, rbf_kernel_c, rbf_kernel_d,
+                     rbf_kernel_qslice, rbf_sb_image_series,
+                     rbf_sb_image_series_d, rbf_sb_kernel, rbf_sb_kernel_d,
+                     rbf_sb_transform, rbf_sb_transform_d, sb_kernel,
+                     sb_transform, slice_decompose, star_exp)
 from rbffock.cli import main
 from rbffock.verify import VerifyConfig
 
@@ -218,6 +219,86 @@ def test_series_overflow_names_the_point(target):
     with pytest.raises(OverflowError, match=r"series value at point "
                                             r"\[.*1e\+200.*\] is not finite"):
         SERIES_OVERFLOW_CALLS[target]()
+
+
+_ONE_D = CPowerSeries(1, (((0,), 1.0),))
+
+# a finite point whose value leaves double range is refused, naming the
+# point, not returned as inf or NaN or after a RuntimeWarning
+SILENT_OVERFLOW_CALLS = {
+    "GaussCSeries.eval": (lambda: GaussCSeries(1.0, _ONE_D).eval((30j,)),
+                          r"series value at point \[30j\]"),
+    "RBFCSpace.reproduce": (lambda: RBFCSpace(1.0, 1).reproduce(
+        GaussCSeries(1.0, _ONE_D), (30j,)), r"value at point \[30j\]"),
+    "FockCSpace.reproduce": (lambda: FockCSpace(2.0, 1).reproduce(
+        _ONE_D, (400 + 0j,)), r"value at point \[\(400\+0j\)\]"),
+    "hermite_h": (lambda: hermite_h(1.0, 60, 1e200),
+                  r"h_n\(x\) with nu=1.0, n=60 at point \[1e\+200\]"),
+    "hermite_h-array": (lambda: hermite_h(1.0, 60, [1.0, 1e200, 1e300]),
+                        r"at point \[1e\+200\]"),
+    "GaussSeries.eval_slice_grid": (lambda: GaussSeries(1.0, QPowerSeries(
+        (1.0,))).eval_slice_grid([0.0], [30.0], I_DEFAULT),
+        r"series value on a slice with unit=\[0.0, 1.0, 0.0, 0.0\] "
+        r"at point \[30j\]"),
+    "RBFSliceSpace.reproduce": (lambda: RBFSliceSpace(1.0).reproduce(
+        GaussSeries(1.0, QPowerSeries((1.0,))), Quaternion(0, 25, 0, 0)),
+        r"value at point \[0.0, 25.0, 0.0, 0.0\]"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target", SILENT_OVERFLOW_CALLS)
+def test_silent_overflow_now_names_the_point(target):
+    call, named = SILENT_OVERFLOW_CALLS[target]
+    with pytest.raises(OverflowError, match=named + " is not finite"):
+        call()
+
+
+# a range error of math or cmath names the point too
+BARE_OVERFLOW_CALLS = {
+    "rbf_kernel_c": (lambda: rbf_kernel_c(1.0, 30j, 0j), r"\[30j, 0j\]"),
+    "rbf_basis_c": (lambda: rbf_basis_c(1.0, 2, 30j), r"\[30j\]"),
+    "rbf_basis_q": (lambda: rbf_basis_q(1.0, 2, Quaternion(0, 30, 0, 0)),
+                    r"\[30j\]"),
+    "rbf_basis_d": (lambda: rbf_basis_d(1.0, (0, 2), (0.5, 30j)),
+                    r"\[0.5, 30j\]"),
+    "kernel_sum_truncated": (lambda: kernel_sum_truncated(
+        1.0, Quaternion(0, 30, 0, 0), _Q, 3),
+        r"\[\[0.0, 30.0, 0.0, 0.0\], \[0.1, 0.2, 0.0, 0.0\]\]"),
+    "sb_kernel": (lambda: sb_kernel(1.0, Quaternion(0, 40, 0, 0), 0.0),
+                  r"\[\[0.0, 40.0, 0.0, 0.0\], 0.0\]"),
+    "rbf_sb_kernel": (lambda: rbf_sb_kernel(1.0, Quaternion(0, 30, 0, 0), 0.0),
+                      r"\[\[0.0, 30.0, 0.0, 0.0\], 0.0\]"),
+    "rbf_sb_kernel_d": (lambda: rbf_sb_kernel_d(1.0, [30j], [0.0]),
+                        r"\[\[30j\], \[0.0\]\]"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target", BARE_OVERFLOW_CALLS)
+def test_math_range_error_names_the_point(target):
+    call, point = BARE_OVERFLOW_CALLS[target]
+    with pytest.raises(OverflowError, match=rf"at point {point} is not "
+                                            "finite: it overflows"):
+        call()
+
+
+# gamma = 1e-300 passes the positive-finite check, but gamma^2 underflows
+# to zero: Python's division by it is refused as an overflow
+UNDERFLOWING_GAMMA_CALLS = {
+    "rbf_kernel_c": lambda: rbf_kernel_c(1e-300, 1j, 0j),
+    "rbf_basis_c": lambda: rbf_basis_c(1e-300, 1, 1j),
+    "intrinsic_exp_sq": lambda: intrinsic_exp_sq(1e-300, _Q),
+    "rbf_sb_kernel": lambda: rbf_sb_kernel(1e-300, _Q, 0.0),
+    "rbf_sb_kernel_d": lambda: rbf_sb_kernel_d(1e-300, [1j], [0.0]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target", UNDERFLOWING_GAMMA_CALLS)
+def test_gamma_whose_square_underflows_names_the_point(target):
+    with pytest.raises(OverflowError, match=r"at point \[.*\] is not finite"):
+        UNDERFLOWING_GAMMA_CALLS[target]()
 
 
 def test_kernel_overflow_stays_overflow():
