@@ -90,7 +90,10 @@ def slice_frame(unit: ImaginaryUnit) -> np.ndarray:
     axis[np.argmin(np.abs(i))] = 1.0
     j = axis - (axis @ i) * i
     j /= np.linalg.norm(j)
-    return np.array([i, j, np.cross(i, j)])
+    # K = I x J, the same float products and differences as np.cross
+    (i0, i1, i2), (j0, j1, j2) = i.tolist(), j.tolist()
+    return np.array([i, j, [i1 * j2 - i2 * j1, i2 * j0 - i0 * j2,
+                            i0 * j1 - i1 * j0]])
 
 
 def split_horner(coeffs, z: np.ndarray, unit: ImaginaryUnit) -> np.ndarray:

@@ -178,23 +178,54 @@ def cmd_kernel(args) -> int:
     return 0
 
 
+# rows of a Gram formatted together; the rows below a block keep their
+# cells of it, so the writer holds at most about N^2/4 entries of text
+_GRAM_BLOCK = 32
+_SIGNS = np.array(["", "-"], dtype=object)
+
+
 def _gram_rows(g: np.ndarray) -> Iterator[str]:
-    """CSV rows of a Gram, each formatted by one %-template, as _fmt would.
+    """CSV rows of a Gram, the same bytes as formatting each number by _fmt.
 
     Quaternion cells are four numbers, complex cells re,im; a real Gram's
     imaginary column is +0.0 throughout and is written as the constant 0.
+    g must be stored exactly Hermitian, as build_gram stores it: an entry
+    and its mirror have equal real parts and imaginary parts of equal
+    magnitude.  So each unordered pair is formatted once, from the upper
+    triangle, with a %s slot before each imaginary magnitude, and each row
+    fills its slots with the signs of its own entries (a zero keeps its
+    own sign).  Rows go in blocks of _GRAM_BLOCK, each block row formatted
+    from the diagonal on; the rows below keep their cells of the block as
+    one fragment per row until their own block is written, at most about
+    N^2/4 entries of text.
     """
-    if g.ndim == 3:
-        cell = "%.17g,%.17g,%.17g,%.17g"
-    elif np.iscomplexobj(g):
-        cell = "%.17g,%.17g"
-    else:
-        cell = "%.17g,0"
-    template = ",".join([cell] * g.shape[1])
-    for row in g:
-        if np.iscomplexobj(row):  # a float view of all of g would copy it
-            row = np.ascontiguousarray(row).view(float)
-        yield template % tuple(row.ravel().tolist())
+    n = g.shape[0]
+    cell = ("%.17g,%%s%.17g,%%s%.17g,%%s%.17g" if g.ndim == 3
+            else "%.17g,%%s%.17g" if np.iscomplexobj(g) else "%.17g,0")
+    template = ";".join([cell] * n)
+    pending = [[] for _ in range(n)]
+    for s in range(0, n, _GRAM_BLOCK):
+        e = min(s + _GRAM_BLOCK, n)
+        values = g[s:e]
+        if np.iscomplexobj(values):
+            values = np.stack((values.real, values.imag), axis=-1)
+        values = values.reshape(e - s, n, -1)
+        signs = _SIGNS[np.signbit(values[..., 1:]).view(np.int8)]
+        signs = signs.reshape(e - s, -1).tolist()
+        values = np.concatenate((values[..., :1], np.abs(values[..., 1:])),
+                                axis=-1)
+        # rows[t][c] is the cell of (s + t, s + c), blank left of the diagonal
+        rows = [[""] * t + (template[(s + t) * (len(cell) + 1):]
+                            % tuple(values[t, s + t:].ravel().tolist())).split(";")
+                for t in range(e - s)]
+        for t, column in enumerate(zip(*rows)):
+            r = s + t
+            if r >= e:
+                pending[r].append(",".join(column))
+                continue
+            line = ",".join(pending[r] + [*column[:t], *rows[t][t:]])
+            pending[r] = None
+            yield line % tuple(signs[t]) if signs[t] else line
 
 
 def cmd_gram(args) -> int:

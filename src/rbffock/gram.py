@@ -10,6 +10,11 @@ structure, and doubles eigenvalue multiplicities.
 The quaternionic slice RBF kernel is the reproducing kernel of a slice
 Fock space, so K(p, q) = conj(K(q, p)): its Gram takes one scalar kernel
 call per unordered pair and fills the lower triangle by conjugation.
+
+Every Gram is stored exactly Hermitian, and the CLI's CSV writer relies
+on it: it formats each unordered pair once and writes the same bytes as
+formatting every entry, holding at most about N^2/4 entries of text
+between blocks of rows.
 """
 
 from __future__ import annotations

@@ -144,18 +144,21 @@ def kernel_sum_tail_bound(gamma: float, q: Quaternion, p: Quaternion,
 
     The tail of the star exponential is a factorial tail of
     t = nu |q| |p|; the intrinsic envelopes contribute at most
-    exp((y_q^2 + y_p^2)/gamma^2).
+    exp((y_q^2 + y_p^2)/gamma^2).  A bound beyond double range is inf.
     """
     nu = nu_from_gamma(gamma)
     t = nu * abs(q) * abs(p)
     n = n_terms + 1
     if t >= n:
         return math.inf
-    log_head = n * math.log(t) - math.lgamma(n + 1) if t > 0.0 else -math.inf
-    tail = math.exp(log_head) / (1.0 - t / n) if t > 0.0 else 0.0
     yq = q.vec_norm()
     yp = p.vec_norm()
-    return math.exp((yq * yq + yp * yp) / (gamma * gamma)) * tail
+    try:
+        log_head = n * math.log(t) - math.lgamma(n + 1) if t > 0.0 else -math.inf
+        tail = math.exp(log_head) / (1.0 - t / n) if t > 0.0 else 0.0
+        return math.exp((yq * yq + yp * yp) / (gamma * gamma)) * tail
+    except OverflowError:
+        return math.inf
 
 
 def polynomial_kernel(degree: int, x, y):

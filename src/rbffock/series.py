@@ -318,15 +318,20 @@ def sequential_norm(gamma: float, coeffs: Sequence[Quaternion], k_max: int) -> f
 
     This is the squared RBF-space norm of sum q^n a_n in the limit
     k_max -> infinity.  The factorial weight switches to a log-gamma form
-    past k = 30 to avoid overflow.
+    past k = 30 to avoid overflow.  Raises OverflowError naming gamma when
+    a weight or the sum leaves double range.
     """
     betas = beta_coeffs(gamma, coeffs, k_max)
     lg = 2.0 * math.log(gamma) - math.log(2.0)
-    parts = []
-    for k, b in enumerate(betas):
-        if k <= 30:
-            weight = math.factorial(k) * gamma ** (2 * k) / 2.0 ** k
-        else:
-            weight = math.exp(math.lgamma(k + 1) + k * lg)
-        parts.append(weight * b.norm_sq())
-    return math.fsum(parts)
+
+    def partial_sum():
+        parts = []
+        for k, b in enumerate(betas):
+            if k <= 30:
+                weight = math.factorial(k) * gamma ** (2 * k) / 2.0 ** k
+            else:
+                weight = math.exp(math.lgamma(k + 1) + k * lg)
+            parts.append(weight * b.norm_sq())
+        return math.fsum(parts)
+    return finite_values("the sequential norm", partial_sum, numpy=False,
+                         gamma=gamma)

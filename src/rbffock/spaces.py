@@ -377,7 +377,9 @@ def pointwise_bound_check(gamma: float, f: GaussSeries, points,
     max_ratio = -math.inf
     for sp in points:
         q = sp.to_quaternion()
-        bound = math.exp(2.0 * sp.y * sp.y / (gamma * gamma)) * norm
+        bound = finite_values("the pointwise bound", lambda: math.exp(
+            2.0 * sp.y * sp.y / (gamma * gamma)) * norm, q, numpy=False,
+            gamma=gamma)
         ratio = abs(f.eval(q)) / bound
         if ratio > max_ratio or math.isnan(ratio):
             max_ratio, worst = ratio, sp

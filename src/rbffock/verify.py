@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from ._checks import nu_from_gamma
-from .bases import (hermite_psi, rbf_basis_q, rbf_basis_series,
+from .bases import (hermite_psi_all, rbf_basis_q, rbf_basis_series,
                     rbf_basis_series_d)
 from .gram import build_gram, psd_check, quat_matrix_to_complex
 from .hypercomplex import (ImaginaryUnit, Quaternion, SlicePoint,
@@ -368,9 +368,10 @@ def crit_sb_kernel_match(cfg: VerifyConfig) -> list[CheckResult]:
         q = _random_quaternion(rng)
         q = q * (rng.uniform(0.2, 1.5) / max(abs(q), 1e-12))
         x = rng.uniform(-2.0, 2.0)
+        psi = hermite_psi_all(nu, 40, x).tolist()
         acc = Quaternion(0, 0, 0, 0)
         for n in range(41):
-            acc = acc + rbf_basis_q(gamma, n, q) * hermite_psi(nu, n, x)
+            acc = acc + rbf_basis_q(gamma, n, q) * psi[n]
         closed = rbf_sb_kernel(gamma, q, x, "unitary")
         worst_series = np.maximum(worst_series, abs(acc - closed))
     return [

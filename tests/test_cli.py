@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -254,7 +255,7 @@ def run_gram_csv(tmp_path, capsys, payload, to_stdout):
 
 
 class TestGramCsvBytes:
-    """The row-template writer is byte-identical to the per-entry one."""
+    """The gram CSV is byte-identical to the per-entry writer's."""
 
     @pytest.mark.parametrize("to_stdout", [False, True], ids=["file", "stdout"])
     @pytest.mark.parametrize("kernel", GRAM_PAYLOADS)
@@ -280,6 +281,88 @@ class TestGramCsvBytes:
         want = reference_gram_csv(gram)
         assert "-0," in want and "4.9406564584124654e-324" in want
         assert data == want.encode()
+
+
+BLOCK = cli._GRAM_BLOCK
+CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def writer_points(kernel, n, case):
+    """n points in ``kernel``'s layout: random ones, ones on the real line
+    (every imaginary part zero), or three points repeated."""
+    pts = np.random.default_rng(n).uniform(-0.8, 0.8, (n, 4))
+    if case == "real-line":
+        pts[:, 1:] = 0.0
+    elif case == "duplicates":
+        pts = pts[np.arange(n) % 3]
+    layout = KERNELS[kernel].layout
+    if layout is Quaternion:
+        return [Quaternion(*p) for p in pts.tolist()]
+    return pts[:, :2] if layout is float else pts[:, :1] + 1j * pts[:, 1:2]
+
+
+def reference_rows(gram: GramMatrix) -> list:
+    return reference_gram_csv(gram).splitlines()[1:]
+
+
+def signed_zero_gram(components: int) -> np.ndarray:
+    """An exactly Hermitian Gram larger than two blocks whose zero entries
+    take either sign on either side of the diagonal, except that a real
+    part and its mirror are the same float."""
+    n = 2 * BLOCK + 1
+    rng = np.random.default_rng(components)
+    g = rng.uniform(-1.0, 1.0, (n, n, components))
+    g[rng.random(g.shape) < 0.4] = 0.0
+    upper = np.triu(np.ones((n, n), dtype=bool))[..., None]
+    g = np.where(upper, g, g.transpose(1, 0, 2) * CONJ[:components])
+    g[g == 0.0] = np.copysign(0.0, rng.uniform(-1.0, 1.0, (g == 0.0).sum()))
+    g[..., 0] = np.where(upper[..., 0], g[..., 0], g[..., 0].T)
+    return g.view(complex)[..., 0] if components == 2 else g
+
+
+class TestGramRowsWriter:
+    """The writer that formats each unordered pair once writes the bytes of
+    formatting every number by itself, across block edges."""
+
+    @pytest.mark.parametrize("case", ["random", "real-line", "duplicates"])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   2 * BLOCK + 1])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_matches_per_entry_writer(self, kernel, n, case):
+        params = {name: 3 if kind is int else 0.9
+                  for name, kind in KERNELS[kernel].params}
+        gram = build_gram(kernel, params, writer_points(kernel, n, case))
+        assert list(cli._gram_rows(gram.entries)) == reference_rows(gram)
+
+    @pytest.mark.parametrize("components", [2, 4], ids=["complex", "quaternion"])
+    def test_each_zero_keeps_its_own_sign(self, components):
+        g = signed_zero_gram(components)
+        gram = GramMatrix(g, "rbf-complex" if components == 2 else "rbf-qslice")
+        rows = reference_rows(gram)
+        assert any("-0," in row for row in rows[BLOCK + 1:])
+        assert list(cli._gram_rows(g)) == rows
+
+    def test_holds_about_a_quarter_of_the_text(self):
+        n = 400
+        points = writer_points("rbf-complex", n, "random")
+        g = build_gram("rbf-complex", {"gamma": 1.0}, points).entries
+        tracemalloc.start()
+        try:
+            text = sum(len(row) + 1 for row in cli._gram_rows(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # rows below a block hold their cells of the rows above it, at most
+        # n^2/4 cells, a quarter of the text; on top come one block's cells
+        # as separate strings and its arrays, under 200 bytes a cell
+        assert peak <= text / 4 + BLOCK * n * 200
+
+    def test_stdout_and_output_are_the_same_bytes(self, tmp_path, capsys):
+        points = np.random.default_rng(5).uniform(-1, 1, (BLOCK + 7, 3))
+        payload = {"kernel": "rbf-real", "gamma": 1.0, "points": points.tolist()}
+        to_file = run_gram_csv(tmp_path, capsys, payload, to_stdout=False)
+        assert to_file.count(b"\n") == BLOCK + 8
+        assert run_gram_csv(tmp_path, capsys, payload, to_stdout=True) == to_file
 
 
 def run_input(tmp_path, capsys, command, payload, *flags):

@@ -168,6 +168,12 @@ class TestKernelSum:
             bound = kernel_sum_tail_bound(1.0, q, p, 40)
             assert diff <= bound + 1e-13 * (1 + abs(rbf_kernel_qslice(1.0, q, p)))
 
+    def test_tail_bound_beyond_double_range_is_inf(self):
+        # the envelope exp(30^2) leaves double range
+        zero = Quaternion(0, 0, 0, 0)
+        assert kernel_sum_tail_bound(1.0, Quaternion(0, 30, 0, 0), zero,
+                                     40) == math.inf
+
     def test_same_slice_matches_complex_partial_sum(self):
         from rbffock import rbf_basis_c
         unit = ImaginaryUnit.from_vector(1.0, 0.0, 1.0)

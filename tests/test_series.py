@@ -180,6 +180,12 @@ class TestSequentialNorm:
         value = sequential_norm(2.0, coeffs, 60)
         assert math.isfinite(value)
 
+    def test_weight_beyond_double_range_names_gamma(self):
+        # gamma^(2k) passes 1e308 at k = 2
+        with pytest.raises(OverflowError, match=r"^the sequential norm with "
+                           r"gamma=1e\+100 is not finite"):
+            sequential_norm(1e100, (Quaternion(1, 0, 0, 0),), 40)
+
 
 class TestMultiIndex:
     def test_enumeration(self):

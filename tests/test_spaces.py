@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,15 @@ class TestBoundAndSliceChecks:
         bound = [r for r in verify.run_criterion("diagonal-bound")
                  if r.check == "pointwise-bound"]
         assert len(bound) == 1 and not bound[0].passed
+
+    def test_bound_beyond_double_range_names_the_point(self):
+        # exp(2 y^2/gamma^2) = exp(1800) leaves double range
+        points = [SlicePoint(0.0, 30.0, UNIT_I)]
+        with pytest.raises(OverflowError, match=re.escape(
+                "the pointwise bound with gamma=1.0 at point "
+                "[0.0, 30.0, 0.0, 0.0] is not finite")):
+            pointwise_bound_check(1.0, rbf_basis_series(1.0, 1), points,
+                                  quad_order=8)
 
     def test_kernel_section_attains_bound(self):
         # f = K^p has norm sqrt(K(p,p)) and |f(p)| = K(p,p): the ratio at
