@@ -467,7 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--gamma", type=float, default=None,
                         help="Gaussian kernel width parameter")
     common.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER,
-                        help="Gauss-Hermite order, 8 to 512 (default 80)")
+                        help="Gauss-Hermite order, 8 to 512 (default 80), of "
+                        "the non-polynomial routes (reproduce, the direct "
+                        "isometry route, quadrature transforms); polynomial "
+                        "integrals use the smallest exact order up to it")
     common.add_argument("--dim", type=int, default=None,
                         help="dimension for quadrature-backed commands, "
                         "1 to 3")

@@ -107,40 +107,68 @@ def gauss_hermite(order: int, nu: float = 1.0) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, order=order, nu=nu)
 
 
-def compensated_sum(values: np.ndarray) -> float:
-    """Deterministic compensated reduction of a 1-D float array."""
-    values = np.ascontiguousarray(values, dtype=float).ravel()
-    if values.size <= _BLOCK:
-        return float(values.sum())
-    parts = [float(values[i:i + _BLOCK].sum()) for i in range(0, values.size, _BLOCK)]
-    return math.fsum(parts)
+def compensated_sum(values: np.ndarray):
+    """Deterministic compensated reduction of the last axis.
+
+    Each row is summed on its own: pairwise numpy sums over blocks of 2^16
+    entries, combined by math.fsum, so a row gives the same bits alone as
+    among others.  A 1-D array gives a float, more axes an array of the
+    leading shape.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    size = values.shape[-1]
+    if size <= _BLOCK:
+        sums = values.sum(axis=-1)
+    else:
+        parts = np.stack([values[..., i:i + _BLOCK].sum(axis=-1)
+                          for i in range(0, size, _BLOCK)], axis=-1)
+        sums = np.reshape([math.fsum(row) for row in parts.reshape(
+            -1, parts.shape[-1])], parts.shape[:-1])
+    return float(sums) if values.ndim == 1 else sums
+
+
+def _complex_of(real, imag) -> np.ndarray:
+    """real + i imag with each part as given, as ``complex(a, b)`` gives
+    it (``a + 1j*b`` turns a real -0.0 into +0.0, and a finite real part
+    into NaN where b is infinite)."""
+    out = np.empty(np.shape(real), dtype=complex)
+    out.real, out.imag = real, imag
+    return out
 
 
 def axis_moments(weights: np.ndarray, table) -> np.ndarray:
-    """sum_i weights[i] * table[k, i] for each row k, by compensated_sum."""
-    return np.array([complex(compensated_sum(weights * row.real),
-                             compensated_sum(weights * row.imag))
-                     for row in np.asarray(table, dtype=complex)])
+    """sum_i weights[i] * table[..., k, i] for each row k, by
+    compensated_sum; leading axes of the table (points) are kept."""
+    table = np.asarray(table, dtype=complex)
+    return _complex_of(compensated_sum(weights * table.real),
+                       compensated_sum(weights * table.imag))
 
 
-def separable_sum(moments: Sequence[np.ndarray], terms) -> complex:
-    """sum_t c_t prod_l moments[l][k_{t,l}] over terms (k_t, c_t), by fsum."""
+def separable_sum(moments: Sequence[np.ndarray], terms):
+    """sum_t c_t prod_l moments[l][..., k_{t,l}] over terms (k_t, c_t), by
+    fsum per leading index: a complex for 1-D moments, else an array of
+    their leading shape."""
     index = np.array([k for k, _ in terms], dtype=int).reshape(
         len(terms), len(moments))
     values = np.array([c for _, c in terms], dtype=complex)
     for axis, m in enumerate(moments):
-        values *= m[index[:, axis]]
-    return complex(math.fsum(values.real), math.fsum(values.imag))
+        values = values * m[..., index[:, axis]]
+    rows = values.reshape(math.prod(values.shape[:-1]), len(terms))
+    out = _complex_of([math.fsum(r) for r in rows.real],
+                      [math.fsum(r) for r in rows.imag]).reshape(values.shape[:-1])
+    return complex(out) if out.ndim == 0 else out
 
 
-def integrate_rd(weights: np.ndarray, tables: Sequence, terms) -> complex:
+def integrate_rd(weights: np.ndarray, tables: Sequence, terms):
     """Tensor-product quadrature of sum_t c_t prod_l F_l[k_{t,l}](x_l).
 
     ``weights`` belong to one axis' nodes (M for a real axis, M^2 for a
-    complex coordinate's grid), ``tables[l][k]`` holds F_l[k] at them
-    without the weight, and ``terms`` are the pairs (k_t, c_t).  Equals the
-    sum over the full tensor grid, in O(d K nodes + terms) work.  Raises
-    OverflowError when a table is not finite.
+    complex coordinate's grid), ``tables[l][..., k, :]`` holds F_l[k] at
+    them without the weight, and ``terms`` are the pairs (k_t, c_t).
+    Leading axes of the tables (points) are kept: tables of shape
+    (..., K, M) give values of shape (...), one (K, M) table a complex.
+    Equals the sum over the full tensor grid, in O(d K nodes + terms)
+    work per point.  Raises OverflowError when a table is not finite.
     """
     return separable_sum([axis_moments(weights, finite_values(
         "a quadrature integrand", lambda: t)) for t in tables], terms)

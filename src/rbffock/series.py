@@ -117,8 +117,15 @@ class QPowerSeries:
             np.broadcast_to(coeffs[-1], q.shape).copy()), q)
 
     def eval_slice_grid(self, x, y, unit: ImaginaryUnit) -> np.ndarray:
-        """Values over the slice grid q = x + unit*y, shape (..., 4)."""
-        return qa.horner_slice(self.coeffs, x, y, unit)
+        """Values over the slice grid q = x + unit*y, shape (..., 4).
+        Raises OverflowError naming the first point whose value is not
+        finite, as ``GaussSeries.eval_slice_grid`` does."""
+        def points():
+            return (np.asarray(x, dtype=float)
+                    + 1j * np.asarray(y, dtype=float))[..., None]
+        return finite_values("the series value on a slice",
+                             lambda: qa.horner_slice(self.coeffs, x, y, unit),
+                             points, unit=unit)
 
     def to_json(self) -> dict:
         return {"coeffs": [c.to_list() for c in self.coeffs]}

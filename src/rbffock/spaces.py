@@ -15,9 +15,10 @@ refused.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,9 +57,49 @@ def _slice_series(f) -> QPowerSeries:
     return f
 
 
+class _Grid(NamedTuple):
+    """The tensor Gauss-Hermite rule of one order on a plane (a slice, or
+    one complex coordinate): the (M, M) meshes of x and y (indexing "ij"),
+    and the M^2 weights w_a w_b and their roots sqrt(w_a) sqrt(w_b)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    root_w: np.ndarray
+
+
+def _exact_order(degree: int, quad_order: int) -> int:
+    """The smallest rule order exact for an integrand of ``degree``;
+    refuses one beyond the exactness of ``quad_order``."""
+    if degree > 2 * quad_order - 1:
+        raise ValueError("combined integrand degree exceeds quadrature "
+                         "exactness; raise quad_order")
+    return degree // 2 + 1
+
+
+@functools.lru_cache(maxsize=32)
+def _grid(order: int, nu: float) -> _Grid:
+    """Built once per (order, nu) and shared, so its arrays are read-only."""
+    rule = gauss_hermite(order, nu)
+    x, y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
+    w, root_w = rule.weights, np.sqrt(rule.weights)
+    grid = _Grid(x, y, (w[:, None] * w[None, :]).ravel(),
+                 (root_w[:, None] * root_w[None, :]).ravel())
+    for array in grid:
+        array.setflags(write=False)
+    return grid
+
+
 class FockSliceSpace:
     """Slice Fock space: weight exp(-nu|q|^2) on C_unit, prefactor nu/pi.
-    Every integral is ``_pair_integral``, one weighted sum over the grid."""
+
+    Every integral is ``_pair_integral``, one weighted sum over a grid.
+    The integrand of an inner product, norm or Gram is a polynomial of
+    degree D times the weight, integrated exactly on the smallest grid,
+    of order D // 2 + 1.  ``quad_order`` caps that order (a larger D is
+    refused) and is the order of ``reproduce``, whose kernel section is
+    not a polynomial.
+    """
 
     def __init__(self, nu: float, unit: ImaginaryUnit = I_DEFAULT,
                  quad_order: int = DEFAULT_QUAD_ORDER):
@@ -67,28 +108,30 @@ class FockSliceSpace:
         self.unit = unit
         self.quad_order = quad_order
         self.rule: QuadratureRule = gauss_hermite(quad_order, nu)
-        self._xg, self._yg = np.meshgrid(self.rule.nodes, self.rule.nodes,
-                                         indexing="ij")
-        root_w = np.sqrt(self.rule.weights)
-        self._root_w = (root_w[:, None] * root_w[None, :]).ravel()
+        self.grid = _grid(quad_order, nu)
 
     # -- evaluation ---------------------------------------------------
 
-    def _grid_values(self, f) -> np.ndarray:
+    def _grid_values(self, f, grid: _Grid) -> np.ndarray:
         f = _slice_series(f)
         if f.degree > 2 * self.quad_order - 1:
             raise ValueError(
                 f"series degree {f.degree} exceeds quadrature exactness "
                 f"{2 * self.quad_order - 1}; raise quad_order")
-        return f.eval_slice_grid(self._xg, self._yg, self.unit)
+        return f.eval_slice_grid(grid.x, grid.y, self.unit)
 
-    def _stack(self, grids, n: int = 1) -> np.ndarray:
-        """n grids (M, M, 4) as one stack (n, 4, M^2) scaled by sqrt(weight)."""
-        out = np.empty((n, 4, self._root_w.size))
-        for row, values in zip(out, grids):
-            row[...] = values.reshape(-1, 4).T
-        out *= self._root_w
+    @staticmethod
+    def _stack(grid: _Grid, values: list) -> np.ndarray:
+        """n value grids (M, M, 4) as one stack (n, 4, M^2) scaled by
+        sqrt(weight)."""
+        out = np.empty((len(values), 4, grid.root_w.size))
+        for row, grid_values in zip(out, values):
+            row[...] = grid_values.reshape(-1, 4).T
+        out *= grid.root_w
         return out
+
+    def _series_stack(self, grid: _Grid, functions) -> np.ndarray:
+        return self._stack(grid, [self._grid_values(f, grid) for f in functions])
 
     def _pair_integral(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
         """All <f_a, g_b> = (nu/pi) sum_i w_i conj(g_b) f_a of two stacks,
@@ -104,36 +147,35 @@ class FockSliceSpace:
 
     # -- public api ---------------------------------------------------
 
-    def _check_pair_degree(self, degree: int) -> None:
-        if degree > 2 * self.quad_order - 1:
-            raise ValueError("combined integrand degree exceeds quadrature "
-                             "exactness; raise quad_order")
-
     def inner_product(self, f, g) -> Quaternion:
         """<f, g> = (nu/pi) * integral conj(g) f exp(-nu|q|^2)."""
         f, g = _slice_series(f), _slice_series(g)
-        self._check_pair_degree(f.degree + g.degree)
-        F = self._stack([self._grid_values(f)])
-        G = F if g is f else self._stack([self._grid_values(g)])
+        grid = _grid(_exact_order(f.degree + g.degree, self.quad_order), self.nu)
+        F = self._series_stack(grid, [f])
+        G = F if g is f else self._series_stack(grid, [g])
         return Quaternion(*self._pair_integral(F, G)[0, 0])
 
     def norm_sq(self, f) -> float:
         return self.inner_product(f, f).w
 
     def gram(self, functions: Sequence) -> np.ndarray:
-        """All pairwise inner products, shape (n, n, 4), G[a,b] = <f_a, f_b>."""
+        """All pairwise inner products, shape (n, n, 4), G[a,b] = <f_a, f_b>,
+        on the grid of the highest degree + 1."""
         functions = [_slice_series(f) for f in functions]
-        self._check_pair_degree(2 * max((f.degree for f in functions), default=0))
-        F = self._stack(map(self._grid_values, functions), len(functions))
+        degree = max((f.degree for f in functions), default=0)
+        grid = _grid(_exact_order(2 * degree, self.quad_order), self.nu)
+        F = self._series_stack(grid, functions)
         return self._pair_integral(F, F)
 
     def kernel(self, q: Quaternion, p: Quaternion) -> Quaternion:
         return star_exp(self.nu, q, p)
 
     def reproduce(self, f, w: Quaternion) -> Quaternion:
-        """Evaluate <f, K_w> by quadrature; equals f(w) for f in the space."""
-        kvals = qa.star_exp_grid(self.nu, self._xg, self._yg, self.unit, w)
-        F, K = self._stack([self._grid_values(f)]), self._stack([kvals])
+        """Evaluate <f, K_w> by quadrature on the ``quad_order`` grid; equals
+        f(w) for f in the space."""
+        grid = self.grid
+        kvals = qa.star_exp_grid(self.nu, grid.x, grid.y, self.unit, w)
+        F, K = self._series_stack(grid, [f]), self._stack(grid, [kvals])
         return Quaternion(*self._pair_integral(F, K)[0, 0])
 
 
@@ -141,10 +183,10 @@ class RBFSliceSpace:
     """Quaternionic slice RBF space, nu = 2/gamma^2, prefactor 2/(pi gamma^2).
 
     Elements are Gaussian-enveloped series; every integral is computed on
-    the Fock side after stripping the envelope (exact, no truncation).
-    ``inner_product_direct`` instead evaluates elements pointwise and
-    re-weights explicitly, providing an independent route for isometry
-    checks.
+    the Fock side after stripping the envelope (exact, no truncation, on
+    the smallest exact grid).  ``inner_product_direct`` instead evaluates
+    elements pointwise on the ``quad_order`` grid and re-weights
+    explicitly, providing an independent route for isometry checks.
     """
 
     def __init__(self, gamma: float, unit: ImaginaryUnit = I_DEFAULT,
@@ -174,15 +216,15 @@ class RBFSliceSpace:
         """Direct-weight route: pointwise values times exp(-4y^2/gamma^2),
         with the rule's Gaussian compensated explicitly."""
         f, g = self._require_member(f), self._require_member(g)
-        fock = self._fock
-        vals_f = f.eval_slice_grid(fock._xg, fock._yg, self.unit)
-        vals_g = (vals_f if g is f
-                  else g.eval_slice_grid(fock._xg, fock._yg, self.unit))
-        y = fock._yg
+        fock, grid = self._fock, self._fock.grid
+        x, y = grid.x, grid.y
+        vals_f = f.eval_slice_grid(x, y, self.unit)
+        vals_g = vals_f if g is f else g.eval_slice_grid(x, y, self.unit)
         comp = np.exp(-4.0 * y * y / (self.gamma * self.gamma)
-                      + self.nu * (fock._xg ** 2 + y ** 2))
+                      + self.nu * (x ** 2 + y ** 2))
         # 2/(pi gamma^2) = nu/pi, so the Fock rule's sum applies as it is
-        F, G = fock._stack([vals_f * comp[..., None]]), fock._stack([vals_g])
+        F = fock._stack(grid, [vals_f * comp[..., None]])
+        G = fock._stack(grid, [vals_g])
         return Quaternion(*fock._pair_integral(F, G)[0, 0])
 
     def norm_sq(self, f) -> float:
@@ -214,11 +256,31 @@ def _cd_series(f, dim: int) -> CPowerSeries:
     return f
 
 
+def _powers(z: np.ndarray, degree: int) -> np.ndarray:
+    """Rows z^n, n <= degree, at the points z."""
+    return np.vander(z, degree + 1, increasing=True).T
+
+
+@functools.lru_cache(maxsize=64)
+def _moment_table(alpha: float, order: int, degree: int) -> np.ndarray:
+    """T[n, m] = sum W z^n conj(z)^m, n, m <= degree, on the order-``order``
+    grid; shared by every space, so read-only."""
+    grid = _grid(order, alpha)
+    p = _powers((grid.x + 1j * grid.y).ravel(), degree)
+    table = np.array([axis_moments(grid.w, p[n] * np.conj(p))
+                      for n in range(degree + 1)])
+    table.setflags(write=False)
+    return table
+
+
 class FockCSpace:
     """Fock space on C^d: weight exp(-alpha|z|^2), prefactor (alpha/pi)^d.
 
     Weight and integrands factor over coordinates: integrals run on one
     coordinate's M x M grid, inner products on T[n, m] = sum W z^n conj(z)^m.
+    A table of degree D is exact on the grid of order D + 1, and uses it up
+    to ``quad_order``, which bounds the degree of an inner product (a
+    higher one is refused) and is the order of ``reproduce``.
     """
 
     def __init__(self, alpha: float, dim: int, quad_order: int | None = None):
@@ -229,29 +291,15 @@ class FockCSpace:
         self.dim = dim
         self.quad_order = quad_order or (DEFAULT_QUAD_ORDER if dim == 1 else 32)
         self.rule = gauss_hermite(self.quad_order, alpha)
-        x, w = self.rule.nodes, self.rule.weights
-        self._z = (x[:, None] + 1j * x[None, :]).ravel()
-        self._w = (w[:, None] * w[None, :]).ravel()
-        self._moments = np.zeros((0, 0), dtype=complex)
 
-    def _powers(self, degree: int) -> np.ndarray:
-        """Rows z^n, n <= degree, on one coordinate's grid."""
-        return np.vander(self._z, degree + 1, increasing=True).T
+    def _table(self, degree: int, pair_degree: int) -> np.ndarray:
+        """The moment table of ``degree`` for an integrand of
+        ``pair_degree``, which the rule of ``quad_order`` must integrate."""
+        _exact_order(pair_degree, self.quad_order)
+        return _moment_table(self.alpha, min(self.quad_order, degree + 1), degree)
 
-    def _moment_table(self, degree: int) -> np.ndarray:
-        if self._moments.shape[0] <= degree:
-            p = self._powers(degree)
-            self._moments = np.array([axis_moments(self._w, p[n] * np.conj(p))
-                                      for n in range(degree + 1)])
-        return self._moments
-
-    def inner_product(self, f, g) -> complex:
-        """<f, g> = sum over term pairs of c_f conj(c_g) prod_l T[n_l, m_l]."""
-        f, g = _cd_series(f, self.dim), _cd_series(g, self.dim)
-        if f.max_axis_degree + g.max_axis_degree > 2 * self.quad_order - 1:
-            raise ValueError("combined integrand degree exceeds quadrature "
-                             "exactness; raise quad_order")
-        table = self._moment_table(max(f.max_axis_degree, g.max_axis_degree))
+    def _pair_value(self, table: np.ndarray, f, g) -> complex:
+        """sum over term pairs of c_f conj(c_g) prod_l T[n_l, m_l]."""
         size = table.shape[0]
         pairs = [(tuple(n * size + m for n, m in zip(kf, kg)),
                   cf * cg.conjugate())
@@ -259,17 +307,24 @@ class FockCSpace:
         value = separable_sum([table.ravel()] * self.dim, pairs)
         return (self.alpha / math.pi) ** self.dim * value
 
+    def inner_product(self, f, g) -> complex:
+        """<f, g> on the table of the higher degree of f and g."""
+        f, g = _cd_series(f, self.dim), _cd_series(g, self.dim)
+        df, dg = f.max_axis_degree, g.max_axis_degree
+        return self._pair_value(self._table(max(df, dg), df + dg), f, g)
+
     def norm_sq(self, f) -> float:
         return self.inner_product(f, f).real
 
     def gram(self, functions: Sequence) -> np.ndarray:
-        """G[a, b] = <f_a, f_b>, Hermitian by construction."""
+        """G[a, b] = <f_a, f_b> on the table of the highest degree, Hermitian
+        by construction."""
         functions = [_cd_series(f, self.dim) for f in functions]
-        # size the moment table for the whole Gram once, before the loop
-        self._moment_table(max((f.max_axis_degree for f in functions), default=0))
+        degree = max((f.max_axis_degree for f in functions), default=0)
+        table = self._table(degree, 2 * degree)
         out = np.zeros((len(functions),) * 2, dtype=complex)
         for a, b in zip(*np.triu_indices(len(functions))):
-            ip = self.inner_product(functions[a], functions[b])
+            ip = self._pair_value(table, functions[a], functions[b])
             out[b, a], out[a, b] = np.conj(ip), ip
         return out
 
@@ -277,16 +332,19 @@ class FockCSpace:
         return fock_kernel_d(self.alpha, z, w)
 
     def reproduce(self, f, w: Sequence[complex]) -> complex:
-        """<f, K_w>: per coordinate, the table z^n exp(alpha conj(z) w_l)."""
+        """<f, K_w> on the ``quad_order`` grid: per coordinate, the table
+        z^n exp(alpha conj(z) w_l)."""
         f = _cd_series(f, self.dim)
         w = np.asarray(w, dtype=complex)
         if w.shape != (self.dim,):
             raise ValueError("evaluation point has the wrong dimension")
         finite_points(w)
-        powers = self._powers(f.max_axis_degree)
+        grid = _grid(self.quad_order, self.alpha)
+        z = (grid.x + 1j * grid.y).ravel()
+        powers = _powers(z, f.max_axis_degree)
         return finite_values("the reproduced value", lambda: (
-            self.alpha / math.pi) ** self.dim * integrate_rd(self._w, [
-                powers * np.exp(self.alpha * np.conj(self._z) * wl) for wl in w],
+            self.alpha / math.pi) ** self.dim * integrate_rd(grid.w, [
+                powers * np.exp(self.alpha * np.conj(z) * wl) for wl in w],
                 f.terms), w)
 
 

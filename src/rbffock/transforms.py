@@ -369,7 +369,7 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",
     image series, or the rule and the Hermite table at its nodes, is built
     once per call.  Kernel and Hermite terms factor over coordinates; the
     quadrature path integrates psi_n(x) exp(-(sqrt2 z_l - x)^2/gamma^2)
-    per axis, point by point.  A value that is not finite raises
+    per axis, per block of points.  A value that is not finite raises
     OverflowError naming its point.
     """
     nu = nu_from_gamma(gamma)
@@ -399,12 +399,22 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",
         psis = hermite_psi_all(phi.nu, n_max, x) * np.exp(nu * x * x)
         pref = (2.0 / (math.pi * gamma * gamma)) ** (dim / 4.0)
 
-        def at(point):
+        def at(block, where):
+            # one (points, K, M) table per axis
             return finite_values("the transform value", lambda: pref * integrate_rd(
-                rule.weights, [psis * np.exp(-(math.sqrt(2.0) * zl - x) ** 2
-                                             / (gamma * gamma)) for zl in point],
-                phi.terms), point)
+                rule.weights, [psis * np.exp(-(math.sqrt(2.0) * zl[:, None] - x) ** 2
+                                             / (gamma * gamma))[:, None]
+                               for zl in block.T], phi.terms), where)
 
-        values = np.array([at(point) for point in rows], dtype=complex)
+        values = np.empty(len(rows), dtype=complex)
+        for start in range(0, len(rows), _BLOCK_POINTS):
+            block = rows[start:start + _BLOCK_POINTS]
+            try:
+                values[start:start + len(block)] = at(block, block)
+            except OverflowError:
+                # a refusal of the whole block names the block; point by
+                # point, it names the first point that overflows
+                values[start:start + len(block)] = [
+                    at(point[None], point)[0] for point in block]
     values = values.reshape(z.shape[:-1])
     return complex(values) if values.ndim == 0 else values

@@ -8,7 +8,9 @@ Quaternion loop, which they must equal bit for bit.  C^d Grams build
 their moment table once; each entry must equal the per-pair inner product
 bit for bit.  The transforms take a whole grid of points; the references
 are the scalar series Horner loop, the scalar slice decomposition and, per
-point, the node sum of the scalar kernel against phi.
+point, the node sum of the scalar kernel against phi.  Polynomial
+integrals run on the smallest exact rule; the references are the same sums
+on the ``quad_order`` grid.
 """
 
 import math
@@ -26,6 +28,7 @@ from rbffock import (CPowerSeries, FockCSpace, FockSliceSpace, GaussSeries,
                      rbf_sb_transform_d, sb_image_series, sb_kernel,
                      sb_transform, slice_decompose)
 from rbffock import _quatarray as qa
+from rbffock import spaces
 from rbffock.quadrature import compensated_sum
 
 UNITS = {
@@ -40,10 +43,12 @@ UNITS = {
 
 
 def pair_integral_reference(space, vals_f, vals_g):
-    """(nu/pi) sum w conj(g) f by qmul and one compensated sum per component."""
+    """(nu/pi) sum w conj(g) f by qmul and one compensated sum per component,
+    on the grid of the space's ``quad_order`` rule."""
     integrand = qa.qmul(qa.qconj(vals_g), vals_f)
     weights = space.rule.weights[:, None] * space.rule.weights[None, :]
-    return np.array([space.nu / math.pi * compensated_sum(weights * integrand[..., c])
+    return np.array([space.nu / math.pi
+                     * compensated_sum((weights * integrand[..., c]).ravel())
                      for c in range(4)])
 
 
@@ -61,7 +66,7 @@ def mixed_series():
 def test_slice_gram_matches_per_pair_reference(unit, mixed_series):
     space = FockSliceSpace(1.3, unit, 40)
     gram = space.gram(mixed_series)
-    vals = [space._grid_values(f) for f in mixed_series]
+    vals = [space._grid_values(f, space.grid) for f in mixed_series]
     n = len(mixed_series)
     assert gram.shape == (n, n, 4)
     for a in range(n):
@@ -81,6 +86,120 @@ def test_slice_gram_is_exactly_quaternion_hermitian(unit, mixed_series):
             assert np.array_equal(gram[b, a], gram[a, b] * qa.CONJ_SIGNS)
 
 
+SMALL_RULE_DEGREES = (0, 1, 3, 7, 8, 15, 22, 30)
+
+
+@pytest.mark.parametrize("order", [8, 40, 80, 160])
+@pytest.mark.parametrize("kind", ["fock", "rbf"])
+def test_small_rule_slice_integrals_match_full_order_reference(kind, order):
+    """Inner products, norms and Grams run on the smallest exact rule; the
+    reference is the per-pair sum on the ``quad_order`` grid."""
+    rng = np.random.default_rng(order)
+    unit = UNITS["(1,2,3)"]
+    # a Gram needs twice its highest degree within 2 * order - 1
+    series = [random_series(rng, d) for d in SMALL_RULE_DEGREES if d < order]
+    if kind == "fock":
+        space = fock = FockSliceSpace(1.3, unit, order)
+        members = series
+    else:
+        space = RBFSliceSpace(1.2, unit, order)
+        fock = space._fock
+        members = [GaussSeries(1.2, f) for f in series]
+    vals = [fock._grid_values(f, fock.grid) for f in series]
+    want = np.array([[pair_integral_reference(fock, vf, vg) for vg in vals]
+                     for vf in vals])
+    gram = space.gram(members)
+    norms = want[np.arange(len(vals)), np.arange(len(vals)), 0]
+    scale = np.sqrt(norms[:, None] * norms[None, :])
+    assert (np.abs(gram - want).max(axis=-1) <= 1e-14 * scale).all()
+    for a, f in enumerate(members):
+        assert abs(space.norm_sq(f) - want[a, a, 0]) <= 1e-14 * scale[a, a]
+        for b, g in enumerate(members):
+            got = np.array(space.inner_product(f, g).to_list())
+            assert np.abs(got - want[a, b]).max() <= 1e-14 * scale[a, b]
+
+
+def cd_reference_table(alpha, order, degree):
+    """T[n, m] = sum W z^n conj(z)^m on the order-``order`` grid, one
+    compensated sum per entry and component."""
+    rule = gauss_hermite(order, alpha)
+    x, w = rule.nodes, rule.weights
+    z = (x[:, None] + 1j * x[None, :]).ravel()
+    weights = (w[:, None] * w[None, :]).ravel()
+    table = np.empty((degree + 1, degree + 1), dtype=complex)
+    for n in range(degree + 1):
+        for m in range(degree + 1):
+            v = z ** n * np.conj(z) ** m
+            table[n, m] = complex(compensated_sum(weights * v.real),
+                                  compensated_sum(weights * v.imag))
+    return table
+
+
+@pytest.mark.parametrize("dim, order", [(1, 8), (1, 40), (1, 80), (1, 160),
+                                        (2, 8), (2, 16), (2, 32)])
+def test_small_rule_cd_tables_match_full_order_reference(dim, order):
+    """C^d moment tables run on the smallest exact rule; the reference is
+    the table and the term-pair sum on the ``quad_order`` grid."""
+    rng = np.random.default_rng(order + dim)
+    alpha = 1.5
+    tops = [t for t in ((0, 2, 5, 9, 15, 22, 30) if dim == 1 else (0, 2, 4, 7))
+            if t < order]
+    functions = []
+    for top in tops:
+        indices = {tuple(rng.integers(0, top + 1, dim)) for _ in range(5)}
+        indices.add((top,) + (0,) * (dim - 1))
+        functions.append(CPowerSeries(dim, tuple(
+            (idx, complex(*rng.uniform(-1.0, 1.0, 2))) for idx in indices)))
+    space = FockCSpace(alpha, dim, order)
+    degree = tops[-1]
+    ref = cd_reference_table(alpha, order, degree)
+    diag = np.sqrt(np.abs(np.diag(ref)))
+    table = space._table(degree, 2 * degree)
+    assert (np.abs(table - ref) <= 1e-14 * diag[:, None] * diag[None, :]).all()
+
+    def reference(f, g):
+        terms = [(kf, kg, cf * cg.conjugate())
+                 for kf, cf in f.terms for kg, cg in g.terms]
+        values = [c * np.prod([ref[n, m] for n, m in zip(kf, kg)])
+                  for kf, kg, c in terms]
+        return (alpha / math.pi) ** dim * complex(
+            math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+
+    want = np.array([[reference(f, g) for g in functions] for f in functions])
+    scale = np.sqrt(np.abs(np.diag(want))[:, None] * np.abs(np.diag(want))[None, :])
+    assert (np.abs(space.gram(functions) - want) <= 1e-14 * scale).all()
+    for a, f in enumerate(functions):
+        assert abs(space.norm_sq(f) - want[a, a].real) <= 1e-14 * scale[a, a]
+        for b, g in enumerate(functions):
+            assert abs(space.inner_product(f, g) - want[a, b]) <= 1e-14 * scale[a, b]
+
+
+def test_reproduce_is_self_consistent_under_order_doubling():
+    """reproduce integrates a kernel section, no polynomial, on the
+    ``quad_order`` grid: orders 80 and 160 are two computations that agree."""
+    unit = UNITS["(1,1,0)"]
+    values = []
+    for order in (80, 160):
+        fock = FockSliceSpace(1.1, unit, order)
+        rbf = RBFSliceSpace(1.3, unit, order)
+        c2 = FockCSpace(0.9, 2, order)
+        draw = np.random.default_rng(32)
+        row = []
+        for _ in range(5):
+            f = random_series(draw, 8)
+            w = Quaternion(*draw.uniform(-1.5, 1.5, 4))
+            row += fock.reproduce(f, w).to_list()
+            row += rbf.reproduce(GaussSeries(1.3, f), w).to_list()
+            g = CPowerSeries(2, tuple((idx, complex(*draw.uniform(-1, 1, 2)))
+                                      for idx in multi_indices(2, 4)))
+            row.append(c2.reproduce(g, draw.uniform(-1.5, 1.5, 2)
+                                    + 1j * draw.uniform(-1.5, 1.5, 2)))
+        values.append(np.array(row))
+    lo, hi = values
+    assert np.abs(lo - hi).max() <= 1e-12 * (1.0 + np.abs(hi).max())
+    assert not np.array_equal(lo, hi)
+
+
 def test_slice_gram_of_nothing_is_empty():
     assert FockSliceSpace(1.0, quad_order=8).gram([]).shape == (0, 0, 4)
 
@@ -92,14 +211,16 @@ def test_reproduce_and_direct_route_match_reference(unit):
     fock = space._fock
     f, g = (GaussSeries(1.0, random_series(rng, d)) for d in (6, 12))
     w = Quaternion(0.3, -0.2, 0.4, 0.1)
-    kvals = qa.star_exp_grid(fock.nu, fock._xg, fock._yg, unit, w)
-    want = pair_integral_reference(fock, fock._grid_values(f.series), kvals)
+    x, y = fock.grid.x, fock.grid.y
+    kvals = qa.star_exp_grid(fock.nu, x, y, unit, w)
+    want = pair_integral_reference(fock, fock._grid_values(f.series, fock.grid),
+                                   kvals)
     got = fock.reproduce(f.series, w)
     assert np.abs(np.array(got.to_list()) - want).max() <= 1e-14 * np.abs(want).max()
 
-    comp = np.exp(-4.0 * fock._yg ** 2 + fock.nu * (fock._xg ** 2 + fock._yg ** 2))
-    vals_f = f.eval_slice_grid(fock._xg, fock._yg, unit)
-    vals_g = g.eval_slice_grid(fock._xg, fock._yg, unit)
+    comp = np.exp(-4.0 * y ** 2 + fock.nu * (x ** 2 + y ** 2))
+    vals_f = f.eval_slice_grid(x, y, unit)
+    vals_g = g.eval_slice_grid(x, y, unit)
     want = pair_integral_reference(fock, vals_f * comp[..., None], vals_g)
     got = space.inner_product_direct(f, g)
     scale = math.sqrt(space.norm_sq(f) * space.norm_sq(g))
@@ -168,22 +289,27 @@ def test_cd_gram_builds_one_table_and_matches_inner_products(dim, monkeypatch):
     order = 40 if dim == 1 else 16
     space = FockCSpace(1.5, dim, order)
     builds = []
-    powers = FockCSpace._powers
+    powers = spaces._powers
 
-    def counted(self, degree):
+    def counted(z, degree):
         builds.append(degree)
-        return powers(self, degree)
+        return powers(z, degree)
 
-    monkeypatch.setattr(FockCSpace, "_powers", counted)
+    monkeypatch.setattr(spaces, "_powers", counted)
+    spaces._moment_table.cache_clear()
     gram = space.gram(functions)
     assert builds == [9]
-    # the table is the one a space builds directly at that degree
-    assert np.array_equal(space._moments, FockCSpace(1.5, dim, order)._moment_table(9))
+    # every entry is its pair's sum on the Gram's one table, bit for bit,
+    # and the inner product on the table of the pair's own degree agrees
+    table = space._table(9, 18)
+    assert table.shape == (10, 10)
     for a, f in enumerate(functions):
         for b, g in enumerate(functions):
-            want = (space.inner_product(f, g) if a <= b
-                    else np.conj(space.inner_product(g, f)))
+            want = (space._pair_value(table, f, g) if a <= b
+                    else np.conj(space._pair_value(table, g, f)))
             assert gram[a, b] == want
+            scale = math.sqrt(gram[a, a].real * gram[b, b].real)
+            assert abs(gram[a, b] - space.inner_product(f, g)) <= 1e-14 * scale
 
 
 def quaternion_grid(rng, count, scale=1.5):

@@ -5,6 +5,7 @@ import pytest
 
 from rbffock import (I_DEFAULT, FockSliceSpace, ImaginaryUnit, QPowerSeries,
                      Quaternion, gauss_hermite, integrate_rd)
+from rbffock.quadrature import compensated_sum
 
 
 def gaussian_moment(k: int, nu: float) -> float:
@@ -159,3 +160,32 @@ class TestIntegrateRd:
         want = (gaussian_moment(2, 1.0) * gaussian_moment(4, 1.0)
                 * gaussian_moment(0, 1.0))
         assert val.real == pytest.approx(want, rel=1e-13)
+
+
+class TestLeadingAxes:
+    """Sums over the last axis keep leading (point) axes, and each row gets
+    the bits it gets alone."""
+
+    @pytest.mark.parametrize("size", [1, 6400, 65536, 65537, 140000])
+    def test_compensated_sum_rows_equal_one_dimensional_sums(self, size):
+        rng = np.random.default_rng(size)
+        values = rng.normal(size=(2, 3, size)) * 10.0 ** rng.integers(-8, 8, size)
+        sums = compensated_sum(values)
+        assert sums.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            one = compensated_sum(values[index])
+            assert isinstance(one, float)
+            assert sums[index] == one
+
+    def test_integrate_rd_over_points_equals_point_by_point(self):
+        rng = np.random.default_rng(3)
+        rule = gauss_hermite(20, 1.3)
+        tables = [rng.normal(size=(7, 4, 20)) + 1j * rng.normal(size=(7, 4, 20))
+                  for _ in range(2)]
+        terms = [((0, 1), 0.5 - 1j), ((3, 2), 2.0), ((1, 1), -1j)]
+        values = integrate_rd(rule.weights, tables, terms)
+        assert values.shape == (7,)
+        for i in range(7):
+            one = integrate_rd(rule.weights, [t[i] for t in tables], terms)
+            assert isinstance(one, complex)
+            assert values[i] == one

@@ -309,3 +309,13 @@ def test_gram_refuses_pairs_beyond_quadrature_exactness(space):
         space.inner_product(f, f)
     with pytest.raises(ValueError, match="combined integrand degree"):
         space.gram([f])
+
+
+def test_cd_gram_refuses_pairs_beyond_quadrature_exactness():
+    # z^10 paired with itself has degree 20 > 2*8 - 1
+    f = CPowerSeries(1, (((10,), 1.0),))
+    space = FockCSpace(1.0, 1, 8)
+    with pytest.raises(ValueError, match="combined integrand degree"):
+        space.inner_product(f, f)
+    with pytest.raises(ValueError, match="combined integrand degree"):
+        space.gram([f])

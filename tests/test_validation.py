@@ -6,6 +6,7 @@ with a non-finite component are refused too, naming the point."""
 
 import json
 import math
+import re
 
 import pytest
 
@@ -200,6 +201,17 @@ def test_transform_overflow_names_the_point(target):
         TRANSFORM_OVERFLOW_CALLS[target]()
 
 
+@pytest.mark.filterwarnings("error")
+def test_c2_quadrature_refusal_names_the_point_not_its_block():
+    # the quadrature route sums a block of points at once; the refusal
+    # still names the one point of the block whose value overflows
+    phi = HermiteCoeffFunctionD(1.0, 2, (((1, 0), 1.0), ((0, 2), 0.5)))
+    points = [[0.5, 0.1j], [0.3, 40j], [0.2, 0.2]]
+    with pytest.raises(OverflowError, match=re.escape(
+            "the transform value at point [(0.3+0j), 40j] is not finite")):
+        rbf_sb_transform_d(1.0, 2, phi, points)
+
+
 # a finite point whose series value leaves double range names the point
 SERIES_OVERFLOW_CALLS = {
     "QPowerSeries.eval": lambda: QPowerSeries((0.0, 0.0, 1.0)).eval(
@@ -240,6 +252,10 @@ SILENT_OVERFLOW_CALLS = {
         (1.0,))).eval_slice_grid([0.0], [30.0], I_DEFAULT),
         r"series value on a slice with unit=\[0.0, 1.0, 0.0, 0.0\] "
         r"at point \[30j\]"),
+    "QPowerSeries.eval_slice_grid": (lambda: QPowerSeries(
+        (0.0, 0.0, 1.0)).eval_slice_grid([1e200], [0.0], I_DEFAULT),
+        r"series value on a slice with unit=\[0.0, 1.0, 0.0, 0.0\] "
+        r"at point \[\(1e\+200\+0j\)\]"),
     "RBFSliceSpace.reproduce": (lambda: RBFSliceSpace(1.0).reproduce(
         GaussSeries(1.0, QPowerSeries((1.0,))), Quaternion(0, 25, 0, 0)),
         r"value at point \[0.0, 25.0, 0.0, 0.0\]"),
