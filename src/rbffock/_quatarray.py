@@ -2,7 +2,9 @@
 
 Internal helpers used by the quadrature and function-space code.  The last
 axis holds the components (w, x, y, z); slice grids are embedded from their
-(x, y) coordinates and a unit imaginary quaternion.
+(x, y) coordinates and a unit imaginary quaternion.  Points are decomposed
+into slices by the per-point rule of ``hypercomplex.slice_parts``, mapped
+over the rows (``slice_decompose_arr``).
 
 Series are evaluated on a slice C_I by the splitting lemma (Gentili and
 Struppa, Adv. Math. 216, 2007): with J orthogonal to I and K = IJ, each
@@ -14,13 +16,13 @@ and F2 = sum z^n B_n.  ``split_horner`` evaluates the pair (F1, F2) and
 
 from __future__ import annotations
 
+import itertools
 import math
-import sys
 
 import numpy as np
 
 from ._checks import finite_points
-from .hypercomplex import ImaginaryUnit, Quaternion, star_exp_on_slice
+from .hypercomplex import ImaginaryUnit, Quaternion, slice_parts, star_exp_on_slice
 
 CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -41,41 +43,24 @@ def qconj(a: np.ndarray) -> np.ndarray:
     return a * CONJ_SIGNS
 
 
-def _hypot_rows(v: np.ndarray) -> np.ndarray:
-    """math.hypot of each row of v, shape (..., 3) -> (...)."""
-    rows = v.reshape(-1, 3).T.tolist()
-    return np.fromiter(map(math.hypot, *rows), float,
-                       len(rows[0])).reshape(v.shape[:-1])
-
-
 def slice_decompose_arr(q: np.ndarray):
     """``hypercomplex.slice_decompose`` of every point of q, shape (..., 4).
 
-    Returns x, y of shape (...) and the units, shape (..., 3), equal bit
-    for bit to the scalar form: y is math.hypot of the vector part, a real
-    point gets y = 0 and the unit i, and a subnormal vector part is scaled
-    by 2^600 before it is normalized.  Raises ValueError naming the first
-    point with a non-finite component or a vector part whose norm leaves
-    double range.
+    Returns x, y of shape (...) and the units, shape (..., 3), by the one
+    per-point rule ``hypercomplex.slice_parts``.  Raises ValueError naming
+    the first point with a non-finite component or a vector part whose
+    norm leaves double range.
     """
     q = np.asarray(q, dtype=float)
     finite_points(q)
-    vec = q[..., 1:]
-    y = _hypot_rows(vec)
+    vec = q[..., 1:].reshape(-1, 3).tolist()
+    parts = np.fromiter(itertools.starmap(slice_parts, vec),
+                        np.dtype((float, 4)), len(vec)).reshape(q.shape)
+    y = parts[..., 0]
     if (y == math.inf).any():
         raise ValueError(f"the vector part of {q[y == math.inf][0].tolist()} "
                          "has a norm beyond double range")
-    # subnormal parts carry too few bits for a unit of norm 1; scaling by a
-    # power of two is exact
-    real = y == 0.0
-    tiny = ~real & (y < sys.float_info.min)
-    vec = vec.copy()
-    vec[tiny] *= 2.0 ** 600
-    norm = np.where(real, 1.0, y)
-    norm[tiny] = _hypot_rows(vec[tiny])
-    units = vec / norm[..., None]
-    units[real] = (1.0, 0.0, 0.0)
-    return q[..., 0], y, units
+    return q[..., 0], y, parts[..., 1:]
 
 
 def slice_frame(unit: ImaginaryUnit) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 from ._checks import finite_points, finite_values, positive_finite
 from .hypercomplex import Quaternion, embed_in_slice, slice_decompose
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
-                     multi_factorial, multi_order)
+                     multi_index)
 
 __all__ = [
     "hermite_h",
@@ -96,11 +96,19 @@ def hermite_psi(nu: float, n: int, x):
     return vals if np.ndim(vals) else float(vals)
 
 
-def rbf_basis_coeff(gamma: float, n: int) -> float:
-    """Normalization sqrt(2^n / (gamma^{2n} n!)), computed in log space."""
+def basis_coeff(log_nu: float, index: Sequence[int]) -> float:
+    """sqrt(nu^|n| / n!) for a multi-index n, in log space from log nu (nu
+    itself may leave double range): the Fock and RBF basis normalization."""
+    return math.exp(0.5 * (sum(index) * log_nu
+                           - sum([math.lgamma(n + 1) for n in index])))
+
+
+def rbf_basis_coeff(gamma: float, n) -> float:
+    """Normalization sqrt(2^|n| / (gamma^{2|n|} n!)) of e_n for an order n,
+    or a multi-index n given as a tuple, from log nu = log 2 - 2 log gamma."""
     positive_finite("gamma", gamma)
-    return math.exp(0.5 * (n * math.log(2.0) - 2.0 * n * math.log(gamma)
-                           - math.lgamma(n + 1)))
+    return basis_coeff(math.log(2.0) - 2.0 * math.log(gamma),
+                       n if isinstance(n, tuple) else (n,))
 
 
 def rbf_basis_c(gamma: float, n: int, z: complex) -> complex:
@@ -138,8 +146,6 @@ def rbf_basis_series(gamma: float, n: int) -> GaussSeries:
 
 
 def rbf_basis_series_d(gamma: float, index: Sequence[int]) -> GaussCSeries:
-    index = tuple(int(n) for n in index)
-    c = math.exp(0.5 * (multi_order(index) * math.log(2.0)
-                        - 2.0 * multi_order(index) * math.log(gamma)
-                        - math.log(multi_factorial(index))))
-    return GaussCSeries(gamma, CPowerSeries(len(index), ((index, c),)))
+    index = multi_index(index, len(index))
+    return GaussCSeries(gamma, CPowerSeries(len(index), (
+        (index, rbf_basis_coeff(gamma, index)),)))

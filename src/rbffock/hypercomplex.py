@@ -8,6 +8,9 @@ envelopes) is evaluated by ordinary complex arithmetic on the slice and
 re-embedded.  The star exponential of two points on different slices is
 likewise a fixed combination of two complex exponentials.
 
+The slice decomposition of one point (``slice_parts``) and the envelope
+exponent -q^2/gamma^2 (``envelope_exponent``) are written once, here.
+
 All values here are immutable; operations are pure functions.
 """
 
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import finite_values, positive_finite
+from .quadrature import _complex_of
 
 __all__ = [
     "Quaternion",
@@ -74,9 +78,6 @@ class Quaternion:
     def vec_norm(self) -> float:
         """Length of the imaginary (vector) part."""
         return math.hypot(self.x, self.y, self.z)
-
-    def is_real(self) -> bool:
-        return self.x == 0.0 and self.y == 0.0 and self.z == 0.0
 
     def __add__(self, other):
         if isinstance(other, Quaternion):
@@ -165,9 +166,6 @@ class ImaginaryUnit:
     def from_list(cls, items) -> "ImaginaryUnit":
         return cls.from_quaternion(Quaternion.from_list(items))
 
-    def as_quaternion(self) -> Quaternion:
-        return Quaternion(0.0, self.x, self.y, self.z)
-
     def to_list(self) -> list[float]:
         return [0.0, self.x, self.y, self.z]
 
@@ -186,34 +184,41 @@ class SlicePoint:
     x: float
     y: float
     unit: ImaginaryUnit
-    degenerate: bool = False
 
     def to_quaternion(self) -> Quaternion:
         u = self.unit
         return Quaternion(self.x, u.x * self.y, u.y * self.y, u.z * self.y)
 
 
+def slice_parts(x: float, y: float, z: float) -> tuple[float, ...]:
+    """(v, I) with v I = x i + y j + z k, as four floats: v is math.hypot
+    of the parts and I = i for v = 0.  A v that is not finite (a part that
+    is not, or a norm beyond double range) is for the caller to refuse."""
+    v = math.hypot(x, y, z)
+    if v == 0.0:
+        return v, 1.0, 0.0, 0.0
+    if v < sys.float_info.min:
+        # subnormal parts carry too few bits for a unit of norm 1; scaling
+        # by a power of two is exact, and leaves the unit to normalize
+        return (v,) + slice_parts(x * 2.0 ** 600, y * 2.0 ** 600,
+                                  z * 2.0 ** 600)[1:]
+    return v, x / v, y / v, z / v
+
+
 def slice_decompose(q: Quaternion) -> SlicePoint:
     """Write q as x + I*y with y > 0 and I a unit imaginary quaternion.
 
-    A real quaternion lies on every slice; it is returned with y = 0, the
-    default unit i, and the ``degenerate`` flag set.  A quaternion with a
-    non-finite component lies on no slice; it raises ValueError.
+    A real quaternion lies on every slice; it is returned with y = 0 and
+    the default unit i.  A quaternion with a non-finite component, or a
+    vector part whose norm leaves double range, raises ValueError.
     """
-    if not all(map(math.isfinite, (q.w, q.x, q.y, q.z))):
-        raise ValueError(f"cannot decompose the non-finite quaternion {q}")
-    v = math.hypot(q.x, q.y, q.z)
-    if v == math.inf:
+    v, ux, uy, uz = slice_parts(q.x, q.y, q.z)
+    # a NaN or infinite component leaves w or v not finite
+    if not (math.isfinite(q.w) and v < math.inf):
+        if not all(map(math.isfinite, (q.w, q.x, q.y, q.z))):
+            raise ValueError(f"cannot decompose the non-finite quaternion {q}")
         raise ValueError(f"the vector part of {q} has a norm beyond double range")
-    if v == 0.0:
-        return SlicePoint(q.w, 0.0, I_DEFAULT, degenerate=True)
-    x, y, z = q.x, q.y, q.z
-    if v < sys.float_info.min:
-        # subnormal parts carry too few bits for a unit of norm 1; scaling
-        # by a power of two is exact
-        x, y, z = x * 2.0 ** 600, y * 2.0 ** 600, z * 2.0 ** 600
-    n = math.hypot(x, y, z)
-    return SlicePoint(q.w, v, ImaginaryUnit(x / n, y / n, z / n))
+    return SlicePoint(q.w, v, ImaginaryUnit(ux, uy, uz))
 
 
 def embed_in_slice(value: complex, unit: ImaginaryUnit) -> Quaternion:
@@ -222,24 +227,27 @@ def embed_in_slice(value: complex, unit: ImaginaryUnit) -> Quaternion:
                       unit.y * value.imag, unit.z * value.imag)
 
 
-def intrinsic_exp_sq(gamma: float, q: Quaternion, sign: int = -1) -> Quaternion:
-    """exp(sign * q**2 / gamma**2), evaluated on the slice of q.
+def envelope_exponent(gamma: float, x, y):
+    """-(x + iy)^2/gamma^2, a complex for floats x, y, else an array: by
+    components, as complex arithmetic rounds them, but without the NaN it
+    makes of 0 * inf."""
+    g2 = float(gamma) * float(gamma)
+    re, im = -(x * x - y * y) / g2, -2.0 * x * y / g2
+    return complex(re, im) if isinstance(re, float) else _complex_of(re, im)
+
+
+def intrinsic_exp_sq(gamma: float, q: Quaternion) -> Quaternion:
+    """exp(-q**2 / gamma**2), evaluated on the slice of q.
 
     The result has real series coefficients (it is intrinsic), hence
     commutes with every quaternion on the same slice.  Raises
     OverflowError, naming gamma and q, when the value is not finite.
     """
     positive_finite("gamma", gamma)
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
     sp = slice_decompose(q)
-    x, y, g2 = sp.x, sp.y, float(gamma) * float(gamma)
-    # sign*(x + iy)^2/gamma^2 by components, as complex arithmetic rounds
-    # them, but without the NaN it makes of 0 * inf
     value = finite_values(
-        "exp(-q^2/gamma^2)" if sign < 0 else "exp(+q^2/gamma^2)",
-        lambda: cmath.exp(complex(sign * (x * x - y * y) / g2,
-                                  sign * 2.0 * x * y / g2)),
+        "exp(-q^2/gamma^2)",
+        lambda: cmath.exp(envelope_exponent(gamma, sp.x, sp.y)),
         q, numpy=False, gamma=gamma)
     return embed_in_slice(value, sp.unit)
 

@@ -118,9 +118,9 @@ def rbf_kernel_qslice(gamma: float, q: Quaternion, p: Quaternion) -> Quaternion:
     value exp(4 y^2 / gamma^2).
     """
     nu = nu_from_gamma(gamma)
-    left = intrinsic_exp_sq(gamma, q, -1)
+    left = intrinsic_exp_sq(gamma, q)
     mid = star_exp(nu, q, p)
-    right = intrinsic_exp_sq(gamma, p.conjugate(), -1)
+    right = intrinsic_exp_sq(gamma, p.conjugate())
     return finite_values("the rbf-qslice kernel value",
                          lambda: (left * mid) * right, [q, p], numpy=False,
                          gamma=gamma)

@@ -107,6 +107,17 @@ def gauss_hermite(order: int, nu: float = 1.0) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, order=order, nu=nu)
 
 
+def exact_order(degree: int, quad_order: int,
+                what: str = "combined integrand degree") -> int:
+    """The smallest rule order exact to ``degree`` (an m-point rule is
+    exact to 2m - 1); raises ValueError, naming ``what``, when the rule of
+    ``quad_order`` is not."""
+    if degree > 2 * quad_order - 1:
+        raise ValueError(f"{what} {degree} exceeds quadrature exactness "
+                         f"{2 * quad_order - 1}; raise quad_order")
+    return degree // 2 + 1
+
+
 def compensated_sum(values: np.ndarray):
     """Deterministic compensated reduction of the last axis.
 

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import _quatarray as qa
 from ._checks import finite_points, finite_values, positive_finite
-from .hypercomplex import ImaginaryUnit, Quaternion, intrinsic_exp_sq
+from .hypercomplex import (ImaginaryUnit, Quaternion, envelope_exponent,
+                           intrinsic_exp_sq)
 
 __all__ = [
     "DEGREE_CAP",
@@ -87,14 +88,8 @@ class QPowerSeries:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, n: int) -> Quaternion:
-        return self.coeffs[n] if n < len(self.coeffs) else _ZERO
-
     def has_real_coeffs(self) -> bool:
         return all(c.x == 0.0 and c.y == 0.0 and c.z == 0.0 for c in self.coeffs)
-
-    def truncated(self, degree: int) -> "QPowerSeries":
-        return QPowerSeries(self.coeffs[:degree + 1])
 
     def eval(self, q: Quaternion) -> Quaternion:
         """Value at q by the left Horner step acc = a + q acc; raises
@@ -127,9 +122,6 @@ class QPowerSeries:
                              lambda: qa.horner_slice(self.coeffs, x, y, unit),
                              points, unit=unit)
 
-    def to_json(self) -> dict:
-        return {"coeffs": [c.to_list() for c in self.coeffs]}
-
     @classmethod
     def from_json(cls, data: dict) -> "QPowerSeries":
         return cls(tuple(Quaternion.from_list(c) for c in data["coeffs"]))
@@ -145,12 +137,8 @@ class GaussSeries:
     def __post_init__(self) -> None:
         positive_finite("gamma", self.gamma)
 
-    @property
-    def degree(self) -> int:
-        return self.series.degree
-
     def eval(self, q: Quaternion) -> Quaternion:
-        env, value = intrinsic_exp_sq(self.gamma, q, -1), self.series.eval(q)
+        env, value = intrinsic_exp_sq(self.gamma, q), self.series.eval(q)
         return finite_values("the series value", lambda: env * value, q,
                              numpy=False)
 
@@ -159,9 +147,10 @@ class GaussSeries:
         in C_unit and multiplies from the left, so it scales both complex
         parts F1, F2 of the series (``_quatarray.split_horner``).  Raises
         OverflowError naming the first point whose value is not finite."""
-        z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        z = x + 1j * y
         return finite_values("the series value on a slice", lambda: qa.join_pair(
-            np.exp(-(z * z) / (self.gamma * self.gamma))
+            np.exp(envelope_exponent(self.gamma, x, y))
             * qa.split_horner(self.series.coeffs, z, unit), unit),
             z[..., None], unit=unit)
 
@@ -185,6 +174,28 @@ def multi_factorial(index: Sequence[int]) -> int:
     for n in index:
         out *= math.factorial(n)
     return out
+
+
+def multi_index(index, dim: int) -> tuple[int, ...]:
+    """index as a tuple of ints; raises ValueError naming it unless it has
+    ``dim`` entries, each a whole number >= 0."""
+    try:
+        index = tuple(index)
+        cleaned = tuple(map(int, index))
+    except (TypeError, ValueError, OverflowError):
+        cleaned = None
+    if (cleaned is None or len(cleaned) != dim
+            or any(n < 0 or n != m for n, m in zip(cleaned, index))):
+        raise ValueError(f"bad multi-index {index!r} for dimension {dim}")
+    return cleaned
+
+
+def multi_index_terms(terms, dim: int) -> tuple:
+    """Pairs (multi-index, coefficient) checked by ``multi_index``, with
+    complex coefficients, in graded order."""
+    return tuple(sorted(((multi_index(index, dim), complex(coeff))
+                         for index, coeff in terms),
+                        key=lambda t: (multi_order(t[0]), t[0])))
 
 
 def multi_indices(dim: int, max_order: int) -> Iterator[tuple[int, ...]]:
@@ -211,26 +222,11 @@ class CPowerSeries:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dimension must be at least 1")
-        cleaned = []
-        for index, coeff in self.terms:
-            index = tuple(int(n) for n in index)
-            if len(index) != self.dim or any(n < 0 for n in index):
-                raise ValueError(f"bad multi-index {index} for dimension {self.dim}")
-            cleaned.append((index, complex(coeff)))
-        cleaned.sort(key=lambda t: (multi_order(t[0]), t[0]))
-        object.__setattr__(self, "terms", tuple(cleaned))
-
-    @classmethod
-    def from_dict(cls, dim: int, coeffs: dict) -> "CPowerSeries":
-        return cls(dim, tuple(coeffs.items()))
+        object.__setattr__(self, "terms", multi_index_terms(self.terms, self.dim))
 
     @property
     def max_axis_degree(self) -> int:
         return max((max(idx) for idx, _ in self.terms), default=0)
-
-    @property
-    def degree(self) -> int:
-        return max((multi_order(idx) for idx, _ in self.terms), default=0)
 
     def eval(self, z: Sequence[complex]) -> complex:
         return complex(self.eval_points(np.reshape(z, (1, self.dim)))[0])

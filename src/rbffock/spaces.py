@@ -25,10 +25,10 @@ import numpy as np
 from . import _quatarray as qa
 from ._checks import finite_points, finite_values, nu_from_gamma, positive_finite
 from .hypercomplex import (I_DEFAULT, ImaginaryUnit, Quaternion, SlicePoint,
-                           intrinsic_exp_sq, star_exp)
-from .kernels import fock_kernel_d, rbf_kernel_d, rbf_kernel_qslice
+                           intrinsic_exp_sq)
 from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, axis_moments,
-                         gauss_hermite, integrate_rd, separable_sum)
+                         exact_order, gauss_hermite, integrate_rd,
+                         separable_sum)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      beta_coeffs)
 
@@ -68,15 +68,6 @@ class _Grid(NamedTuple):
     root_w: np.ndarray
 
 
-def _exact_order(degree: int, quad_order: int) -> int:
-    """The smallest rule order exact for an integrand of ``degree``;
-    refuses one beyond the exactness of ``quad_order``."""
-    if degree > 2 * quad_order - 1:
-        raise ValueError("combined integrand degree exceeds quadrature "
-                         "exactness; raise quad_order")
-    return degree // 2 + 1
-
-
 @functools.lru_cache(maxsize=32)
 def _grid(order: int, nu: float) -> _Grid:
     """Built once per (order, nu) and shared, so its arrays are read-only."""
@@ -114,10 +105,7 @@ class FockSliceSpace:
 
     def _grid_values(self, f, grid: _Grid) -> np.ndarray:
         f = _slice_series(f)
-        if f.degree > 2 * self.quad_order - 1:
-            raise ValueError(
-                f"series degree {f.degree} exceeds quadrature exactness "
-                f"{2 * self.quad_order - 1}; raise quad_order")
+        exact_order(f.degree, self.quad_order, "series degree")
         return f.eval_slice_grid(grid.x, grid.y, self.unit)
 
     @staticmethod
@@ -150,7 +138,7 @@ class FockSliceSpace:
     def inner_product(self, f, g) -> Quaternion:
         """<f, g> = (nu/pi) * integral conj(g) f exp(-nu|q|^2)."""
         f, g = _slice_series(f), _slice_series(g)
-        grid = _grid(_exact_order(f.degree + g.degree, self.quad_order), self.nu)
+        grid = _grid(exact_order(f.degree + g.degree, self.quad_order), self.nu)
         F = self._series_stack(grid, [f])
         G = F if g is f else self._series_stack(grid, [g])
         return Quaternion(*self._pair_integral(F, G)[0, 0])
@@ -163,12 +151,9 @@ class FockSliceSpace:
         on the grid of the highest degree + 1."""
         functions = [_slice_series(f) for f in functions]
         degree = max((f.degree for f in functions), default=0)
-        grid = _grid(_exact_order(2 * degree, self.quad_order), self.nu)
+        grid = _grid(exact_order(2 * degree, self.quad_order), self.nu)
         F = self._series_stack(grid, functions)
         return self._pair_integral(F, F)
-
-    def kernel(self, q: Quaternion, p: Quaternion) -> Quaternion:
-        return star_exp(self.nu, q, p)
 
     def reproduce(self, f, w: Quaternion) -> Quaternion:
         """Evaluate <f, K_w> by quadrature on the ``quad_order`` grid; equals
@@ -233,16 +218,13 @@ class RBFSliceSpace:
     def gram(self, functions: Sequence) -> np.ndarray:
         return self._fock.gram([self._require_member(f).series for f in functions])
 
-    def kernel(self, q: Quaternion, p: Quaternion) -> Quaternion:
-        return rbf_kernel_qslice(self.gamma, q, p)
-
     def reproduce(self, f, w: Quaternion) -> Quaternion:
         """<f, K_w> by Fock-side quadrature; equals f(w) for members."""
         f = self._require_member(f)
         # the stripped kernel section star_exp(q, w) exp(-conj(w)^2/g^2) has
         # a constant right factor; it leaves the integral as its conjugate
         # exp(-w^2/g^2), on the left since the envelope is intrinsic
-        env = intrinsic_exp_sq(self.gamma, w, -1)
+        env = intrinsic_exp_sq(self.gamma, w)
         value = self._fock.reproduce(f.series, w)
         return finite_values("the reproduced value", lambda: env * value, w,
                              numpy=False)
@@ -289,13 +271,14 @@ class FockCSpace:
             raise ValueError("dimension must be at least 1")
         self.alpha = alpha
         self.dim = dim
-        self.quad_order = quad_order or (DEFAULT_QUAD_ORDER if dim == 1 else 32)
+        self.quad_order = (quad_order if quad_order is not None
+                           else DEFAULT_QUAD_ORDER if dim == 1 else 32)
         self.rule = gauss_hermite(self.quad_order, alpha)
 
     def _table(self, degree: int, pair_degree: int) -> np.ndarray:
         """The moment table of ``degree`` for an integrand of
         ``pair_degree``, which the rule of ``quad_order`` must integrate."""
-        _exact_order(pair_degree, self.quad_order)
+        exact_order(pair_degree, self.quad_order)
         return _moment_table(self.alpha, min(self.quad_order, degree + 1), degree)
 
     def _pair_value(self, table: np.ndarray, f, g) -> complex:
@@ -327,9 +310,6 @@ class FockCSpace:
             ip = self._pair_value(table, functions[a], functions[b])
             out[b, a], out[a, b] = np.conj(ip), ip
         return out
-
-    def kernel(self, z, w) -> complex:
-        return fock_kernel_d(self.alpha, z, w)
 
     def reproduce(self, f, w: Sequence[complex]) -> complex:
         """<f, K_w> on the ``quad_order`` grid: per coordinate, the table
@@ -376,9 +356,6 @@ class RBFCSpace:
     def gram(self, functions: Sequence) -> np.ndarray:
         return self._fock.gram([self._require_member(f).series
                                 for f in functions])
-
-    def kernel(self, z, w) -> complex:
-        return rbf_kernel_d(self.gamma, z, w)
 
     def reproduce(self, f, w: Sequence[complex]) -> complex:
         # the Fock side checks w before the envelope is formed from it

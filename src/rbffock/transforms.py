@@ -27,12 +27,14 @@ import numpy as np
 
 from . import _quatarray as qa
 from ._checks import finite_points, finite_values, nu_from_gamma, positive_finite
-from .bases import hermite_psi_all
-from .hypercomplex import Quaternion, embed_in_slice, slice_decompose
+from .bases import basis_coeff, hermite_psi_all
+from .hypercomplex import (Quaternion, embed_in_slice, envelope_exponent,
+                           slice_decompose)
 from .kernels import NORMALIZATIONS
-from .quadrature import DEFAULT_QUAD_ORDER, gauss_hermite, integrate_rd
+from .quadrature import (DEFAULT_QUAD_ORDER, exact_order, gauss_hermite,
+                         integrate_rd)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
-                     multi_factorial, multi_order)
+                     multi_index_terms)
 
 __all__ = [
     "HermiteCoeffFunction",
@@ -86,14 +88,6 @@ class HermiteCoeffFunction:
         cmat = np.array([c.to_list() for c in self.coeffs])
         return np.einsum("nm,nc->mc", psis, cmat)
 
-    def to_json(self) -> dict:
-        return {"nu": self.nu, "coeffs": [c.to_list() for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HermiteCoeffFunction":
-        return cls(float(data["nu"]),
-                   tuple(Quaternion.from_list(c) for c in data["coeffs"]))
-
 
 def hermite_basis_l2(nu: float, n: int) -> HermiteCoeffFunction:
     """The basis function psi_n itself, as a coefficient vector."""
@@ -111,13 +105,7 @@ class HermiteCoeffFunctionD:
 
     def __post_init__(self) -> None:
         positive_finite("nu", self.nu)
-        cleaned = tuple((tuple(int(i) for i in idx), complex(c))
-                        for idx, c in self.terms)
-        for idx, _ in cleaned:
-            if len(idx) != self.dim:
-                raise ValueError(f"index {idx} has wrong length for dim={self.dim}")
-        object.__setattr__(self, "terms", tuple(sorted(
-            cleaned, key=lambda t: (multi_order(t[0]), t[0]))))
+        object.__setattr__(self, "terms", multi_index_terms(self.terms, self.dim))
 
     def norm_sq(self) -> float:
         return math.fsum(abs(c) ** 2 for _, c in self.terms)
@@ -189,11 +177,9 @@ def sb_image_series(nu: float, phi: HermiteCoeffFunction,
     if phi.nu != nu:
         raise ValueError("coefficient basis scale must match the transform")
     extra = math.sqrt(nu / math.pi) if normalization == "literal" else 1.0
-    coeffs = []
-    for n, c in enumerate(phi.coeffs):
-        scale = extra * math.exp(0.5 * (n * math.log(nu) - math.lgamma(n + 1)))
-        coeffs.append(c * scale)
-    return QPowerSeries(tuple(coeffs))
+    log_nu = math.log(nu)
+    return QPowerSeries(tuple(c * (extra * basis_coeff(log_nu, (n,)))
+                              for n, c in enumerate(phi.coeffs)))
 
 
 def _sb_quadrature(nu: float, phi: HermiteCoeffFunction, q: np.ndarray,
@@ -260,9 +246,7 @@ def sb_transform(nu: float, phi, q, normalization: str = "unitary",
 
     if not isinstance(phi, HermiteCoeffFunction):
         raise TypeError("quadrature path needs HermiteCoeffFunction")
-    if 2 * quad_order - 1 < phi.degree:
-        raise ValueError("Hermite degree exceeds quadrature exactness; "
-                         "raise quad_order")
+    exact_order(phi.degree, quad_order, "Hermite degree")
     return _like(q, finite_values("the transform value", lambda: _sb_quadrature(
         nu, phi, points, normalization, quad_order), points))
 
@@ -296,14 +280,9 @@ def rbf_sb_image_series(gamma: float, phi: HermiteCoeffFunction,
 
 
 def _envelope(gamma: float, q: np.ndarray) -> np.ndarray:
-    """exp(-q^2/gamma^2) at points q (..., 4), by the components
-    ``hypercomplex.intrinsic_exp_sq`` forms on the slice of each point."""
+    """exp(-q^2/gamma^2) at points q (..., 4), on the slice of each point."""
     x, y, units = qa.slice_decompose_arr(q)
-    g2 = gamma * gamma
-    exponent = np.empty(x.shape, dtype=complex)
-    exponent.real = -(x * x - y * y) / g2
-    exponent.imag = -2.0 * x * y / g2
-    value = np.exp(exponent)
+    value = np.exp(envelope_exponent(gamma, x, y))
     return np.concatenate([value.real[..., None],
                            units * value.imag[..., None]], axis=-1)
 
@@ -352,12 +331,9 @@ def rbf_sb_image_series_d(gamma: float,
     nu = nu_from_gamma(gamma)
     if phi.nu != nu:
         raise ValueError("coefficient basis scale must match 2/gamma^2")
-    terms = []
-    for idx, c in phi.terms:
-        scale = math.exp(0.5 * (multi_order(idx) * math.log(nu)
-                                - math.log(multi_factorial(idx))))
-        terms.append((idx, c * scale))
-    return GaussCSeries(gamma, CPowerSeries(phi.dim, tuple(terms)))
+    log_nu = math.log(nu)
+    return GaussCSeries(gamma, CPowerSeries(phi.dim, tuple(
+        (idx, c * basis_coeff(log_nu, idx)) for idx, c in phi.terms)))
 
 
 def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",

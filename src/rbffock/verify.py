@@ -359,8 +359,8 @@ def crit_sb_kernel_match(cfg: VerifyConfig) -> list[CheckResult]:
         q = _random_quaternion(rng, 1.2)
         x = rng.uniform(-2.0, 2.0)
         lhs = rbf_sb_kernel(gamma, q, x, cfg.normalization)
-        rhs = intrinsic_exp_sq(gamma, q, -1) * sb_kernel(nu, q, x,
-                                                         cfg.normalization)
+        rhs = intrinsic_exp_sq(gamma, q) * sb_kernel(nu, q, x,
+                                                     cfg.normalization)
         worst_match = np.maximum(worst_match, abs(lhs - rhs) / (1.0 + abs(lhs)))
 
     worst_series = 0.0

@@ -399,7 +399,7 @@ def test_quaternion_transforms_match_per_point_reference(route, normalization):
         else:
             want = sb_quadrature_reference(nu, phi, point, normalization, 40)
         assert np.abs(fock[i] - want.to_list()).max() <= fock_tol
-        want = intrinsic_exp_sq(gamma, point, -1) * want
+        want = intrinsic_exp_sq(gamma, point) * want
         assert np.abs(rbf[i] - want.to_list()).max() <= rbf_tol
         one = rbf_sb_transform(gamma, phi, point, normalization, route, 40)
         assert np.abs(rbf[i] - one.to_list()).max() <= rbf_tol

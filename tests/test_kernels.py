@@ -123,7 +123,7 @@ class TestQuaternionicKernel:
     def test_p_zero_leaves_envelope(self):
         q = Quaternion(0.3, 0.1, -0.8, 0.2)
         assert_qclose(rbf_kernel_qslice(1.5, q, Quaternion(0, 0, 0, 0)),
-                      intrinsic_exp_sq(1.5, q, -1), tol=1e-15)
+                      intrinsic_exp_sq(1.5, q), tol=1e-15)
 
     def test_slice_reduction_to_complex_kernel(self):
         rng = np.random.default_rng(12)

@@ -33,7 +33,7 @@ class TestQPowerSeries:
         # tail of exp(-z^2) past degree 8: geometric-dominated factorial tail
         t = abs(q) ** 2
         tail = (t ** 5 / math.factorial(5)) / (1.0 - t / 6.0)
-        exact = intrinsic_exp_sq(gamma, q, -1)
+        exact = intrinsic_exp_sq(gamma, q)
         assert abs(f.eval(q) - exact) <= tail
 
     def test_grid_eval_matches_scalar(self):

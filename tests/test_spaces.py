@@ -10,7 +10,7 @@ from rbffock import (FockCSpace, FockSliceSpace, GaussSeries, ImaginaryUnit,
                      SlicePoint, intrinsic_exp_sq, m_operator,
                      pointwise_bound_check, rbf_basis_series,
                      rbf_basis_series_d, rbf_kernel_qslice,
-                     slice_independence_check, star_exp)
+                     slice_independence_check)
 from rbffock.series import CPowerSeries, GaussCSeries
 
 UNIT_I = ImaginaryUnit(1.0, 0.0, 0.0)
@@ -42,12 +42,6 @@ class TestFockSliceSpace:
             expected = f.eval(w)
             got = space.reproduce(f, w)
             assert abs(got - expected) <= 1e-7 * (1 + abs(expected))
-
-    def test_kernel_is_star_exponential(self):
-        space = FockSliceSpace(1.5, UNIT_I)
-        q = Quaternion(0.2, 0.4, 0, 0)
-        p = Quaternion(0.1, 0, -0.3, 0)
-        assert space.kernel(q, p) == star_exp(1.5, q, p)
 
     def test_enveloped_series_refused(self):
         # the envelope breaks the series' degree certificate, and the
@@ -125,7 +119,7 @@ class TestRBFSliceSpace:
         rng = np.random.default_rng(24)
 
         def kernel_section(q):
-            tail = intrinsic_exp_sq(gamma, q.conjugate(), -1)
+            tail = intrinsic_exp_sq(gamma, q.conjugate())
             coeffs = []
             power = Quaternion.from_real(1.0)
             for n in range(64 + 1):
@@ -227,7 +221,7 @@ class TestBoundAndSliceChecks:
         gamma = 1.0
         nu = 2.0
         p = SlicePoint(0.4, 0.8, UNIT_I).to_quaternion()
-        tail = intrinsic_exp_sq(gamma, p.conjugate(), -1)
+        tail = intrinsic_exp_sq(gamma, p.conjugate())
         coeffs = []
         power = Quaternion.from_real(1.0)
         for n in range(64 + 1):

@@ -122,7 +122,7 @@ class TestRBFSBKernel:
                 q = random_quaternion(rng, 1.2)
                 x = rng.uniform(-2, 2)
                 lhs = rbf_sb_kernel(gamma, q, x, norm)
-                rhs = intrinsic_exp_sq(gamma, q, -1) * sb_kernel(
+                rhs = intrinsic_exp_sq(gamma, q) * sb_kernel(
                     2.0 / gamma ** 2, q, x, norm)
                 assert abs(lhs - rhs) <= 1e-13 * (1 + abs(lhs))
 
@@ -152,7 +152,7 @@ class TestRBFSBTransform:
         gamma = 1.0
         q = Quaternion(0.3, 0.0, 0.7, 0.0)
         got = rbf_sb_transform(gamma, hermite_basis_l2(2.0, 0), q)
-        assert_qclose(got, intrinsic_exp_sq(gamma, q, -1), tol=1e-13)
+        assert_qclose(got, intrinsic_exp_sq(gamma, q), tol=1e-13)
 
     def test_images_are_basis_elements(self):
         gamma = 1.2
@@ -192,7 +192,7 @@ class TestRBFSBTransform:
                 nu, tuple(random_quaternion(rng) for _ in range(8)))
             q = random_quaternion(rng)
             via_factored = rbf_sb_transform(gamma, phi, q)
-            direct = intrinsic_exp_sq(gamma, q, -1) * sb_transform(nu, phi, q)
+            direct = intrinsic_exp_sq(gamma, q) * sb_transform(nu, phi, q)
             assert abs(via_factored - direct) <= 1e-10 * (1 + abs(direct))
 
 

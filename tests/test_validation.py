@@ -337,3 +337,30 @@ def test_cli_kernel_names_pair_with_huge_vector_part(tmp_path, capsys):
     assert main(["kernel", "--input", str(path)]) == 2
     err = capsys.readouterr().err
     assert "pairs[0]" in err and "beyond double range" in err
+
+
+@pytest.mark.parametrize("index", [(-1, 0), (0.5, 0), (0, 2.5), (1,), (1, 0, 0)],
+                         ids=["negative", "fraction", "fraction-last",
+                              "short", "long"])
+@pytest.mark.parametrize("target", [
+    lambda index: CPowerSeries(2, ((index, 1.0),)),
+    lambda index: HermiteCoeffFunctionD(2.0, 2, ((index, 1.0), ((2, 0), 0.0))),
+], ids=["CPowerSeries", "HermiteCoeffFunctionD"])
+def test_bad_multi_index_is_refused_naming_it(target, index):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"bad multi-index {index!r} for dimension 2")):
+        target(index)
+
+
+def test_whole_number_multi_index_is_kept():
+    assert CPowerSeries(2, (((2.0, 0), 1.0),)).terms == (((2, 0), 1.0),)
+    phi = HermiteCoeffFunctionD(2.0, 2, (((1.0, 1), 1.0),))
+    assert phi.terms == (((1, 1), 1.0),)
+
+
+@pytest.mark.parametrize("target", [lambda: FockCSpace(1.0, 2, quad_order=0),
+                                    lambda: RBFCSpace(1.0, 1, quad_order=0)],
+                         ids=["FockCSpace", "RBFCSpace"])
+def test_cd_space_refuses_quad_order_zero(target):
+    with pytest.raises(ValueError, match=re.escape("order must lie in [1, 512]")):
+        target()
