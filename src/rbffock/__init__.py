@@ -17,15 +17,15 @@ from .gram import (GramMatrix, PsdReport, build_gram, psd_check,
 from .hypercomplex import (I_DEFAULT, ImaginaryUnit, Quaternion, SlicePoint,
                            embed_in_slice, intrinsic_exp_sq, slice_decompose,
                            star_exp)
-from .kernels import (KERNELS, NORMALIZATIONS, KernelParams, KernelSpec,
-                      exponential_kernel, fock_kernel_d, kernel_sum_tail_bound,
+from .kernels import (KERNELS, NORMALIZATIONS, KernelSpec, exponential_kernel,
+                      fock_kernel_d, kernel_sum_tail_bound,
                       kernel_sum_truncated, polynomial_kernel, rbf_kernel_c,
                       rbf_kernel_d, rbf_kernel_qslice)
 from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, gauss_hermite,
                          integrate_rd)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
-                     beta_coeffs, cauchy_mul, multi_factorial, multi_indices,
-                     multi_order, sequential_norm)
+                     beta_coeffs, cauchy_mul, multi_indices, multi_order,
+                     sequential_norm)
 from .spaces import (BoundCheckReport, FockCSpace, FockSliceSpace, RBFCSpace,
                      RBFSliceSpace, SliceIndependenceReport, m_operator,
                      pointwise_bound_check, slice_independence_check)

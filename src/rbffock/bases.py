@@ -21,9 +21,10 @@ from typing import Sequence
 import numpy as np
 
 from ._checks import finite_points, finite_values, positive_finite
-from .hypercomplex import Quaternion, embed_in_slice, slice_decompose
+from .hypercomplex import (Quaternion, embed_in_slice, envelope_exponent,
+                           slice_decompose)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
-                     multi_index)
+                     basis_coeff, multi_index)
 
 __all__ = [
     "hermite_h",
@@ -96,13 +97,6 @@ def hermite_psi(nu: float, n: int, x):
     return vals if np.ndim(vals) else float(vals)
 
 
-def basis_coeff(log_nu: float, index: Sequence[int]) -> float:
-    """sqrt(nu^|n| / n!) for a multi-index n, in log space from log nu (nu
-    itself may leave double range): the Fock and RBF basis normalization."""
-    return math.exp(0.5 * (sum(index) * log_nu
-                           - sum([math.lgamma(n + 1) for n in index])))
-
-
 def rbf_basis_coeff(gamma: float, n) -> float:
     """Normalization sqrt(2^|n| / (gamma^{2|n|} n!)) of e_n for an order n,
     or a multi-index n given as a tuple, from log nu = log 2 - 2 log gamma."""
@@ -117,7 +111,8 @@ def rbf_basis_c(gamma: float, n: int, z: complex) -> complex:
     # Python numbers compute without numpy; only numpy scalars need its switch
     return finite_values(
         "the rbf basis value",
-        lambda: rbf_basis_coeff(gamma, n) * z ** n * cmath.exp(-z * z / (gamma * gamma)),
+        lambda: rbf_basis_coeff(gamma, n) * z ** n * cmath.exp(
+            envelope_exponent(gamma, z.real, z.imag)),
         [z], numpy=isinstance(z, np.generic) or isinstance(gamma, np.generic))
 
 

@@ -97,10 +97,13 @@ def build_gram(kernel_id: str, params: dict, points) -> GramMatrix:
     The quaternionic kernel is called once per unordered pair, for b >= a:
     G[a][b] is exactly k(points[a], points[b]) above the diagonal, its
     quaternion conjugate below, and its real part on the diagonal.  Raises
-    OverflowError when an entry is not finite.
+    ValueError for an empty point set, and OverflowError when an entry is
+    not finite.
     """
     if kernel_id not in GRAM_KERNELS:
         raise ValueError(f"unknown kernel {kernel_id!r}; choose from {GRAM_KERNELS}")
+    if len(points) == 0:
+        raise ValueError("points must hold at least one point")
     spec = KERNELS[kernel_id]
     if spec.layout is Quaternion:
         pts = list(points)

@@ -26,10 +26,10 @@ import numpy as np
 from ._checks import finite_points, finite_values, nu_from_gamma, positive_finite
 from .bases import rbf_basis_q
 from .hypercomplex import Quaternion, intrinsic_exp_sq, star_exp
+from .series import basis_coeff
 
 __all__ = [
     "NORMALIZATIONS",
-    "KernelParams",
     "KernelSpec",
     "KERNELS",
     "rbf_kernel_c",
@@ -46,23 +46,6 @@ __all__ = [
 # exact isometry; "literal" keeps the (nu/pi)^{3/4} convention found in
 # parts of the slice-Fock literature, which shifts norms by sqrt(nu/pi).
 NORMALIZATIONS = ("unitary", "literal")
-
-
-@dataclass(frozen=True)
-class KernelParams:
-    """Gaussian kernel parameters; nu = 2/gamma^2 is always derived."""
-
-    gamma: float
-    normalization: str = "unitary"
-
-    def __post_init__(self) -> None:
-        nu_from_gamma(self.gamma)
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"normalization must be one of {NORMALIZATIONS}")
-
-    @property
-    def nu(self) -> float:
-        return nu_from_gamma(self.gamma)
 
 
 def rbf_kernel_c(gamma: float, z: complex, w: complex) -> complex:
@@ -154,8 +137,8 @@ def kernel_sum_tail_bound(gamma: float, q: Quaternion, p: Quaternion,
     yq = q.vec_norm()
     yp = p.vec_norm()
     try:
-        log_head = n * math.log(t) - math.lgamma(n + 1) if t > 0.0 else -math.inf
-        tail = math.exp(log_head) / (1.0 - t / n) if t > 0.0 else 0.0
+        # the head t^n / n! is the squared basis normalization at scale t
+        tail = basis_coeff(math.log(t), (n,)) ** 2 / (1.0 - t / n) if t > 0.0 else 0.0
         return math.exp((yq * yq + yp * yp) / (gamma * gamma)) * tail
     except OverflowError:
         return math.inf

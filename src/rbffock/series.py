@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -33,7 +34,6 @@ __all__ = [
     "GaussCSeries",
     "multi_indices",
     "multi_order",
-    "multi_factorial",
     "cauchy_mul",
     "beta_coeffs",
     "sequential_norm",
@@ -122,10 +122,6 @@ class QPowerSeries:
                              lambda: qa.horner_slice(self.coeffs, x, y, unit),
                              points, unit=unit)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "QPowerSeries":
-        return cls(tuple(Quaternion.from_list(c) for c in data["coeffs"]))
-
 
 @dataclass(frozen=True)
 class GaussSeries:
@@ -137,8 +133,12 @@ class GaussSeries:
     def __post_init__(self) -> None:
         positive_finite("gamma", self.gamma)
 
+    def envelope(self, q: Quaternion) -> Quaternion:
+        """exp(-q^2/gamma^2) at the point q, on its slice."""
+        return intrinsic_exp_sq(self.gamma, q)
+
     def eval(self, q: Quaternion) -> Quaternion:
-        env, value = intrinsic_exp_sq(self.gamma, q), self.series.eval(q)
+        env, value = self.envelope(q), self.series.eval(q)
         return finite_values("the series value", lambda: env * value, q,
                              numpy=False)
 
@@ -154,13 +154,6 @@ class GaussSeries:
             * qa.split_horner(self.series.coeffs, z, unit), unit),
             z[..., None], unit=unit)
 
-    def to_json(self) -> dict:
-        return {"gamma": self.gamma, "coeffs": [c.to_list() for c in self.series.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GaussSeries":
-        return cls(float(data["gamma"]), QPowerSeries.from_json(data))
-
 
 # ---------------------------------------------------------------------------
 # multi-index helpers (plain tuples of non-negative ints)
@@ -169,11 +162,11 @@ def multi_order(index: Sequence[int]) -> int:
     return int(sum(index))
 
 
-def multi_factorial(index: Sequence[int]) -> int:
-    out = 1
-    for n in index:
-        out *= math.factorial(n)
-    return out
+def dimension(dim) -> int:
+    """dim as an int; raises ValueError naming it unless a whole number >= 1."""
+    if not (isinstance(dim, numbers.Real) and dim >= 1 and float(dim).is_integer()):
+        raise ValueError(f"dim must be a whole number of at least 1, got {dim!r}")
+    return int(dim)
 
 
 def multi_index(index, dim: int) -> tuple[int, ...]:
@@ -188,6 +181,13 @@ def multi_index(index, dim: int) -> tuple[int, ...]:
             or any(n < 0 or n != m for n, m in zip(cleaned, index))):
         raise ValueError(f"bad multi-index {index!r} for dimension {dim}")
     return cleaned
+
+
+def basis_coeff(log_nu: float, index: Sequence[int]) -> float:
+    """sqrt(nu^|n| / n!) for a multi-index n, in log space from log nu (nu
+    itself may leave double range): the Fock and RBF basis normalization."""
+    return math.exp(0.5 * (sum(index) * log_nu
+                           - sum([math.lgamma(n + 1) for n in index])))
 
 
 def multi_index_terms(terms, dim: int) -> tuple:
@@ -220,8 +220,7 @@ class CPowerSeries:
     terms: tuple[tuple[tuple[int, ...], complex], ...]
 
     def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
+        object.__setattr__(self, "dim", dimension(self.dim))
         object.__setattr__(self, "terms", multi_index_terms(self.terms, self.dim))
 
     @property
@@ -266,9 +265,10 @@ class GaussCSeries:
     def eval(self, z: Sequence[complex]) -> complex:
         return complex(self.eval_points(np.reshape(z, (1, self.dim)))[0])
 
-    def envelope(self, zpts: np.ndarray) -> np.ndarray:
-        """exp(-z^2/gamma^2) at points (npoints, dim), inf past double range."""
-        return np.exp(-np.sum(zpts * zpts, axis=1) / (self.gamma * self.gamma))
+    def envelope(self, z) -> np.ndarray:
+        """exp(-z^2/gamma^2) at points (..., dim), inf past double range."""
+        z = np.asarray(z, dtype=complex)
+        return np.exp(-np.sum(z * z, axis=-1) / (self.gamma * self.gamma))
 
     def eval_points(self, zpts: np.ndarray) -> np.ndarray:
         """Values at points (npoints, dim), refused as the series' are."""
@@ -320,21 +320,12 @@ def sequential_norm(gamma: float, coeffs: Sequence[Quaternion], k_max: int) -> f
     """Partial sum sum_{k<=k_max} (k! gamma^{2k} / 2^k) |beta_k|^2.
 
     This is the squared RBF-space norm of sum q^n a_n in the limit
-    k_max -> infinity.  The factorial weight switches to a log-gamma form
-    past k = 30 to avoid overflow.  Raises OverflowError naming gamma when
-    a weight or the sum leaves double range.
+    k_max -> infinity; the weight is 1 / ``basis_coeff``(log nu, k)^2 with
+    nu = 2/gamma^2.  Raises OverflowError naming gamma when a weight or the
+    sum leaves double range.
     """
     betas = beta_coeffs(gamma, coeffs, k_max)
-    lg = 2.0 * math.log(gamma) - math.log(2.0)
-
-    def partial_sum():
-        parts = []
-        for k, b in enumerate(betas):
-            if k <= 30:
-                weight = math.factorial(k) * gamma ** (2 * k) / 2.0 ** k
-            else:
-                weight = math.exp(math.lgamma(k + 1) + k * lg)
-            parts.append(weight * b.norm_sq())
-        return math.fsum(parts)
-    return finite_values("the sequential norm", partial_sum, numpy=False,
-                         gamma=gamma)
+    log_nu = math.log(2.0) - 2.0 * math.log(gamma)
+    return finite_values("the sequential norm", lambda: math.fsum(
+        b.norm_sq() / basis_coeff(log_nu, (k,)) ** 2
+        for k, b in enumerate(betas)), numpy=False, gamma=gamma)

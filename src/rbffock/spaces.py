@@ -24,13 +24,12 @@ import numpy as np
 
 from . import _quatarray as qa
 from ._checks import finite_points, finite_values, nu_from_gamma, positive_finite
-from .hypercomplex import (I_DEFAULT, ImaginaryUnit, Quaternion, SlicePoint,
-                           intrinsic_exp_sq)
+from .hypercomplex import I_DEFAULT, ImaginaryUnit, Quaternion, SlicePoint
 from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, axis_moments,
                          exact_order, gauss_hermite, integrate_rd,
                          separable_sum)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
-                     beta_coeffs)
+                     beta_coeffs, dimension)
 
 __all__ = [
     "FockSliceSpace",
@@ -164,38 +163,70 @@ class FockSliceSpace:
         return Quaternion(*self._pair_integral(F, K)[0, 0])
 
 
-class RBFSliceSpace:
-    """Quaternionic slice RBF space, nu = 2/gamma^2, prefactor 2/(pi gamma^2).
+class _RBFSpace:
+    """A Gaussian RBF space: the image of a Fock space at nu = 2/gamma^2
+    under multiplication by the envelope exp(-z^2/gamma^2).
 
-    Elements are Gaussian-enveloped series; every integral is computed on
-    the Fock side after stripping the envelope (exact, no truncation, on
-    the smallest exact grid).  ``inner_product_direct`` instead evaluates
-    elements pointwise on the ``quad_order`` grid and re-weights
-    explicitly, providing an independent route for isometry checks.
+    Elements are Gaussian-enveloped series of the class ``member``.  Every
+    integral strips the envelope and runs on the Fock side (exact, no
+    truncation, on the smallest exact grid); ``reproduce`` puts the
+    envelope at the point back.
     """
 
-    def __init__(self, gamma: float, unit: ImaginaryUnit = I_DEFAULT,
-                 quad_order: int = DEFAULT_QUAD_ORDER):
+    member: type
+
+    def __init__(self, gamma: float, fock_space: type, *fock_args):
         self.nu = nu_from_gamma(gamma)
         self.gamma = gamma
-        self.unit = unit
-        self.quad_order = quad_order
-        self._fock = FockSliceSpace(self.nu, unit, quad_order)
+        self._fock = fock_space(self.nu, *fock_args)
+        self.quad_order = self._fock.quad_order
 
-    def _require_member(self, f) -> GaussSeries:
-        if not isinstance(f, GaussSeries):
-            raise TypeError(
-                "RBF-space elements must be GaussSeries (Gaussian envelope "
-                "times series); other forms have no Gaussian-compatible "
-                "weight after the isometry transform")
+    def _require_member(self, f):
+        if not isinstance(f, self.member):
+            raise TypeError(f"RBF-space elements must be {self.member.__name__} "
+                            "(Gaussian envelope times series); other forms "
+                            "have no Gaussian-compatible weight after the "
+                            "isometry transform")
         if f.gamma != self.gamma:
             raise ValueError(f"element envelope gamma={f.gamma} does not match "
                              f"space gamma={self.gamma}")
         return f
 
-    def inner_product(self, f, g) -> Quaternion:
+    def inner_product(self, f, g):
         return self._fock.inner_product(self._require_member(f).series,
                                         self._require_member(g).series)
+
+    def norm_sq(self, f) -> float:
+        return self._fock.norm_sq(self._require_member(f).series)
+
+    def gram(self, functions: Sequence) -> np.ndarray:
+        return self._fock.gram([self._require_member(f).series for f in functions])
+
+    def reproduce(self, f, w):
+        """<f, K_w> by Fock-side quadrature; equals f(w) for members."""
+        f = self._require_member(f)
+        value = self._fock.reproduce(f.series, w)
+        # the stripped kernel section, the Fock kernel at w times
+        # exp(-conj(w)^2/g^2), has a constant right factor; it leaves the
+        # integral as its conjugate exp(-w^2/g^2), on the left since the
+        # envelope is intrinsic.  The Fock side has checked w.
+        return finite_values("the reproduced value",
+                             lambda: f.envelope(w) * value, w)
+
+
+class RBFSliceSpace(_RBFSpace):
+    """Quaternionic slice RBF space, nu = 2/gamma^2, prefactor 2/(pi gamma^2),
+    over ``FockSliceSpace``.  ``inner_product_direct`` instead evaluates
+    elements pointwise on the ``quad_order`` grid and re-weights
+    explicitly, providing an independent route for isometry checks.
+    """
+
+    member = GaussSeries
+
+    def __init__(self, gamma: float, unit: ImaginaryUnit = I_DEFAULT,
+                 quad_order: int = DEFAULT_QUAD_ORDER):
+        super().__init__(gamma, FockSliceSpace, unit, quad_order)
+        self.unit = unit
 
     def inner_product_direct(self, f, g) -> Quaternion:
         """Direct-weight route: pointwise values times exp(-4y^2/gamma^2),
@@ -211,23 +242,6 @@ class RBFSliceSpace:
         F = fock._stack(grid, [vals_f * comp[..., None]])
         G = fock._stack(grid, [vals_g])
         return Quaternion(*fock._pair_integral(F, G)[0, 0])
-
-    def norm_sq(self, f) -> float:
-        return self.inner_product(f, f).w
-
-    def gram(self, functions: Sequence) -> np.ndarray:
-        return self._fock.gram([self._require_member(f).series for f in functions])
-
-    def reproduce(self, f, w: Quaternion) -> Quaternion:
-        """<f, K_w> by Fock-side quadrature; equals f(w) for members."""
-        f = self._require_member(f)
-        # the stripped kernel section star_exp(q, w) exp(-conj(w)^2/g^2) has
-        # a constant right factor; it leaves the integral as its conjugate
-        # exp(-w^2/g^2), on the left since the envelope is intrinsic
-        env = intrinsic_exp_sq(self.gamma, w)
-        value = self._fock.reproduce(f.series, w)
-        return finite_values("the reproduced value", lambda: env * value, w,
-                             numpy=False)
 
 
 def _cd_series(f, dim: int) -> CPowerSeries:
@@ -267,12 +281,10 @@ class FockCSpace:
 
     def __init__(self, alpha: float, dim: int, quad_order: int | None = None):
         positive_finite("alpha", alpha)
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
         self.alpha = alpha
-        self.dim = dim
+        self.dim = dimension(dim)
         self.quad_order = (quad_order if quad_order is not None
-                           else DEFAULT_QUAD_ORDER if dim == 1 else 32)
+                           else DEFAULT_QUAD_ORDER if self.dim == 1 else 32)
         self.rule = gauss_hermite(self.quad_order, alpha)
 
     def _table(self, degree: int, pair_degree: int) -> np.ndarray:
@@ -328,42 +340,14 @@ class FockCSpace:
                 f.terms), w)
 
 
-class RBFCSpace:
-    """Gaussian RBF space on C^d, routed through the Fock side (nu = 2/g^2)."""
+class RBFCSpace(_RBFSpace):
+    """Gaussian RBF space on C^d over ``FockCSpace`` (nu = 2/g^2)."""
+
+    member = GaussCSeries
 
     def __init__(self, gamma: float, dim: int, quad_order: int | None = None):
-        self.nu = nu_from_gamma(gamma)
-        self.gamma = gamma
-        self.dim = dim
-        self._fock = FockCSpace(self.nu, dim, quad_order)
-        self.quad_order = self._fock.quad_order
-
-    def _require_member(self, f) -> GaussCSeries:
-        if not isinstance(f, GaussCSeries):
-            raise TypeError("RBF-space elements must be GaussCSeries "
-                            "(Gaussian envelope times series)")
-        if f.gamma != self.gamma or f.dim != self.dim:
-            raise ValueError("element envelope does not match the space")
-        return f
-
-    def inner_product(self, f, g) -> complex:
-        return self._fock.inner_product(self._require_member(f).series,
-                                        self._require_member(g).series)
-
-    def norm_sq(self, f) -> float:
-        return self.inner_product(f, f).real
-
-    def gram(self, functions: Sequence) -> np.ndarray:
-        return self._fock.gram([self._require_member(f).series
-                                for f in functions])
-
-    def reproduce(self, f, w: Sequence[complex]) -> complex:
-        # the Fock side checks w before the envelope is formed from it
-        f = self._require_member(f)
-        value = self._fock.reproduce(f.series, w)
-        w = np.asarray(w, dtype=complex)
-        return finite_values("the reproduced value", lambda: complex(
-            f.envelope(w[None])[0]) * value, w)
+        super().__init__(gamma, FockCSpace, dim, quad_order)
+        self.dim = self._fock.dim
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,14 @@ import numpy as np
 
 from . import _quatarray as qa
 from ._checks import finite_points, finite_values, nu_from_gamma, positive_finite
-from .bases import basis_coeff, hermite_psi_all
+from .bases import hermite_psi_all
 from .hypercomplex import (Quaternion, embed_in_slice, envelope_exponent,
                            slice_decompose)
 from .kernels import NORMALIZATIONS
 from .quadrature import (DEFAULT_QUAD_ORDER, exact_order, gauss_hermite,
                          integrate_rd)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
-                     multi_index_terms)
+                     basis_coeff, dimension, multi_index_terms)
 
 __all__ = [
     "HermiteCoeffFunction",
@@ -105,6 +105,7 @@ class HermiteCoeffFunctionD:
 
     def __post_init__(self) -> None:
         positive_finite("nu", self.nu)
+        object.__setattr__(self, "dim", dimension(self.dim))
         object.__setattr__(self, "terms", multi_index_terms(self.terms, self.dim))
 
     def norm_sq(self) -> float:
@@ -133,10 +134,11 @@ class HermiteCoeffFunctionD:
 _BLOCK_POINTS = 128
 
 
-def _sb_prefactor(nu: float, normalization: str) -> float:
+def _sb_prefactor(nu: float, normalization: str, dim: int = 1) -> float:
+    """(nu/pi)^{d/4} under ``unitary``, (nu/pi)^{3d/4} under ``literal``."""
     _check_normalization(normalization)
     power = 0.25 if normalization == "unitary" else 0.75
-    return (nu / math.pi) ** power
+    return (nu / math.pi) ** (power * dim)
 
 
 def _quaternion_points(q) -> np.ndarray:
@@ -260,14 +262,12 @@ def rbf_sb_kernel(gamma: float, q: Quaternion, x: float,
     ``literal``.
     """
     positive_finite("gamma", gamma)
-    _check_normalization(normalization)
     finite_points([x])
-    power = 0.25 if normalization == "unitary" else 0.75
     sp = slice_decompose(q)
     u = x - math.sqrt(2.0) * complex(sp.x, sp.y)
     # gamma^2 may underflow to zero: the division is part of the check
-    val = finite_values("the RBF Segal-Bargmann kernel value", lambda: (
-        2.0 / (math.pi * gamma * gamma)) ** power * cmath.exp(
+    val = finite_values("the RBF Segal-Bargmann kernel value", lambda: _sb_prefactor(
+        2.0 / (gamma * gamma), normalization) * cmath.exp(
         -(u * u) / (gamma * gamma)), [q, x])
     return embed_in_slice(val, sp.unit)
 
@@ -319,7 +319,7 @@ def rbf_sb_kernel_d(gamma: float, z: Sequence[complex],
     finite_points(x)
 
     def value():
-        pref = (2.0 / (math.pi * gamma * gamma)) ** (z.size / 4.0)
+        pref = _sb_prefactor(2.0 / (gamma * gamma), "unitary", z.size)
         u = math.sqrt(2.0) * z - x
         return pref * complex(cmath.exp(-complex(np.sum(u * u)) / (gamma * gamma)))
     return finite_values("the RBF Segal-Bargmann kernel value", value, [z, x])
@@ -351,6 +351,8 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",
     nu = nu_from_gamma(gamma)
     if method not in ("auto", "coeffs", "quadrature"):
         raise ValueError("method must be auto, coeffs, or quadrature")
+    if isinstance(phi, HermiteCoeffFunctionD) and phi.dim != dim:
+        raise ValueError(f"phi is a function on R^{phi.dim}, not on R^{dim}")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape[-1] != dim:
         raise ValueError("evaluation point has the wrong dimension")
@@ -373,7 +375,7 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",
         x = rule.nodes
         n_max = max((max(idx) for idx, _ in phi.terms), default=0)
         psis = hermite_psi_all(phi.nu, n_max, x) * np.exp(nu * x * x)
-        pref = (2.0 / (math.pi * gamma * gamma)) ** (dim / 4.0)
+        pref = _sb_prefactor(nu, "unitary", dim)
 
         def at(block, where):
             # one (points, K, M) table per axis

@@ -15,6 +15,15 @@ class TestBuildGram:
         assert gram.entries.shape == (1, 1)
         assert gram.entries[0, 0] == 1.0
 
+    @pytest.mark.parametrize("kernel_id, params", [
+        ("rbf-real", {"gamma": 1.0}), ("rbf-complex", {"gamma": 1.0}),
+        ("fock", {"alpha": 1.0}), ("rbf-qslice", {"gamma": 1.0}),
+        ("polynomial", {"degree": 2}), ("exponential", {})])
+    def test_empty_point_set_is_refused(self, kernel_id, params):
+        # not a 1x1 Gram of a phantom point, nor a 0x0 one
+        with pytest.raises(ValueError, match="^points must hold at least one point"):
+            build_gram(kernel_id, params, [])
+
     def test_identical_complex_points_diagonal(self):
         z = 0.3 + 0.8j
         gram = build_gram("rbf-complex", {"gamma": 2.0},

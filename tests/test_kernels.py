@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import assert_qclose, random_quaternion
 
-from rbffock import (ImaginaryUnit, KernelParams, Quaternion, SlicePoint,
+from rbffock import (ImaginaryUnit, Quaternion, SlicePoint,
                      exponential_kernel, fock_kernel_d, intrinsic_exp_sq,
                      kernel_sum_tail_bound, kernel_sum_truncated,
                      polynomial_kernel, rbf_kernel_c, rbf_kernel_d,
@@ -203,16 +203,3 @@ class TestUtilityKernels:
     def test_exponential(self):
         assert exponential_kernel((1.0, 0.0), (0.0, 1.0)) == 1.0
         assert exponential_kernel((1.0,), (2.0,)) == pytest.approx(math.exp(2))
-
-
-class TestKernelParams:
-    def test_nu_is_derived(self):
-        params = KernelParams(gamma=2.0)
-        assert params.nu == 0.5
-        assert params.nu * params.gamma ** 2 == 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            KernelParams(gamma=-1.0)
-        with pytest.raises(ValueError):
-            KernelParams(gamma=1.0, normalization="other")

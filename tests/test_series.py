@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from conftest import assert_qclose, random_quaternion
 
-from rbffock import (GaussSeries, ImaginaryUnit, QPowerSeries, Quaternion,
+from rbffock import (ImaginaryUnit, QPowerSeries, Quaternion,
                      beta_coeffs, cauchy_mul, intrinsic_exp_sq,
-                     multi_factorial, multi_indices, multi_order,
-                     sequential_norm)
+                     multi_indices, multi_order, sequential_norm)
 from rbffock.series import CPowerSeries, GaussCSeries
 
 I = Quaternion(0, 1, 0, 0)
@@ -47,11 +46,6 @@ class TestQPowerSeries:
             from rbffock import SlicePoint
             q = SlicePoint(float(xs[k]), float(ys[k]), unit).to_quaternion()
             assert_qclose(Quaternion(*grid[k]), f.eval(q), tol=1e-14)
-
-    def test_json_roundtrip(self):
-        f = GaussSeries(1.5, QPowerSeries((Quaternion(1, 2, 3, 4), I)))
-        g = GaussSeries.from_json(f.to_json())
-        assert g.gamma == 1.5 and g.series.coeffs == f.series.coeffs
 
 
 class TestCauchyMul:
@@ -193,11 +187,6 @@ class TestMultiIndex:
         assert len(idx) == 10
         assert idx[0] == (0, 0)
         assert set(multi_order(i) for i in idx) == {0, 1, 2, 3}
-
-    def test_factorial_exact(self):
-        assert multi_factorial((3, 2, 1)) == 12
-        assert multi_factorial((0, 0)) == 1
-        assert multi_factorial((10, 10)) == math.factorial(10) ** 2
 
     def test_cpower_series_eval(self):
         f = CPowerSeries(2, (((0, 0), 1.0), ((1, 2), 2.0 + 1.0j)))

@@ -1,10 +1,13 @@
 """Rules that the package writes once stay written once: each pattern below
-appears in exactly one function of ``src/rbffock``."""
+appears in exactly one function of ``src/rbffock``, and the two RBF spaces
+share one implementation of what they do alike."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from rbffock import RBFCSpace, RBFSliceSpace
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rbffock"
 
@@ -25,8 +28,17 @@ def _owners(pattern: str) -> set:
     return owners
 
 
-@pytest.mark.parametrize("pattern", ["2.0 ** 600", "x * x - y * y"],
-                         ids=["subnormal-rescale", "slice-envelope-exponent"])
+@pytest.mark.parametrize("pattern", ["2.0 ** 600", "x * x - y * y",
+                                     "else 0.75", "lgamma("],
+                         ids=["subnormal-rescale", "slice-envelope-exponent",
+                              "segal-bargmann-prefactor-power",
+                              "factorial-weight"])
 def test_rule_lives_in_one_function(pattern):
     owners = _owners(pattern)
     assert len(owners) == 1, owners
+
+
+@pytest.mark.parametrize("method", ["_require_member", "inner_product",
+                                    "norm_sq", "gram", "reproduce"])
+def test_rbf_spaces_share_one_implementation(method):
+    assert getattr(RBFSliceSpace, method) is getattr(RBFCSpace, method)

@@ -12,8 +12,8 @@ import pytest
 
 from rbffock import (I_DEFAULT, CPowerSeries, FockCSpace, FockSliceSpace,
                      GaussCSeries, GaussSeries, HermiteCoeffFunction,
-                     HermiteCoeffFunctionD, ImaginaryUnit, KernelParams,
-                     QPowerSeries, Quaternion, RBFCSpace, RBFSliceSpace,
+                     HermiteCoeffFunctionD, ImaginaryUnit, QPowerSeries,
+                     Quaternion, RBFCSpace, RBFSliceSpace,
                      fock_kernel_d, gauss_hermite, hermite_basis_l2, hermite_h,
                      hermite_psi, hermite_psi_all, intrinsic_exp_sq,
                      kernel_sum_tail_bound, kernel_sum_truncated, rbf_basis_c,
@@ -36,7 +36,6 @@ CALLS = {
     "RBFSliceSpace": ("gamma", lambda v: RBFSliceSpace(v)),
     "FockCSpace": ("alpha", lambda v: FockCSpace(v, 2)),
     "RBFCSpace": ("gamma", lambda v: RBFCSpace(v, 2)),
-    "KernelParams": ("gamma", lambda v: KernelParams(v)),
     "gauss_hermite": ("nu", lambda v: gauss_hermite(10, v)),
     "GaussSeries": ("gamma", lambda v: GaussSeries(v, QPowerSeries((1.0,)))),
     "GaussCSeries": ("gamma",
@@ -70,7 +69,6 @@ OUT_OF_RANGE = [1e-200, 1e-160, 1e155, 1e200]
 GAMMA_CALLS = {
     "RBFSliceSpace": lambda v: RBFSliceSpace(v),
     "RBFCSpace": lambda v: RBFCSpace(v, 2),
-    "KernelParams.nu": lambda v: KernelParams(v).nu,
     "rbf_kernel_qslice": lambda v: rbf_kernel_qslice(v, _Q, _Q),
     "kernel_sum_tail_bound": lambda v: kernel_sum_tail_bound(v, _Q, _Q, 4),
     "rbf_sb_image_series": lambda v: rbf_sb_image_series(v, _PHI),
@@ -91,7 +89,6 @@ def test_refuses_gamma_with_nu_out_of_range(target, value):
 
 @pytest.mark.parametrize("gamma", [1e-150, 1.0, 1e154])
 def test_nu_is_two_over_gamma_squared(gamma):
-    assert KernelParams(gamma).nu == 2.0 / (gamma * gamma)
     assert RBFSliceSpace(gamma, quad_order=8).nu == 2.0 / (gamma * gamma)
 
 
@@ -364,3 +361,67 @@ def test_whole_number_multi_index_is_kept():
 def test_cd_space_refuses_quad_order_zero(target):
     with pytest.raises(ValueError, match=re.escape("order must lie in [1, 512]")):
         target()
+
+
+@pytest.mark.parametrize("dim", [0, -1, 1.5, math.nan, math.inf, "2", None],
+                         ids=repr)
+@pytest.mark.parametrize("target", [
+    lambda dim: CPowerSeries(dim, ()),
+    lambda dim: HermiteCoeffFunctionD(1.0, dim, (((), 1.0),)),
+    lambda dim: FockCSpace(1.0, dim),
+    lambda dim: RBFCSpace(1.0, dim),
+], ids=["CPowerSeries", "HermiteCoeffFunctionD", "FockCSpace", "RBFCSpace"])
+def test_dimension_must_be_a_whole_number_of_at_least_one(target, dim):
+    with pytest.raises(ValueError, match=re.escape(
+            f"dim must be a whole number of at least 1, got {dim!r}")):
+        target(dim)
+
+
+def test_whole_number_dimension_is_kept():
+    assert CPowerSeries(2.0, ()).dim == 2
+    assert type(HermiteCoeffFunctionD(1.0, 2.0, ()).dim) is int
+    assert RBFCSpace(1.0, 2.0).dim == 2
+
+
+# each RBF space: the space, a member of scale gamma, a Fock-side series,
+# and a point whose envelope overflows, with its name in the refusal
+RBF_SPACES = {
+    "RBFSliceSpace": (lambda: RBFSliceSpace(1.0, quad_order=8),
+                      lambda gamma: GaussSeries(gamma, QPowerSeries((1.0,))),
+                      QPowerSeries((1.0,)), Quaternion(0, 30, 0, 0),
+                      r"\[0.0, 30.0, 0.0, 0.0\]"),
+    "RBFCSpace": (lambda: RBFCSpace(1.0, 2, 8),
+                  lambda gamma: GaussCSeries(gamma, CPowerSeries(2, (((1, 0), 1.0),))),
+                  CPowerSeries(2, (((1, 0), 1.0),)), (30j, 0j), r"\[30j, 0j\]"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", RBF_SPACES)
+def test_rbf_space_refuses_what_it_does_not_hold(name):
+    make, member, fock_series, far, named = RBF_SPACES[name]
+    space = make()
+    calls = [lambda f: space.inner_product(f, member(1.0)), space.norm_sq,
+             lambda f: space.gram([member(1.0), f]),
+             lambda f: space.reproduce(f, far)]
+    for call in calls:
+        with pytest.raises(TypeError, match=f"must be {type(member(1.0)).__name__} "):
+            call(fock_series)
+        with pytest.raises(ValueError, match=re.escape(
+                "element envelope gamma=2.0 does not match space gamma=1.0")):
+            call(member(2.0))
+        if name == "RBFCSpace":
+            with pytest.raises(ValueError, match=re.escape("series on C^1 in a space on C^2")):
+                call(GaussCSeries(1.0, _ONE_D))
+    with pytest.raises(OverflowError, match=f"at point {named} is not finite"):
+        space.reproduce(member(1.0), far)
+
+
+@pytest.mark.parametrize("method", ["auto", "quadrature"])
+@pytest.mark.parametrize("dim, z", [(2, [0.1, 0.2]), (0, [])], ids=["C2", "C0"])
+def test_transform_d_refuses_phi_of_another_dimension(dim, z, method):
+    # the exact route evaluated phi on R^1 at the first coordinate alone
+    phi = HermiteCoeffFunctionD(2.0, 1, (((1,), 1.0),))
+    with pytest.raises(ValueError, match=re.escape(
+            f"phi is a function on R^1, not on R^{dim}")):
+        rbf_sb_transform_d(1.0, dim, phi, z, method=method)
