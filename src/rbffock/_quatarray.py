@@ -8,10 +8,10 @@ over the rows (``slice_decompose_arr``).
 
 Series are evaluated on a slice C_I by the splitting lemma (Gentili and
 Struppa, Adv. Math. 216, 2007): with J orthogonal to I and K = IJ, each
-right coefficient splits as a = A + B J with A, B in C_I, so
-sum_n q^n a_n = F1(z) + F2(z) J for the complex polynomials F1 = sum z^n A_n
-and F2 = sum z^n B_n.  ``split_horner`` evaluates the pair (F1, F2) and
-``join_pair`` maps it back to components once.
+right coefficient splits as a = A + B J with A, B in C_I (``split_pair``),
+so sum_n q^n a_n = F1(z) + F2(z) J for the complex polynomials
+F1 = sum z^n A_n and F2 = sum z^n B_n.  ``split_horner`` evaluates the pair
+(F1, F2) and ``join_pair`` maps it back to components once.
 """
 
 from __future__ import annotations
@@ -81,19 +81,24 @@ def slice_frame(unit: ImaginaryUnit) -> np.ndarray:
                             i0 * j1 - i1 * j0]])
 
 
+def split_pair(parts, unit: ImaginaryUnit) -> tuple:
+    """(A, B), complex with i standing for ``unit``, with a = A + B J for
+    the quaternions a of components ``parts`` (..., 4): A = w + (a.I) i and
+    B = (a.J) + (a.K) i.  The inverse of ``join_pair``."""
+    parts = np.asarray(parts, dtype=float)
+    dots = parts[..., 1:] @ slice_frame(unit).T
+    return parts[..., 0] + 1j * dots[..., 0], dots[..., 1] + 1j * dots[..., 2]
+
+
 def split_horner(coeffs, z: np.ndarray, unit: ImaginaryUnit) -> np.ndarray:
     """(F1, F2) with sum_n q^n a_n = F1(z) + F2(z) J at q = Re z + unit*Im z.
 
     Shape (2,) + z.shape, complex, with i standing for ``unit``.  The
-    coefficients split as a_n = A_n + B_n J, A_n = w + (a.I) i and
-    B_n = (a.J) + (a.K) i; one complex Horner recursion runs on both.
+    coefficients split as a_n = A_n + B_n J (``split_pair``); one complex
+    Horner recursion runs on both.
     """
     z = np.asarray(z, dtype=complex)
-    frame = slice_frame(unit)
-    parts = np.array([a.to_list() for a in coeffs])
-    dots = parts[:, 1:] @ frame.T
-    pair = np.array([parts[:, 0] + 1j * dots[:, 0],
-                     dots[:, 1] + 1j * dots[:, 2]])
+    pair = np.array(split_pair([a.to_list() for a in coeffs], unit))
     pair = pair.reshape(pair.shape + (1,) * z.ndim)
     acc = np.broadcast_to(pair[:, -1], (2,) + z.shape).copy()
     for n in range(pair.shape[1] - 2, -1, -1):

@@ -438,7 +438,7 @@ def cmd_verify(args) -> int:
                            quad_order=args.quad_order,
                            normalization=args.normalization,
                            tol_scale=args.tol, seed=args.seed)
-    results = run_all(cfg, only)
+        results = run_all(cfg, only)
     payload = {"config": {"gamma": cfg.gamma, "quad_order": cfg.quad_order,
                           "normalization": cfg.normalization,
                           "tol_scale": cfg.tol_scale, "seed": cfg.seed},

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _quatarray as qa
 from ._checks import finite_values
-from .hypercomplex import Quaternion
+from .hypercomplex import I_DEFAULT, Quaternion
 from .kernels import KERNELS
 
 __all__ = [
@@ -134,8 +134,7 @@ def quat_matrix_to_complex(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.ndim != 3 or q.shape[2] != 4 or q.shape[0] != q.shape[1]:
         raise ValueError("expected a square quaternion matrix of shape (N, N, 4)")
-    a = q[..., 0] + 1j * q[..., 1]
-    b = q[..., 2] + 1j * q[..., 3]
+    a, b = qa.split_pair(q, I_DEFAULT)
     return np.block([[a, b], [-np.conj(b), np.conj(a)]])
 
 

@@ -198,6 +198,11 @@ def multi_index_terms(terms, dim: int) -> tuple:
                         key=lambda t: (multi_order(t[0]), t[0])))
 
 
+def axis_degree(terms) -> int:
+    """The highest power of one coordinate in the pairs ``terms``, or 0."""
+    return max((max(idx) for idx, _ in terms), default=0)
+
+
 def multi_indices(dim: int, max_order: int) -> Iterator[tuple[int, ...]]:
     """All indices of length ``dim`` with |n| <= max_order, graded order."""
     def gen(order, d):
@@ -225,7 +230,7 @@ class CPowerSeries:
 
     @property
     def max_axis_degree(self) -> int:
-        return max((max(idx) for idx, _ in self.terms), default=0)
+        return axis_degree(self.terms)
 
     def eval(self, z: Sequence[complex]) -> complex:
         return complex(self.eval_points(np.reshape(z, (1, self.dim)))[0])

@@ -45,9 +45,6 @@ __all__ = [
 
 _M_OUT_DEGREE = 48
 
-# [d, c] = conj(e_d) e_c for e = 1, i, j, k, taken from the Hamilton product
-_CONJ_TIMES = qa.qmul(qa.qconj(np.eye(4))[:, None], np.eye(4)[None, :])
-
 
 def _slice_series(f) -> QPowerSeries:
     if not isinstance(f, QPowerSeries):
@@ -58,13 +55,12 @@ def _slice_series(f) -> QPowerSeries:
 
 class _Grid(NamedTuple):
     """The tensor Gauss-Hermite rule of one order on a plane (a slice, or
-    one complex coordinate): the (M, M) meshes of x and y (indexing "ij"),
-    and the M^2 weights w_a w_b and their roots sqrt(w_a) sqrt(w_b)."""
+    one complex coordinate): the (M, M) meshes of x and y (indexing "ij")
+    and the M^2 weights w_a w_b."""
 
     x: np.ndarray
     y: np.ndarray
     w: np.ndarray
-    root_w: np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
@@ -72,23 +68,47 @@ def _grid(order: int, nu: float) -> _Grid:
     """Built once per (order, nu) and shared, so its arrays are read-only."""
     rule = gauss_hermite(order, nu)
     x, y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-    w, root_w = rule.weights, np.sqrt(rule.weights)
-    grid = _Grid(x, y, (w[:, None] * w[None, :]).ravel(),
-                 (root_w[:, None] * root_w[None, :]).ravel())
+    grid = _Grid(x, y, (rule.weights[:, None] * rule.weights[None, :]).ravel())
     for array in grid:
         array.setflags(write=False)
     return grid
 
 
+def _powers(z: np.ndarray, degree: int) -> np.ndarray:
+    """Rows z^n, n <= degree, at the points z."""
+    return np.vander(z, degree + 1, increasing=True).T
+
+
+@functools.lru_cache(maxsize=64)
+def _moment_table(alpha: float, order: int, degree: int) -> np.ndarray:
+    """T[n, m] = sum W z^n conj(z)^m, n, m <= degree, on the order-``order``
+    grid, in blocks of rows n of about 2^16 products; shared, so read-only."""
+    grid = _grid(order, alpha)
+    p = _powers((grid.x + 1j * grid.y).ravel(), degree)
+    rows, conj_p = max(1, (1 << 16) // p.size), np.conj(p)
+    table = np.concatenate([axis_moments(grid.w, p[n:n + rows, None] * conj_p)
+                            for n in range(0, degree + 1, rows)])
+    table.setflags(write=False)
+    return table
+
+
+def _table(alpha: float, quad_order: int, df: int, dg: int) -> np.ndarray:
+    """The moment table for f conj(g), deg f = df and deg g = dg, which the
+    rule of ``quad_order`` must integrate: of degree D = max(df, dg), on the
+    grid of order D + 1 (exact for it) or of ``quad_order`` if smaller."""
+    exact_order(df + dg, quad_order)
+    degree = max(df, dg)
+    return _moment_table(alpha, min(quad_order, degree + 1), degree)
+
+
 class FockSliceSpace:
     """Slice Fock space: weight exp(-nu|q|^2) on C_unit, prefactor nu/pi.
 
-    Every integral is ``_pair_integral``, one weighted sum over a grid.
-    The integrand of an inner product, norm or Gram is a polynomial of
-    degree D times the weight, integrated exactly on the smallest grid,
-    of order D // 2 + 1.  ``quad_order`` caps that order (a larger D is
-    refused) and is the order of ``reproduce``, whose kernel section is
-    not a polynomial.
+    On the slice each element is F1 + F2 J, F1 and F2 complex polynomials
+    (the splitting lemma), so an inner product combines four complex ones
+    (``_join``).  Inner products, norms and Grams read those from the C^1
+    moment table; ``quad_order`` bounds their degree (a higher one is
+    refused) and is the order of the grid of ``reproduce``.
     """
 
     def __init__(self, nu: float, unit: ImaginaryUnit = I_DEFAULT,
@@ -100,67 +120,64 @@ class FockSliceSpace:
         self.rule: QuadratureRule = gauss_hermite(quad_order, nu)
         self.grid = _grid(quad_order, nu)
 
-    # -- evaluation ---------------------------------------------------
+    # -- the two routes -----------------------------------------------
 
-    def _grid_values(self, f, grid: _Grid) -> np.ndarray:
-        f = _slice_series(f)
-        exact_order(f.degree, self.quad_order, "series degree")
-        return f.eval_slice_grid(grid.x, grid.y, self.unit)
+    def _join(self, h: np.ndarray) -> np.ndarray:
+        """Quaternion inner products, shape (n, m, 4), from the complex sums
+        h = sum W u conj(v) of the rows u = (F1_a; F2_a) against the rows
+        v = (G1_b; G2_b): <f, g> = X + Y J with X = <F1, G1> + conj<F2, G2>
+        and Y = <F2, G1> - conj<F1, G2>."""
+        h = (self.nu / math.pi) * h.reshape(2, len(h) // 2, 2, h.shape[1] // 2)
+        (f1g1, f1g2), (f2g1, f2g2) = h.swapaxes(1, 2)
+        return qa.join_pair((f1g1 + np.conj(f2g2), f2g1 - np.conj(f1g2)),
+                            self.unit)
 
-    @staticmethod
-    def _stack(grid: _Grid, values: list) -> np.ndarray:
-        """n value grids (M, M, 4) as one stack (n, 4, M^2) scaled by
-        sqrt(weight)."""
-        out = np.empty((len(values), 4, grid.root_w.size))
-        for row, grid_values in zip(out, values):
-            row[...] = grid_values.reshape(-1, 4).T
-        out *= grid.root_w
-        return out
+    def _table_sums(self, functions, df: int, dg: int) -> np.ndarray:
+        """h = L T L^H on the table for degrees df and dg, with L the rows
+        (F1_a; F2_a) of the coefficients of the functions, split in one call."""
+        table = _table(self.nu, self.quad_order, df, dg)
+        parts = np.zeros((len(functions), len(table), 4))
+        for row, f in zip(parts, functions):
+            row[:len(f.coeffs)] = [c.to_list() for c in f.coeffs]
+        rows = np.concatenate(qa.split_pair(parts, self.unit))
+        return rows @ table @ rows.conj().T
 
-    def _series_stack(self, grid: _Grid, functions) -> np.ndarray:
-        return self._stack(grid, [self._grid_values(f, grid) for f in functions])
-
-    def _pair_integral(self, F: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """All <f_a, g_b> = (nu/pi) sum_i w_i conj(g_b) f_a of two stacks,
-        shape (len(F), len(G), 4), by one real matrix product; given one
-        stack twice, the result is exactly quaternion-Hermitian."""
-        products = F.reshape(-1, F.shape[-1]) @ G.reshape(-1, G.shape[-1]).T
-        products = products.reshape(len(F), 4, len(G), 4)
-        out = np.einsum("acbd,dce->abe", products, _CONJ_TIMES)
-        out *= self.nu / math.pi
-        if F is G:
-            out = 0.5 * (out + qa.qconj(out.swapaxes(0, 1)))
-        return out
+    def _grid_pair(self, f_values: np.ndarray, g_values: np.ndarray) -> Quaternion:
+        """<f, g> of values (M, M, 4) on the ``quad_order`` grid: the real
+        products P = sum W f_c g_d, one matrix product, split on both sides
+        as h = S P S^H with S = ``split_pair``(eye(4))."""
+        f_values, g_values = f_values.reshape(-1, 4), g_values.reshape(-1, 4)
+        P = (f_values * self.grid.w[:, None]).T @ g_values
+        S = np.array(qa.split_pair(np.eye(4), self.unit))
+        return Quaternion(*self._join(S @ P @ S.conj().T)[0, 0])
 
     # -- public api ---------------------------------------------------
 
     def inner_product(self, f, g) -> Quaternion:
         """<f, g> = (nu/pi) * integral conj(g) f exp(-nu|q|^2)."""
         f, g = _slice_series(f), _slice_series(g)
-        grid = _grid(exact_order(f.degree + g.degree, self.quad_order), self.nu)
-        F = self._series_stack(grid, [f])
-        G = F if g is f else self._series_stack(grid, [g])
-        return Quaternion(*self._pair_integral(F, G)[0, 0])
+        h = self._table_sums([f, g], f.degree, g.degree)
+        return Quaternion(*self._join(h[0::2, 1::2])[0, 0])
 
     def norm_sq(self, f) -> float:
         return self.inner_product(f, f).w
 
     def gram(self, functions: Sequence) -> np.ndarray:
         """All pairwise inner products, shape (n, n, 4), G[a,b] = <f_a, f_b>,
-        on the grid of the highest degree + 1."""
+        exactly quaternion-Hermitian."""
         functions = [_slice_series(f) for f in functions]
         degree = max((f.degree for f in functions), default=0)
-        grid = _grid(exact_order(2 * degree, self.quad_order), self.nu)
-        F = self._series_stack(grid, functions)
-        return self._pair_integral(F, F)
+        h = self._table_sums(functions, degree, degree)
+        return self._join(0.5 * (h + h.conj().T))
 
     def reproduce(self, f, w: Quaternion) -> Quaternion:
         """Evaluate <f, K_w> by quadrature on the ``quad_order`` grid; equals
         f(w) for f in the space."""
-        grid = self.grid
-        kvals = qa.star_exp_grid(self.nu, grid.x, grid.y, self.unit, w)
-        F, K = self._series_stack(grid, [f]), self._stack(grid, [kvals])
-        return Quaternion(*self._pair_integral(F, K)[0, 0])
+        f = _slice_series(f)
+        exact_order(f.degree, self.quad_order, "series degree")
+        x, y = self.grid.x, self.grid.y
+        return self._grid_pair(f.eval_slice_grid(x, y, self.unit),
+                               qa.star_exp_grid(self.nu, x, y, self.unit, w))
 
 
 class _RBFSpace:
@@ -169,8 +186,8 @@ class _RBFSpace:
 
     Elements are Gaussian-enveloped series of the class ``member``.  Every
     integral strips the envelope and runs on the Fock side (exact, no
-    truncation, on the smallest exact grid); ``reproduce`` puts the
-    envelope at the point back.
+    truncation, on the moment table); ``reproduce`` puts the envelope at
+    the point back.
     """
 
     member: type
@@ -226,22 +243,18 @@ class RBFSliceSpace(_RBFSpace):
     def __init__(self, gamma: float, unit: ImaginaryUnit = I_DEFAULT,
                  quad_order: int = DEFAULT_QUAD_ORDER):
         super().__init__(gamma, FockSliceSpace, unit, quad_order)
-        self.unit = unit
 
     def inner_product_direct(self, f, g) -> Quaternion:
         """Direct-weight route: pointwise values times exp(-4y^2/gamma^2),
         with the rule's Gaussian compensated explicitly."""
         f, g = self._require_member(f), self._require_member(g)
-        fock, grid = self._fock, self._fock.grid
-        x, y = grid.x, grid.y
-        vals_f = f.eval_slice_grid(x, y, self.unit)
-        vals_g = vals_f if g is f else g.eval_slice_grid(x, y, self.unit)
+        (x, y, _), unit = self._fock.grid, self._fock.unit
+        vals_f = f.eval_slice_grid(x, y, unit)
+        vals_g = vals_f if g is f else g.eval_slice_grid(x, y, unit)
         comp = np.exp(-4.0 * y * y / (self.gamma * self.gamma)
                       + self.nu * (x ** 2 + y ** 2))
         # 2/(pi gamma^2) = nu/pi, so the Fock rule's sum applies as it is
-        F = fock._stack(grid, [vals_f * comp[..., None]])
-        G = fock._stack(grid, [vals_g])
-        return Quaternion(*fock._pair_integral(F, G)[0, 0])
+        return self._fock._grid_pair(vals_f * comp[..., None], vals_g)
 
 
 def _cd_series(f, dim: int) -> CPowerSeries:
@@ -252,31 +265,14 @@ def _cd_series(f, dim: int) -> CPowerSeries:
     return f
 
 
-def _powers(z: np.ndarray, degree: int) -> np.ndarray:
-    """Rows z^n, n <= degree, at the points z."""
-    return np.vander(z, degree + 1, increasing=True).T
-
-
-@functools.lru_cache(maxsize=64)
-def _moment_table(alpha: float, order: int, degree: int) -> np.ndarray:
-    """T[n, m] = sum W z^n conj(z)^m, n, m <= degree, on the order-``order``
-    grid; shared by every space, so read-only."""
-    grid = _grid(order, alpha)
-    p = _powers((grid.x + 1j * grid.y).ravel(), degree)
-    table = np.array([axis_moments(grid.w, p[n] * np.conj(p))
-                      for n in range(degree + 1)])
-    table.setflags(write=False)
-    return table
-
-
 class FockCSpace:
     """Fock space on C^d: weight exp(-alpha|z|^2), prefactor (alpha/pi)^d.
 
     Weight and integrands factor over coordinates: integrals run on one
-    coordinate's M x M grid, inner products on T[n, m] = sum W z^n conj(z)^m.
-    A table of degree D is exact on the grid of order D + 1, and uses it up
-    to ``quad_order``, which bounds the degree of an inner product (a
-    higher one is refused) and is the order of ``reproduce``.
+    coordinate's M x M grid, inner products on the moment table
+    T[n, m] = sum W z^n conj(z)^m (``_table``).  ``quad_order`` bounds the
+    degree of an inner product (a higher one is refused) and is the order
+    of ``reproduce``.
     """
 
     def __init__(self, alpha: float, dim: int, quad_order: int | None = None):
@@ -286,12 +282,6 @@ class FockCSpace:
         self.quad_order = (quad_order if quad_order is not None
                            else DEFAULT_QUAD_ORDER if self.dim == 1 else 32)
         self.rule = gauss_hermite(self.quad_order, alpha)
-
-    def _table(self, degree: int, pair_degree: int) -> np.ndarray:
-        """The moment table of ``degree`` for an integrand of
-        ``pair_degree``, which the rule of ``quad_order`` must integrate."""
-        exact_order(pair_degree, self.quad_order)
-        return _moment_table(self.alpha, min(self.quad_order, degree + 1), degree)
 
     def _pair_value(self, table: np.ndarray, f, g) -> complex:
         """sum over term pairs of c_f conj(c_g) prod_l T[n_l, m_l]."""
@@ -306,7 +296,7 @@ class FockCSpace:
         """<f, g> on the table of the higher degree of f and g."""
         f, g = _cd_series(f, self.dim), _cd_series(g, self.dim)
         df, dg = f.max_axis_degree, g.max_axis_degree
-        return self._pair_value(self._table(max(df, dg), df + dg), f, g)
+        return self._pair_value(_table(self.alpha, self.quad_order, df, dg), f, g)
 
     def norm_sq(self, f) -> float:
         return self.inner_product(f, f).real
@@ -316,7 +306,7 @@ class FockCSpace:
         by construction."""
         functions = [_cd_series(f, self.dim) for f in functions]
         degree = max((f.max_axis_degree for f in functions), default=0)
-        table = self._table(degree, 2 * degree)
+        table = _table(self.alpha, self.quad_order, degree, degree)
         out = np.zeros((len(functions),) * 2, dtype=complex)
         for a, b in zip(*np.triu_indices(len(functions))):
             ip = self._pair_value(table, functions[a], functions[b])

@@ -34,7 +34,7 @@ from .kernels import NORMALIZATIONS
 from .quadrature import (DEFAULT_QUAD_ORDER, exact_order, gauss_hermite,
                          integrate_rd)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
-                     basis_coeff, dimension, multi_index_terms)
+                     axis_degree, basis_coeff, dimension, multi_index_terms)
 
 __all__ = [
     "HermiteCoeffFunction",
@@ -114,7 +114,7 @@ class HermiteCoeffFunctionD:
     def eval_points(self, xpts: np.ndarray) -> np.ndarray:
         """Values at (npoints, dim) real points, complex."""
         xpts = np.asarray(xpts, dtype=float)
-        n_max = max((max(idx) for idx, _ in self.terms), default=0)
+        n_max = axis_degree(self.terms)
         tables = [hermite_psi_all(self.nu, n_max, xpts[:, axis])
                   for axis in range(self.dim)]
         total = np.zeros(xpts.shape[0], dtype=complex)
@@ -373,7 +373,7 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",
             raise TypeError("quadrature path needs HermiteCoeffFunctionD")
         rule = gauss_hermite(quad_order, nu)
         x = rule.nodes
-        n_max = max((max(idx) for idx, _ in phi.terms), default=0)
+        n_max = axis_degree(phi.terms)
         psis = hermite_psi_all(phi.nu, n_max, x) * np.exp(nu * x * x)
         pref = _sb_prefactor(nu, "unitary", dim)
 

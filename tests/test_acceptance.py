@@ -58,3 +58,48 @@ def test_literal_normalization_reports_offset():
     assert quat.params["norm_offset"] == pytest.approx(
         math.sqrt(2.0 / math.pi), rel=1e-12)
     assert ok
+
+
+# a relative perturbation above the bound of every check it may move
+DELTA = 1e-5
+
+# the checks that read the moment table on one of their two routes, and
+# those that read a slice grid, each with the results it must fail
+TABLE_ROUTE = {
+    "fock-orthogonality": lambda r: True,
+    "rbf-orthonormality": lambda r: r.params["domain"].startswith("slice"),
+    "isometry": lambda r: True,
+    "sequential": lambda r: r.check == "sequential-norm-vs-quadrature",
+    "sb-unitarity": lambda r: (r.check == "sb-unitarity"
+                               and r.params["domain"] == "quaternionic"),
+}
+GRID_ROUTE = {
+    "isometry": lambda r: True,
+    "reproduce": lambda r: r.params["space"].endswith("-slice"),
+}
+
+
+def _assert_fails(name, selects):
+    chosen = [r for r in run_criterion(name, CONFIG) if selects(r)]
+    assert chosen and not any(r.passed for r in chosen), chosen
+
+
+@pytest.mark.parametrize("name", TABLE_ROUTE)
+def test_check_fails_when_the_moment_table_is_perturbed(name, monkeypatch):
+    from rbffock import spaces
+
+    table = spaces._moment_table
+    table.cache_clear()
+    monkeypatch.setattr(spaces, "_moment_table",
+                        lambda *args: table(*args) * (1.0 + DELTA))
+    _assert_fails(name, TABLE_ROUTE[name])
+
+
+@pytest.mark.parametrize("name", GRID_ROUTE)
+def test_check_fails_when_the_grid_route_is_perturbed(name, monkeypatch):
+    from rbffock.spaces import FockSliceSpace
+
+    grid_pair = FockSliceSpace._grid_pair
+    monkeypatch.setattr(FockSliceSpace, "_grid_pair",
+                        lambda *args: grid_pair(*args) * (1.0 + DELTA))
+    _assert_fails(name, GRID_ROUTE[name])

@@ -1,8 +1,9 @@
 """The array routes against the loops they replace.
 
-Slice integrals are one weighted matrix product per stack of grids; the
-reference here is the per-pair route: the Hamilton product conj(g) f of
-two grids, weighted and summed component by component.  The coefficient
+Slice integrals combine complex inner products of the split functions,
+read from the moment table or summed on a grid; the reference here is the
+per-pair route: the Hamilton product conj(g) f of two grids, weighted and
+summed component by component.  The coefficient
 maps add one whole shifted row per term; the reference is the scalar
 Quaternion loop, which they must equal bit for bit.  C^d Grams build
 their moment table once; each entry must equal the per-pair inner product
@@ -66,7 +67,8 @@ def mixed_series():
 def test_slice_gram_matches_per_pair_reference(unit, mixed_series):
     space = FockSliceSpace(1.3, unit, 40)
     gram = space.gram(mixed_series)
-    vals = [space._grid_values(f, space.grid) for f in mixed_series]
+    vals = [f.eval_slice_grid(space.grid.x, space.grid.y, unit)
+            for f in mixed_series]
     n = len(mixed_series)
     assert gram.shape == (n, n, 4)
     for a in range(n):
@@ -105,7 +107,7 @@ def test_small_rule_slice_integrals_match_full_order_reference(kind, order):
         space = RBFSliceSpace(1.2, unit, order)
         fock = space._fock
         members = [GaussSeries(1.2, f) for f in series]
-    vals = [fock._grid_values(f, fock.grid) for f in series]
+    vals = [f.eval_slice_grid(fock.grid.x, fock.grid.y, unit) for f in series]
     want = np.array([[pair_integral_reference(fock, vf, vg) for vg in vals]
                      for vf in vals])
     gram = space.gram(members)
@@ -154,7 +156,7 @@ def test_small_rule_cd_tables_match_full_order_reference(dim, order):
     degree = tops[-1]
     ref = cd_reference_table(alpha, order, degree)
     diag = np.sqrt(np.abs(np.diag(ref)))
-    table = space._table(degree, 2 * degree)
+    table = spaces._table(alpha, order, degree, degree)
     assert (np.abs(table - ref) <= 1e-14 * diag[:, None] * diag[None, :]).all()
 
     def reference(f, g):
@@ -213,7 +215,7 @@ def test_reproduce_and_direct_route_match_reference(unit):
     w = Quaternion(0.3, -0.2, 0.4, 0.1)
     x, y = fock.grid.x, fock.grid.y
     kvals = qa.star_exp_grid(fock.nu, x, y, unit, w)
-    want = pair_integral_reference(fock, fock._grid_values(f.series, fock.grid),
+    want = pair_integral_reference(fock, f.series.eval_slice_grid(x, y, unit),
                                    kvals)
     got = fock.reproduce(f.series, w)
     assert np.abs(np.array(got.to_list()) - want).max() <= 1e-14 * np.abs(want).max()
@@ -301,7 +303,7 @@ def test_cd_gram_builds_one_table_and_matches_inner_products(dim, monkeypatch):
     assert builds == [9]
     # every entry is its pair's sum on the Gram's one table, bit for bit,
     # and the inner product on the table of the pair's own degree agrees
-    table = space._table(9, 18)
+    table = spaces._table(1.5, order, 9, 9)
     assert table.shape == (10, 10)
     for a, f in enumerate(functions):
         for b, g in enumerate(functions):

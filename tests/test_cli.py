@@ -800,6 +800,26 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert "error: verify: gamma must give a positive finite nu" in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--quad-order", "24"], "exceeds quadrature exactness 47; raise quad_order"),
+        (["--only", "fock-orthogonality", "--quad-order", "8"], "raise quad_order"),
+        (["--only", "reproduce", "--gamma", "0.05"], "overflows double range"),
+    ], ids=["quad-order-24", "quad-order-8", "gamma-0.05"])
+    def test_refused_check_exits_2_with_one_error_line(self, capsys, flags,
+                                                       named):
+        code, out, err = run_cli(["verify", *flags], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: verify: ") and err.count("\n") == 1
+        assert named in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--quad-order", "25"],
+        ["--only", "fock-orthogonality", "--quad-order", "13"],
+    ], ids=["quad-order-25", "orthogonality-quad-order-13"])
+    def test_smallest_exact_orders_pass(self, capsys, flags):
+        code, out, _ = run_cli(["verify", *flags], capsys)
+        assert code == 0 and "all checks passed" in out
+
     def test_unknown_criterion_exits_2(self, capsys):
         code, _, err = run_cli(["verify", "--only", "nope"], capsys)
         assert code == 2

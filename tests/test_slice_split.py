@@ -9,7 +9,7 @@ from conftest import random_quaternion
 
 from rbffock import (GaussSeries, ImaginaryUnit, QPowerSeries, Quaternion,
                      SlicePoint)
-from rbffock._quatarray import slice_frame
+from rbffock._quatarray import join_pair, slice_frame, split_pair
 
 _RNG = np.random.default_rng(20240807)
 _DELTA = 1e-9
@@ -62,6 +62,19 @@ class TestSliceFrame:
         i, j, k = (Quaternion(0.0, *row) for row in frame)
         assert abs(i * j - k) <= 1e-15
         assert frame[0].tolist() == [unit.x, unit.y, unit.z]
+
+    @pytest.mark.parametrize("seed, unit", UNIT_PARAMS)
+    def test_split_pair_inverts_join_pair(self, seed, unit):
+        # a = A + B J, with i standing for the unit, by the Hamilton product
+        parts = np.random.default_rng(seed).uniform(-2.0, 2.0, (3, 5, 4))
+        a, b = split_pair(parts, unit)
+        assert a.shape == b.shape == (3, 5)
+        assert np.abs(join_pair((a, b), unit) - parts).max() <= 1e-15 * 8
+        i, j, _ = (Quaternion(0.0, *row) for row in slice_frame(unit))
+        for idx in np.ndindex(a.shape):
+            embed = [Quaternion.from_real(z.real) + i * z.imag
+                     for z in (a[idx], b[idx])]
+            assert abs(embed[0] + embed[1] * j - Quaternion(*parts[idx])) <= 1e-14
 
     def test_edge_units_take_different_axes(self):
         edges = list(EDGES.values())

@@ -313,3 +313,29 @@ def test_cd_gram_refuses_pairs_beyond_quadrature_exactness():
         space.inner_product(f, f)
     with pytest.raises(ValueError, match="combined integrand degree"):
         space.gram([f])
+
+
+def test_slice_integrals_evaluate_nothing_on_a_grid(monkeypatch):
+    """Inner products, norms and Grams of slice functions read the moment
+    table; no series is evaluated on a slice grid."""
+    from rbffock import _quatarray
+
+    def refuse(*_, **__):
+        raise AssertionError("a slice integral evaluated a series on a grid")
+
+    monkeypatch.setattr(QPowerSeries, "eval_slice_grid", refuse)
+    monkeypatch.setattr(_quatarray, "split_horner", refuse)
+    rng = np.random.default_rng(19)
+    series = [QPowerSeries(tuple(random_quaternion(rng) for _ in range(d + 1)))
+              for d in (0, 4, 11)]
+    for space, members in (
+            (FockSliceSpace(1.3, UNIT_TILTED, 40), series),
+            (RBFSliceSpace(0.9, UNIT_TILTED, 40),
+             [GaussSeries(0.9, f) for f in series])):
+        gram = space.gram(members)
+        assert gram.shape == (3, 3, 4)
+        assert abs(space.norm_sq(members[1]) - gram[1, 1, 0]) <= (
+            1e-14 * gram[1, 1, 0])
+        got = space.inner_product(members[1], members[2])
+        assert np.abs(np.array(got.to_list()) - gram[1, 2]).max() <= (
+            1e-14 * math.sqrt(gram[1, 1, 0] * gram[2, 2, 0]))

@@ -29,10 +29,12 @@ def _owners(pattern: str) -> set:
 
 
 @pytest.mark.parametrize("pattern", ["2.0 ** 600", "x * x - y * y",
-                                     "else 0.75", "lgamma("],
+                                     "else 0.75", "lgamma(",
+                                     "max(idx) for idx", "1j * dots["],
                          ids=["subnormal-rescale", "slice-envelope-exponent",
                               "segal-bargmann-prefactor-power",
-                              "factorial-weight"])
+                              "factorial-weight", "largest-axis-degree",
+                              "quaternion-split"])
 def test_rule_lives_in_one_function(pattern):
     owners = _owners(pattern)
     assert len(owners) == 1, owners
