@@ -16,6 +16,7 @@ F1 = sum z^n A_n and F2 = sum z^n B_n.  ``split_horner`` evaluates the pair
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -68,17 +69,25 @@ def slice_frame(unit: ImaginaryUnit) -> np.ndarray:
 
     J is the coordinate axis least aligned with I, made orthogonal to it;
     that axis makes an angle of at least arccos(1/sqrt3) with I, so the
-    normalization never divides by a small number.
+    normalization never divides by a small number.  Shared, so read-only,
+    per unit bits: units equal but for signed zeros differ in the frame.
     """
-    i = np.array([unit.x, unit.y, unit.z])
+    return _frame(np.array([unit.x, unit.y, unit.z]).tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _frame(bits: bytes) -> np.ndarray:
+    i = np.frombuffer(bits)
     axis = np.zeros(3)
     axis[np.argmin(np.abs(i))] = 1.0
     j = axis - (axis @ i) * i
     j /= np.linalg.norm(j)
     # K = I x J, the same float products and differences as np.cross
     (i0, i1, i2), (j0, j1, j2) = i.tolist(), j.tolist()
-    return np.array([i, j, [i1 * j2 - i2 * j1, i2 * j0 - i0 * j2,
-                            i0 * j1 - i1 * j0]])
+    frame = np.array([i, j, [i1 * j2 - i2 * j1, i2 * j0 - i0 * j2,
+                             i0 * j1 - i1 * j0]])
+    frame.setflags(write=False)
+    return frame
 
 
 def split_pair(parts, unit: ImaginaryUnit) -> tuple:

@@ -119,11 +119,8 @@ class Quaternion:
                               self.y * other, self.z * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
-        return NotImplemented
+    # r * q for a real r, which commutes; a Quaternion r uses its own __mul__
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):

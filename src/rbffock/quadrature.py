@@ -10,9 +10,9 @@ Integrands on R^d and C^d are sums of products of one-coordinate factors,
 so ``integrate_rd`` sums each axis once instead of the tensor grid.
 
 Axis moments are summed in fixed node order by block-compensated reduction
-(pairwise numpy partial sums combined by math.fsum); slice integrals
-combine them by small BLAS matrix products (``spaces``).  Both give the
-same bytes run to run and across BLAS thread counts on one machine.
+(pairwise numpy partial sums combined by math.fsum); Fock inner products
+combine them by small BLAS matrix products (``spaces._fock_sums``).  Both
+give the same bytes run to run and across BLAS thread counts on one machine.
 """
 
 from __future__ import annotations

@@ -226,28 +226,22 @@ def sb_transform(nu: float, phi, q, normalization: str = "unitary",
     q is a Quaternion, giving a Quaternion, or points of shape (..., 4),
     giving values of that shape; what does not depend on the point (the
     image series, or the rule and phi at its nodes) is built once per
-    call.  ``method="coeffs"`` uses the exact action on Hermite
-    coefficients, ``method="quadrature"`` integrates against the
-    closed-form kernel, and ``auto`` picks the exact path whenever it
-    applies.  A value that is not finite raises OverflowError naming its
-    point.
+    call.  ``method="auto"`` uses the exact action on Hermite
+    coefficients of the matching scale and integrates against the
+    closed-form kernel otherwise; ``method="quadrature"`` always
+    integrates.  A value that is not finite raises OverflowError naming
+    its point.
     """
     positive_finite("nu", nu)
     _check_normalization(normalization)
-    if method not in ("auto", "coeffs", "quadrature"):
-        raise ValueError("method must be auto, coeffs, or quadrature")
+    if method not in ("auto", "quadrature"):
+        raise ValueError("method must be auto or quadrature")
     points = _quaternion_points(q)
-
-    exact_ok = isinstance(phi, HermiteCoeffFunction) and phi.nu == nu
-    if method == "coeffs" or (method == "auto" and exact_ok):
-        if not exact_ok:
-            raise ValueError("exact path needs Hermite coefficients with a "
-                             "matching scale")
-        series = sb_image_series(nu, phi, normalization)
-        return _like(q, series.eval_points(points))
-
     if not isinstance(phi, HermiteCoeffFunction):
         raise TypeError("quadrature path needs HermiteCoeffFunction")
+    if method == "auto" and phi.nu == nu:
+        series = sb_image_series(nu, phi, normalization)
+        return _like(q, series.eval_points(points))
     exact_order(phi.degree, quad_order, "Hermite degree")
     return _like(q, finite_values("the transform value", lambda: _sb_quadrature(
         nu, phi, points, normalization, quad_order), points))
@@ -349,8 +343,8 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",
     OverflowError naming its point.
     """
     nu = nu_from_gamma(gamma)
-    if method not in ("auto", "coeffs", "quadrature"):
-        raise ValueError("method must be auto, coeffs, or quadrature")
+    if method not in ("auto", "quadrature"):
+        raise ValueError("method must be auto or quadrature")
     if isinstance(phi, HermiteCoeffFunctionD) and phi.dim != dim:
         raise ValueError(f"phi is a function on R^{phi.dim}, not on R^{dim}")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -358,19 +352,15 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",
         raise ValueError("evaluation point has the wrong dimension")
     finite_points(z)
     rows = z.reshape(-1, dim)
+    if not isinstance(phi, HermiteCoeffFunctionD):
+        raise TypeError("quadrature path needs HermiteCoeffFunctionD")
 
-    exact_ok = isinstance(phi, HermiteCoeffFunctionD) and phi.nu == nu
-    if method == "coeffs" or (method == "auto" and exact_ok):
-        if not exact_ok:
-            raise ValueError("exact path needs multi-index Hermite "
-                             "coefficients with scale 2/gamma^2")
+    if method == "auto" and phi.nu == nu:
         image = rbf_sb_image_series_d(gamma, phi)
         fock = image.series.eval_points(rows)
         values = finite_values("the transform value",
                                lambda: image.envelope(rows) * fock, rows)
     else:
-        if not isinstance(phi, HermiteCoeffFunctionD):
-            raise TypeError("quadrature path needs HermiteCoeffFunctionD")
         rule = gauss_hermite(quad_order, nu)
         x = rule.nodes
         n_max = axis_degree(phi.terms)

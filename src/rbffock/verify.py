@@ -30,7 +30,7 @@ from .quadrature import DEFAULT_QUAD_ORDER
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      beta_coeffs, multi_indices, sequential_norm)
 from .spaces import (FockCSpace, FockSliceSpace, RBFCSpace, RBFSliceSpace,
-                     slice_independence_check)
+                     pointwise_bound_check, slice_independence_check)
 from .transforms import (HermiteCoeffFunctionD, hermite_basis_l2,
                          rbf_sb_image_series, rbf_sb_image_series_d,
                          rbf_sb_kernel, rbf_sb_transform, sb_kernel)
@@ -83,9 +83,8 @@ def _random_quaternion(rng, scale: float = 1.0) -> Quaternion:
     return Quaternion(*(scale * rng.uniform(-1.0, 1.0, 4)))
 
 
-def _random_qseries(rng, degree: int, scale: float = 1.0) -> QPowerSeries:
-    return QPowerSeries(tuple(_random_quaternion(rng, scale)
-                              for _ in range(degree + 1)))
+def _random_qseries(rng, degree: int) -> QPowerSeries:
+    return QPowerSeries(tuple(_random_quaternion(rng) for _ in range(degree + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +231,7 @@ def crit_diagonal_and_bound(cfg: VerifyConfig) -> list[CheckResult]:
     results = [_result("kernel-diagonal-identity", {"gamma": gamma},
                        worst, 1e-10, cfg)]
 
-    points = [SlicePoint(x, y, UNIT_I)
-              for x in np.linspace(-2.0, 2.0, 7)
-              for y in np.linspace(-2.0, 2.0, 7)]
-    from .spaces import pointwise_bound_check
+    points = [SlicePoint(x, y, UNIT_I) for x, y in grid]
     worst_ratio = 0.0
     for _ in range(5):
         f = GaussSeries(gamma, _random_qseries(rng, 6))

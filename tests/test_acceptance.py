@@ -72,10 +72,12 @@ TABLE_ROUTE = {
     "sequential": lambda r: r.check == "sequential-norm-vs-quadrature",
     "sb-unitarity": lambda r: (r.check == "sb-unitarity"
                                and r.params["domain"] == "quaternionic"),
+    "slice-independence": lambda r: True,
 }
 GRID_ROUTE = {
     "isometry": lambda r: True,
     "reproduce": lambda r: r.params["space"].endswith("-slice"),
+    "slice-independence": lambda r: True,
 }
 
 

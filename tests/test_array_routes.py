@@ -6,12 +6,12 @@ per-pair route: the Hamilton product conj(g) f of two grids, weighted and
 summed component by component.  The coefficient
 maps add one whole shifted row per term; the reference is the scalar
 Quaternion loop, which they must equal bit for bit.  C^d Grams build
-their moment table once; each entry must equal the per-pair inner product
-bit for bit.  The transforms take a whole grid of points; the references
-are the scalar series Horner loop, the scalar slice decomposition and, per
-point, the node sum of the scalar kernel against phi.  Polynomial
-integrals run on the smallest exact rule; the references are the same sums
-on the ``quad_order`` grid.
+their moment table once and are exactly Hermitian; each entry agrees with
+the per-pair inner product.  The transforms take a whole grid of points;
+the references are the scalar series Horner loop, the scalar slice
+decomposition and, per point, the node sum of the scalar kernel against
+phi.  Polynomial integrals run on the smallest exact rule; the references
+are the same sums on the ``quad_order`` grid.
 """
 
 import math
@@ -156,7 +156,7 @@ def test_small_rule_cd_tables_match_full_order_reference(dim, order):
     degree = tops[-1]
     ref = cd_reference_table(alpha, order, degree)
     diag = np.sqrt(np.abs(np.diag(ref)))
-    table = spaces._table(alpha, order, degree, degree)
+    table = spaces._moment_table(alpha, min(order, degree + 1), degree)
     assert (np.abs(table - ref) <= 1e-14 * diag[:, None] * diag[None, :]).all()
 
     def reference(f, g):
@@ -301,15 +301,13 @@ def test_cd_gram_builds_one_table_and_matches_inner_products(dim, monkeypatch):
     spaces._moment_table.cache_clear()
     gram = space.gram(functions)
     assert builds == [9]
-    # every entry is its pair's sum on the Gram's one table, bit for bit,
-    # and the inner product on the table of the pair's own degree agrees
-    table = spaces._table(1.5, order, 9, 9)
-    assert table.shape == (10, 10)
+    # one matrix product, symmetrized: exactly Hermitian, real diagonal
+    assert np.array_equal(gram, gram.conj().T)
+    assert not np.diag(gram).imag.any()
+    # the inner product and norm on the table of the pair's own degree agree
     for a, f in enumerate(functions):
+        assert abs(gram[a, a].real - space.norm_sq(f)) <= 1e-14 * gram[a, a].real
         for b, g in enumerate(functions):
-            want = (space._pair_value(table, f, g) if a <= b
-                    else np.conj(space._pair_value(table, g, f)))
-            assert gram[a, b] == want
             scale = math.sqrt(gram[a, a].real * gram[b, b].real)
             assert abs(gram[a, b] - space.inner_product(f, g)) <= 1e-14 * scale
 
@@ -374,12 +372,12 @@ def sb_quadrature_reference(nu, phi, q, normalization, order):
 
 
 @pytest.mark.parametrize("normalization", ["unitary", "literal"])
-@pytest.mark.parametrize("route", ["coeffs", "quadrature"])
+@pytest.mark.parametrize("route", ["auto", "quadrature"])
 def test_quaternion_transforms_match_per_point_reference(route, normalization):
     rng = np.random.default_rng(23)
     gamma = 1.2
     nu = 2.0 / gamma ** 2
-    phi_nu = nu if route == "coeffs" else 0.7
+    phi_nu = nu if route == "auto" else 0.7  # auto is exact at nu
     phi = HermiteCoeffFunction(phi_nu, tuple(random_quaternion(rng)
                                              for _ in range(10)))
     q = quaternion_grid(rng, 300)  # more than one block of points
@@ -396,7 +394,7 @@ def test_quaternion_transforms_match_per_point_reference(route, normalization):
         one = sb_transform(nu, phi, point, normalization, route, 40)
         assert isinstance(one, Quaternion)
         assert np.abs(fock[i] - one.to_list()).max() <= fock_tol
-        if route == "coeffs":
+        if route == "auto":
             want = sb_image_series(nu, phi, normalization).eval(point)
         else:
             want = sb_quadrature_reference(nu, phi, point, normalization, 40)
@@ -407,7 +405,7 @@ def test_quaternion_transforms_match_per_point_reference(route, normalization):
         assert np.abs(rbf[i] - one.to_list()).max() <= rbf_tol
 
 
-@pytest.mark.parametrize("route", ["coeffs", "quadrature"])
+@pytest.mark.parametrize("route", ["auto", "quadrature"])
 def test_c2_transform_matches_per_point_calls(route):
     rng = np.random.default_rng(24)
     gamma, dim = 1.0, 2

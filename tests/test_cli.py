@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -831,3 +834,17 @@ class TestVerifyCommand:
                                 "--tol", "1e-30"], capsys)
         assert code == 1
         assert "FAIL" in out
+
+
+def test_importing_the_cli_builds_nothing():
+    """Starting the CLI builds no rule, grid, moment table or slice frame;
+    perfbench's ``setup_s`` times this import in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    code = ("import rbffock.cli\n"
+            "from rbffock import _quatarray, quadrature, spaces\n"
+            "print([f.cache_info().currsize for f in (quadrature.gauss_hermite,"
+            " spaces._grid, spaces._moment_table, _quatarray._frame)])")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert run.stdout == "[0, 0, 0, 0]\n"

@@ -9,6 +9,7 @@ from conftest import random_quaternion
 
 from rbffock import (GaussSeries, ImaginaryUnit, QPowerSeries, Quaternion,
                      SlicePoint)
+from rbffock import _quatarray
 from rbffock._quatarray import join_pair, slice_frame, split_pair
 
 _RNG = np.random.default_rng(20240807)
@@ -75,6 +76,25 @@ class TestSliceFrame:
             embed = [Quaternion.from_real(z.real) + i * z.imag
                      for z in (a[idx], b[idx])]
             assert abs(embed[0] + embed[1] * j - Quaternion(*parts[idx])) <= 1e-14
+
+    def test_cached_frame_is_the_fresh_one_bit_for_bit(self):
+        # units that differ only in signed zeros compare and hash equal,
+        # yet their frames' zeros differ in sign: each keeps its own
+        pair = [ImaginaryUnit(1.0, 0.0, 0.0), ImaginaryUnit(1.0, -0.0, -0.0)]
+        assert pair[0] == pair[1] and hash(pair[0]) == hash(pair[1])
+        units = pair + list(UNITS.values())
+        fresh = []
+        for unit in units:
+            _quatarray._frame.cache_clear()
+            fresh.append(slice_frame(unit).tobytes())
+        assert fresh[0] != fresh[1]
+        for order in (units, units[::-1]):
+            _quatarray._frame.cache_clear()
+            frames = {id(unit): slice_frame(unit) for unit in order}
+            for unit, want in zip(units, fresh):
+                frame = slice_frame(unit)
+                assert frame is frames[id(unit)] and frame.tobytes() == want
+                assert not frame.flags.writeable
 
     def test_edge_units_take_different_axes(self):
         edges = list(EDGES.values())

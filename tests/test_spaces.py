@@ -339,3 +339,24 @@ def test_slice_integrals_evaluate_nothing_on_a_grid(monkeypatch):
         got = space.inner_product(members[1], members[2])
         assert np.abs(np.array(got.to_list()) - gram[1, 2]).max() <= (
             1e-14 * math.sqrt(gram[1, 1, 0] * gram[2, 2, 0]))
+
+
+def test_every_fock_inner_product_runs_on_the_one_engine(monkeypatch):
+    """Inner products, norms and Grams of all four spaces, on slices and
+    on C^d, are sums of ``spaces._fock_sums``; none has a route of its own."""
+    from rbffock import spaces
+
+    def refuse(*_, **__):
+        raise AssertionError("the engine was called")
+
+    monkeypatch.setattr(spaces, "_fock_sums", refuse)
+    q = QPowerSeries((Quaternion(1.0, 0.5, 0.0, -0.5),))
+    c = CPowerSeries(2, (((1, 0), 1.0),))
+    for space, f in ((FockSliceSpace(1.0, UNIT_TILTED, 8), q),
+                     (RBFSliceSpace(1.0, UNIT_TILTED, 8), GaussSeries(1.0, q)),
+                     (FockCSpace(2.0, 2, 8), c),
+                     (RBFCSpace(1.0, 2, 8), GaussCSeries(1.0, c))):
+        for call in (lambda: space.inner_product(f, f),
+                     lambda: space.norm_sq(f), lambda: space.gram([f, f])):
+            with pytest.raises(AssertionError, match="the engine was called"):
+                call()

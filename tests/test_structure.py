@@ -30,11 +30,12 @@ def _owners(pattern: str) -> set:
 
 @pytest.mark.parametrize("pattern", ["2.0 ** 600", "x * x - y * y",
                                      "else 0.75", "lgamma(",
-                                     "max(idx) for idx", "1j * dots["],
+                                     "max(idx) for idx", "1j * dots[",
+                                     "@ rows.conj().T"],
                          ids=["subnormal-rescale", "slice-envelope-exponent",
                               "segal-bargmann-prefactor-power",
                               "factorial-weight", "largest-axis-degree",
-                              "quaternion-split"])
+                              "quaternion-split", "fock-inner-product"])
 def test_rule_lives_in_one_function(pattern):
     owners = _owners(pattern)
     assert len(owners) == 1, owners

@@ -83,7 +83,7 @@ class TestSBTransform:
             phi = HermiteCoeffFunction(
                 nu, tuple(random_quaternion(rng) for _ in range(11)))
             q = random_quaternion(rng)
-            exact = sb_transform(nu, phi, q, method="coeffs")
+            exact = sb_transform(nu, phi, q, method="auto")
             quad = sb_transform(nu, phi, q, method="quadrature")
             assert abs(quad - exact) <= 1e-9 * (1 + abs(exact))
 
@@ -99,18 +99,13 @@ class TestSBTransform:
         phi = hermite_basis_l2(nu, 3)
         q = Quaternion(0.5, 0.0, 0.4, 0.0)
         got = sb_transform(nu, phi, q, method="quadrature")
-        want = sb_transform(nu, phi, q, method="coeffs")
+        want = sb_transform(nu, phi, q, method="auto")
         assert abs(got - want) <= 1e-10 * (1 + abs(want))
 
     def test_bare_callable_rejected(self):
         with pytest.raises(TypeError):
             sb_transform(1.0, lambda x: np.zeros(x.shape + (4,)),
                          Quaternion(0, 0, 0, 0), method="quadrature")
-
-    def test_scale_mismatch_on_exact_path(self):
-        with pytest.raises(ValueError):
-            sb_transform(1.0, hermite_basis_l2(2.0, 1),
-                         Quaternion(0, 0, 0, 0), method="coeffs")
 
 
 class TestRBFSBKernel:
@@ -233,7 +228,7 @@ class TestDTransform:
         phi = HermiteCoeffFunctionD(2.0, 2, (((1, 0), 0.7 + 0.1j),
                                              ((0, 2), -0.3 + 0.5j)))
         z = (0.2 - 0.3j, 0.5 + 0.4j)
-        exact = rbf_sb_transform_d(gamma, 2, phi, z, method="coeffs")
+        exact = rbf_sb_transform_d(gamma, 2, phi, z, method="auto")
         quad = rbf_sb_transform_d(gamma, 2, phi, z, method="quadrature",
                                   quad_order=40)
         assert abs(quad - exact) <= 1e-9 * (1 + abs(exact))
