@@ -2,8 +2,8 @@
 
 The library covers three settings: the complex plane, several complex
 variables, and quaternions through slice-regular function theory.  It
-provides the kernels in closed form, orthonormal bases, Gauss-Hermite
-quadrature for every inner product, the multiplication isometry between
+provides the kernels in closed form, orthonormal bases, exact Fock inner
+products, Gauss-Hermite quadrature, the multiplication isometry between
 RBF and Fock spaces, Segal-Bargmann-type transforms, Gram matrices with
 positive-semidefiniteness certification, and a property-verification suite
 exposed both as a library call and through the ``rbffock verify`` CLI.

@@ -468,9 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Gaussian kernel width parameter")
     common.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER,
                         help="Gauss-Hermite order, 8 to 512 (default 80), of "
-                        "the non-polynomial routes (reproduce, the direct "
-                        "isometry route, quadrature transforms); polynomial "
-                        "integrals use the smallest exact order up to it")
+                        "the quadrature routes (reproduce, the direct "
+                        "isometry route, quadrature transforms); Fock inner "
+                        "products are exact and use none")
     common.add_argument("--dim", type=int, default=None,
                         help="dimension for quadrature-backed commands, "
                         "1 to 3")

@@ -1,6 +1,10 @@
 """Gauss-Hermite quadrature and its tensorizations.
 
-Every integral in this package runs through the rules built here.  The
+Every integral in this package that has no closed form runs through the
+rules built here: the grid routes of the spaces (``reproduce``,
+``inner_product_direct``), the quadrature transforms and the oracles of
+verify.  Fock inner products, norms and Grams need none; the monomials
+are orthogonal with norms n!/alpha^n (``spaces._fock_sums``).  The
 convention is strict: the Gaussian weight exp(-nu*x^2) lives in the rule's
 nodes and weights, never in the integrand.  Integrands are the remaining
 smooth factors, so polynomial integrands of degree <= 2M-1 per variable are
@@ -10,9 +14,8 @@ Integrands on R^d and C^d are sums of products of one-coordinate factors,
 so ``integrate_rd`` sums each axis once instead of the tensor grid.
 
 Axis moments are summed in fixed node order by block-compensated reduction
-(pairwise numpy partial sums combined by math.fsum); Fock inner products
-combine them by small BLAS matrix products (``spaces._fock_sums``).  Both
-give the same bytes run to run and across BLAS thread counts on one machine.
+(pairwise numpy partial sums combined by math.fsum), which gives the same
+bytes run to run and across BLAS thread counts on one machine.
 """
 
 from __future__ import annotations
@@ -108,14 +111,12 @@ def gauss_hermite(order: int, nu: float = 1.0) -> QuadratureRule:
 
 
 def exact_order(degree: int, quad_order: int,
-                what: str = "combined integrand degree") -> int:
-    """The smallest rule order exact to ``degree`` (an m-point rule is
-    exact to 2m - 1); raises ValueError, naming ``what``, when the rule of
-    ``quad_order`` is not."""
+                what: str = "combined integrand degree") -> None:
+    """Raise ValueError, naming ``what``, unless the rule of ``quad_order``
+    is exact to ``degree`` (an m-point rule is exact to 2m - 1)."""
     if degree > 2 * quad_order - 1:
         raise ValueError(f"{what} {degree} exceeds quadrature exactness "
                          f"{2 * quad_order - 1}; raise quad_order")
-    return degree // 2 + 1
 
 
 def compensated_sum(values: np.ndarray):

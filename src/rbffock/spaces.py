@@ -6,7 +6,8 @@ only along the imaginary axis, so direct two-dimensional quadrature of RBF
 integrals is ill-posed for generic integrands.  All RBF-space integrals are
 therefore routed through the multiplication isometry onto the Fock side
 (strip the Gaussian envelope, integrate against the full Gaussian weight
-exp(-nu|q|^2) with nu = 2/gamma^2), where Gauss-Hermite rules are exact.
+exp(-nu|q|^2) with nu = 2/gamma^2), where the monomials are orthogonal
+with norms n!/nu^n in closed form and Gauss-Hermite rules are exact.
 That forces a representation discipline: RBF-space elements enter as
 ``GaussSeries`` / ``GaussCSeries`` (envelope times series), Fock-space
 elements as ``QPowerSeries`` / ``CPowerSeries``, and anything else is
@@ -25,8 +26,8 @@ import numpy as np
 from . import _quatarray as qa
 from ._checks import finite_points, finite_values, nu_from_gamma, positive_finite
 from .hypercomplex import I_DEFAULT, ImaginaryUnit, Quaternion, SlicePoint
-from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, axis_moments,
-                         exact_order, gauss_hermite, integrate_rd)
+from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, exact_order,
+                         gauss_hermite, integrate_rd)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      beta_coeffs, dimension)
 
@@ -73,36 +74,30 @@ def _grid(order: int, nu: float) -> _Grid:
     return grid
 
 
-def _powers(z: np.ndarray, degree: int) -> np.ndarray:
-    """Rows z^n, n <= degree, at the points z."""
-    return np.vander(z, degree + 1, increasing=True).T
-
-
 @functools.lru_cache(maxsize=64)
-def _moment_table(alpha: float, order: int, degree: int) -> np.ndarray:
-    """T[n, m] = sum W z^n conj(z)^m, n, m <= degree, on the order-``order``
-    grid, in blocks of rows n of about 2^16 products; shared, so read-only."""
-    grid = _grid(order, alpha)
-    p = _powers((grid.x + 1j * grid.y).ravel(), degree)
-    rows, conj_p = max(1, (1 << 16) // p.size), np.conj(p)
-    table = np.concatenate([axis_moments(grid.w, p[n:n + rows, None] * conj_p)
-                            for n in range(0, degree + 1, rows)])
-    table.setflags(write=False)
-    return table
+def _weights(alpha: float, degree: int) -> np.ndarray:
+    """||z^n||^2 = n!/alpha^n, n <= degree, the Fock norms of the monomials
+    (the moments (alpha/pi) integral |z|^(2n) exp(-alpha|z|^2)), each
+    rounded once from the exact rational by int true division; shared, so
+    read-only.  OverflowError when one leaves double range."""
+    num, den = float(alpha).as_integer_ratio()
+    top, bottom, weights = 1, 1, np.ones(degree + 1)
+    for n in range(1, degree + 1):
+        top, bottom = top * n * den, bottom * num
+        weights[n] = top / bottom
+    weights.setflags(write=False)
+    return weights
 
 
-def _fock_sums(alpha: float, quad_order: int, indices: np.ndarray,
-               rows: np.ndarray, df: int, dg: int) -> np.ndarray:
-    """h = R M R^H, the sums sum W u conj(v) of the rows u, v of the
-    coefficients R (n, U) of the monomials of ``indices`` (U, d), with
-    M[t, s] = prod_l T[n_{t,l}, n_{s,l}]: times (alpha/pi)^d, the Fock inner
-    products.  T is the moment table of degree D = max(df, dg) on the grid
-    of order min(D + 1, quad_order), whose rule must be exact to df + dg."""
-    exact_order(df + dg, quad_order)
-    degree = max(df, dg)
-    table = _moment_table(alpha, min(quad_order, degree + 1), degree)
-    m = functools.reduce(np.multiply, (table[np.ix_(n, n)] for n in indices.T))
-    return rows @ m @ rows.conj().T
+def _fock_sums(alpha: float, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The Fock inner products h = R diag(w) R^H of the functions whose
+    coefficients on the monomials of ``indices`` (U, d) are the rows R
+    (n, U): the monomials are orthogonal, with w_t = prod_l
+    n_{t,l}!/alpha^{n_{t,l}} (``_weights``).  R takes the factors of w_t
+    one coordinate at a time, so no product of them overflows alone."""
+    weights = _weights(alpha, int(indices.max(initial=0)))
+    weighted = functools.reduce(lambda r, n: r * weights[n], indices.T, rows)
+    return weighted @ rows.conj().T
 
 
 def _split_rows(functions, unit: ImaginaryUnit) -> tuple:
@@ -120,9 +115,9 @@ class FockSliceSpace:
 
     On the slice each element is F1 + F2 J, F1 and F2 complex polynomials
     (the splitting lemma), so an inner product combines four complex ones
-    (``_join``).  Inner products, norms and Grams read those from the C^1
-    moment table (``_fock_sums``); ``quad_order`` bounds their degree (a
-    higher one is refused) and is the order of the grid of ``reproduce``.
+    (``_join``).  Inner products, norms and Grams take those from the
+    closed-form monomial norms (``_fock_sums``), exact at every degree;
+    ``quad_order`` is the order of the grid of ``reproduce``.
     """
 
     def __init__(self, nu: float, unit: ImaginaryUnit = I_DEFAULT,
@@ -137,32 +132,40 @@ class FockSliceSpace:
     # -- the two routes -----------------------------------------------
 
     def _join(self, h: np.ndarray) -> np.ndarray:
-        """Quaternion inner products, shape (n, m, 4), from the complex sums
-        h = sum W u conj(v) of the rows u = (F1_a; F2_a) against the rows
+        """Quaternion inner products, shape (n, m, 4), from the complex ones
+        h = <u, v> of the rows u = (F1_a; F2_a) against the rows
         v = (G1_b; G2_b): <f, g> = X + Y J with X = <F1, G1> + conj<F2, G2>
         and Y = <F2, G1> - conj<F1, G2>."""
-        h = (self.nu / math.pi) * h.reshape(2, len(h) // 2, 2, h.shape[1] // 2)
+        h = h.reshape(2, len(h) // 2, 2, h.shape[1] // 2)
         (f1g1, f1g2), (f2g1, f2g2) = h.swapaxes(1, 2)
         return qa.join_pair((f1g1 + np.conj(f2g2), f2g1 - np.conj(f1g2)),
                             self.unit)
 
-    def _grid_pair(self, f_values: np.ndarray, g_values: np.ndarray) -> Quaternion:
-        """<f, g> of values (M, M, 4) on the ``quad_order`` grid: the real
-        products P = sum W f_c g_d, one matrix product, split on both sides
-        as h = S P S^H with S = ``split_pair``(eye(4))."""
-        f_values, g_values = f_values.reshape(-1, 4), g_values.reshape(-1, 4)
-        P = (f_values * self.grid.w[:, None]).T @ g_values
+    def _grid_pair(self, f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
+        """<f_a, g_b>, shape (n, m, 4), of values (n, M, M, 4), (m, M, M, 4)
+        on the ``quad_order`` grid: the real products P = sum W f_c g_d, one
+        matrix product, split block by block (the split is linear) as
+        S P S^H, S = ``split_pair``(eye(4))."""
+        n, m = len(f_values), len(g_values)
+        f, g = (np.moveaxis(v.reshape(len(v), -1, 4), 0, 1).reshape(-1, 4 * len(v))
+                for v in (f_values, g_values))
+        p = ((f * self.grid.w[:, None]).T @ g).reshape(n, 4, m, 4).swapaxes(1, 2)
         S = np.array(qa.split_pair(np.eye(4), self.unit))
-        return Quaternion(*self._join(S @ P @ S.conj().T)[0, 0])
+        h = (S @ p @ S.conj().T).transpose(2, 0, 3, 1).reshape(2 * n, 2 * m)
+        return self._join((self.nu / math.pi) * h)
 
     # -- public api ---------------------------------------------------
 
+    def _sums(self, functions, part) -> np.ndarray:
+        """Quaternion inner products from ``part`` of the ``_fock_sums`` of
+        the split functions; OverflowError naming nu unless finite."""
+        functions = [_slice_series(f) for f in functions]
+        return finite_values("an inner product", lambda: self._join(part(
+            _fock_sums(self.nu, *_split_rows(functions, self.unit)))), nu=self.nu)
+
     def inner_product(self, f, g) -> Quaternion:
         """<f, g> = (nu/pi) * integral conj(g) f exp(-nu|q|^2)."""
-        f, g = _slice_series(f), _slice_series(g)
-        h = _fock_sums(self.nu, self.quad_order, *_split_rows([f, g], self.unit),
-                       f.degree, g.degree)
-        return Quaternion(*self._join(h[0::2, 1::2])[0, 0])
+        return Quaternion(*self._sums([f, g], lambda h: h[0::2, 1::2])[0, 0])
 
     def norm_sq(self, f) -> float:
         return self.inner_product(f, f).w
@@ -170,11 +173,7 @@ class FockSliceSpace:
     def gram(self, functions: Sequence) -> np.ndarray:
         """All pairwise inner products, shape (n, n, 4), G[a,b] = <f_a, f_b>,
         exactly quaternion-Hermitian."""
-        functions = [_slice_series(f) for f in functions]
-        degree = max((f.degree for f in functions), default=0)
-        h = _fock_sums(self.nu, self.quad_order, *_split_rows(functions, self.unit),
-                       degree, degree)
-        return self._join(0.5 * (h + h.conj().T))
+        return self._sums(functions, lambda h: 0.5 * (h + h.conj().T))
 
     def reproduce(self, f, w: Quaternion) -> Quaternion:
         """Evaluate <f, K_w> by quadrature on the ``quad_order`` grid; equals
@@ -182,8 +181,9 @@ class FockSliceSpace:
         f = _slice_series(f)
         exact_order(f.degree, self.quad_order, "series degree")
         x, y = self.grid.x, self.grid.y
-        return self._grid_pair(f.eval_slice_grid(x, y, self.unit),
-                               qa.star_exp_grid(self.nu, x, y, self.unit, w))
+        return Quaternion(*self._grid_pair(
+            f.eval_slice_grid(x, y, self.unit)[None],
+            qa.star_exp_grid(self.nu, x, y, self.unit, w)[None])[0, 0])
 
 
 class _RBFSpace:
@@ -191,9 +191,8 @@ class _RBFSpace:
     under multiplication by the envelope exp(-z^2/gamma^2).
 
     Elements are Gaussian-enveloped series of the class ``member``.  Every
-    integral strips the envelope and runs on the Fock side (exact, no
-    truncation, on the moment table); ``reproduce`` puts the envelope at
-    the point back.
+    inner product strips the envelope and runs on the Fock side (exact, in
+    closed form); ``reproduce`` puts the envelope at the point back.
     """
 
     member: type
@@ -254,13 +253,15 @@ class RBFSliceSpace(_RBFSpace):
         """Direct-weight route: pointwise values times exp(-4y^2/gamma^2),
         with the rule's Gaussian compensated explicitly."""
         f, g = self._require_member(f), self._require_member(g)
+        exact_order(f.series.degree + g.series.degree, self.quad_order)
         (x, y, _), unit = self._fock.grid, self._fock.unit
         vals_f = f.eval_slice_grid(x, y, unit)
         vals_g = vals_f if g is f else g.eval_slice_grid(x, y, unit)
         comp = np.exp(-4.0 * y * y / (self.gamma * self.gamma)
                       + self.nu * (x ** 2 + y ** 2))
         # 2/(pi gamma^2) = nu/pi, so the Fock rule's sum applies as it is
-        return self._fock._grid_pair(vals_f * comp[..., None], vals_g)
+        return Quaternion(*self._fock._grid_pair(vals_f[None] * comp[..., None],
+                                                 vals_g[None])[0, 0])
 
 
 def _cd_series(f, dim: int) -> CPowerSeries:
@@ -274,11 +275,9 @@ def _cd_series(f, dim: int) -> CPowerSeries:
 class FockCSpace:
     """Fock space on C^d: weight exp(-alpha|z|^2), prefactor (alpha/pi)^d.
 
-    Weight and integrands factor over coordinates: integrals run on one
-    coordinate's M x M grid, inner products on the moment table
-    T[n, m] = sum W z^n conj(z)^m (``_fock_sums``).  ``quad_order`` bounds the
-    degree of an inner product (a higher one is refused) and is the order
-    of ``reproduce``.
+    The monomials are orthogonal, so inner products, norms and Grams are
+    closed forms (``_fock_sums``); ``reproduce``'s integrand factors over
+    coordinates, on one coordinate's M x M grid of order ``quad_order``.
     """
 
     def __init__(self, alpha: float, dim: int, quad_order: int | None = None):
@@ -289,9 +288,10 @@ class FockCSpace:
                            else DEFAULT_QUAD_ORDER if self.dim == 1 else 32)
         self.rule = gauss_hermite(self.quad_order, alpha)
 
-    def _sums(self, functions, df: int, dg: int) -> np.ndarray:
-        """(alpha/pi)^d ``_fock_sums`` of the functions' coefficients on
-        the union of their multi-indices."""
+    def _sums(self, functions, part) -> np.ndarray:
+        """``part`` of the ``_fock_sums`` of the functions on the union of
+        their multi-indices; OverflowError naming alpha unless finite."""
+        functions = [_cd_series(f, self.dim) for f in functions]
         indices = sorted({k for f in functions for k, _ in f.terms})
         column = {k: t for t, k in enumerate(indices)}
         rows = np.zeros((len(functions), len(indices)), dtype=complex)
@@ -299,25 +299,18 @@ class FockCSpace:
             for k, c in f.terms:
                 row[column[k]] += c
         indices = np.array(indices, dtype=int).reshape(-1, self.dim)
-        return (self.alpha / math.pi) ** self.dim * _fock_sums(
-            self.alpha, self.quad_order, indices, rows, df, dg)
+        return finite_values("an inner product", lambda: part(
+            _fock_sums(self.alpha, indices, rows)), alpha=self.alpha)
 
     def inner_product(self, f, g) -> complex:
-        """<f, g> on the table of the higher degree of f and g."""
-        f, g = _cd_series(f, self.dim), _cd_series(g, self.dim)
-        return complex(self._sums([f, g], f.max_axis_degree,
-                                  g.max_axis_degree)[0, 1])
+        return complex(self._sums([f, g], lambda h: h[0, 1]))
 
     def norm_sq(self, f) -> float:
         return self.inner_product(f, f).real
 
     def gram(self, functions: Sequence) -> np.ndarray:
-        """G[a, b] = <f_a, f_b> on the table of the highest degree, exactly
-        Hermitian."""
-        functions = [_cd_series(f, self.dim) for f in functions]
-        degree = max((f.max_axis_degree for f in functions), default=0)
-        h = self._sums(functions, degree, degree)
-        return 0.5 * (h + h.conj().T)
+        """G[a, b] = <f_a, f_b>, exactly Hermitian."""
+        return self._sums(functions, lambda h: 0.5 * (h + h.conj().T))
 
     def reproduce(self, f, w: Sequence[complex]) -> complex:
         """<f, K_w> on the ``quad_order`` grid: per coordinate, the table
@@ -329,7 +322,7 @@ class FockCSpace:
         finite_points(w)
         grid = _grid(self.quad_order, self.alpha)
         z = (grid.x + 1j * grid.y).ravel()
-        powers = _powers(z, f.max_axis_degree)
+        powers = np.vander(z, f.max_axis_degree + 1, increasing=True).T
         return finite_values("the reproduced value", lambda: (
             self.alpha / math.pi) ** self.dim * integrate_rd(grid.w, [
                 powers * np.exp(self.alpha * np.conj(z) * wl) for wl in w],
@@ -411,8 +404,8 @@ class SliceIndependenceReport:
 def slice_independence_check(gamma: float, f: GaussSeries,
                              unit_a: ImaginaryUnit, unit_b: ImaginaryUnit,
                              quad_order: int = DEFAULT_QUAD_ORDER) -> SliceIndependenceReport:
-    """Compare the RBF norm of f on two slices by two routes: the moment
-    table on ``unit_a``, ``inner_product_direct`` on ``unit_b``."""
+    """Compare the RBF norm of f on two slices by two routes: the closed
+    form on ``unit_a``, ``inner_product_direct`` on ``unit_b``."""
     na = RBFSliceSpace(gamma, unit_a, quad_order).norm_sq(f)
     nb = RBFSliceSpace(gamma, unit_b, quad_order).inner_product_direct(f, f).w
     rel = abs(na - nb) / max(abs(na), abs(nb), 1e-300)

@@ -2,7 +2,8 @@
 bases, spaces, and transforms, checked numerically at pinned tolerances.
 
 Each criterion compares two independent computational routes (closed form
-vs. series, quadrature vs. exact coefficients, two different slices, ...)
+vs. series, quadrature vs. exact coefficients, two different slices, two
+closed forms from different weights, ...)
 and reports the worst deviation against its bound; np.maximum keeps a NaN
 deviation, which max() would drop, so that it fails.  ``run_all`` is what
 the ``rbffock verify`` CLI executes; it needs no input files and is fully
@@ -26,7 +27,7 @@ from .hypercomplex import (ImaginaryUnit, Quaternion, SlicePoint,
 from .kernels import (fock_kernel_d, kernel_sum_tail_bound,
                       kernel_sum_truncated, rbf_kernel_c, rbf_kernel_d,
                       rbf_kernel_qslice)
-from .quadrature import DEFAULT_QUAD_ORDER
+from .quadrature import DEFAULT_QUAD_ORDER, exact_order
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      beta_coeffs, multi_indices, sequential_norm)
 from .spaces import (FockCSpace, FockSliceSpace, RBFCSpace, RBFSliceSpace,
@@ -91,17 +92,20 @@ def _random_qseries(rng, degree: int) -> QPowerSeries:
 # criteria
 
 def crit_fock_orthogonality(cfg: VerifyConfig) -> list[CheckResult]:
-    """<q^m, q^n> = delta_{mn} m!/nu^m, m, n <= 12, three Gaussian scales."""
+    """<q^m, q^n> = delta_{mn} m!/nu^m, m, n <= 12, three Gaussian scales:
+    the closed-form Gram against the one on the smallest exact grid, of
+    order 13, which ``quad_order`` caps."""
+    exact_order(24, cfg.quad_order)
     out = []
     monos = [QPowerSeries.monomial(n) for n in range(13)]
     for nu in (0.5, 2.0, 8.0):
-        space = FockSliceSpace(nu, UNIT_I, cfg.quad_order)
+        space = FockSliceSpace(nu, UNIT_I, 13)
+        values = np.array([f.eval_slice_grid(*space.grid[:2], UNIT_I) for f in monos])
         gram = space.gram(monos)
-        norms = np.array([math.factorial(n) / nu ** n for n in range(13)])
+        norms = np.diagonal(gram[..., 0])
         scale = np.sqrt(norms[:, None] * norms[None, :])
-        expected = np.zeros((13, 13, 4))
-        expected[np.arange(13), np.arange(13), 0] = norms
-        dev = np.sqrt(np.sum((gram - expected) ** 2, axis=-1)) / scale
+        dev = np.sqrt(np.sum((gram - space._grid_pair(values, values)) ** 2,
+                             axis=-1)) / scale
         out.append(_result("fock-monomial-orthogonality", {"nu": nu},
                            float(dev.max()), 1e-10, cfg))
     return out
@@ -122,8 +126,7 @@ def crit_rbf_orthonormality(cfg: VerifyConfig) -> list[CheckResult]:
         for dim in (1, 2):
             indices = list(multi_indices(dim, 12 if dim == 1 else 4))[:13]
             basis_d = [rbf_basis_series_d(gamma, idx) for idx in indices]
-            order = cfg.quad_order if dim == 1 else 16
-            gram = RBFCSpace(gamma, dim, order).gram(basis_d)
+            gram = RBFCSpace(gamma, dim, 16).gram(basis_d)
             dev = float(np.abs(gram - np.eye(13)).max())
             out.append(_result("rbf-basis-orthonormality",
                                {"gamma": gamma, "domain": f"C^{dim}"},
@@ -243,7 +246,9 @@ def crit_diagonal_and_bound(cfg: VerifyConfig) -> list[CheckResult]:
 
 
 def crit_sequential(cfg: VerifyConfig) -> list[CheckResult]:
-    """Coefficient-side norm formula vs quadrature; beta map vs convolution."""
+    """The RBF norm by two closed forms, the beta-mapped Taylor weights
+    against the Fock weights (the report keeps the check's name
+    sequential-norm-vs-quadrature); beta map vs convolution."""
     rng = np.random.default_rng(cfg.seed + 4)
     gammas = (1.0, 2.0, 0.8)
     worst_norm = 0.0
@@ -253,8 +258,8 @@ def crit_sequential(cfg: VerifyConfig) -> list[CheckResult]:
         f = GaussSeries(gamma, fock_part)
         taylor = beta_coeffs(gamma, fock_part.coeffs, 32, sign=-1)
         seq = sequential_norm(gamma, taylor, 32)
-        quad = RBFSliceSpace(gamma, UNIT_I, cfg.quad_order).norm_sq(f)
-        worst_norm = np.maximum(worst_norm, abs(seq - quad) / abs(quad))
+        fock = RBFSliceSpace(gamma, UNIT_I, cfg.quad_order).norm_sq(f)
+        worst_norm = np.maximum(worst_norm, abs(seq - fock) / abs(fock))
 
     worst_beta = 0.0
     for _ in range(10):

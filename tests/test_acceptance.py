@@ -63,8 +63,9 @@ def test_literal_normalization_reports_offset():
 # a relative perturbation above the bound of every check it may move
 DELTA = 1e-5
 
-# the checks that read the moment table on one of their two routes, and
-# those that read a slice grid, each with the results it must fail
+# the checks that read the closed-form Fock norms (the diagonal moment
+# table n!/alpha^n) on one of their two routes, and those that read a
+# slice grid, each with the results it must fail
 TABLE_ROUTE = {
     "fock-orthogonality": lambda r: True,
     "rbf-orthonormality": lambda r: r.params["domain"].startswith("slice"),
@@ -75,6 +76,7 @@ TABLE_ROUTE = {
     "slice-independence": lambda r: True,
 }
 GRID_ROUTE = {
+    "fock-orthogonality": lambda r: True,
     "isometry": lambda r: True,
     "reproduce": lambda r: r.params["space"].endswith("-slice"),
     "slice-independence": lambda r: True,
@@ -90,10 +92,9 @@ def _assert_fails(name, selects):
 def test_check_fails_when_the_moment_table_is_perturbed(name, monkeypatch):
     from rbffock import spaces
 
-    table = spaces._moment_table
-    table.cache_clear()
-    monkeypatch.setattr(spaces, "_moment_table",
-                        lambda *args: table(*args) * (1.0 + DELTA))
+    weights = spaces._weights
+    monkeypatch.setattr(spaces, "_weights",
+                        lambda *args: weights(*args) * (1.0 + DELTA))
     _assert_fails(name, TABLE_ROUTE[name])
 
 

@@ -1,17 +1,17 @@
 """The array routes against the loops they replace.
 
 Slice integrals combine complex inner products of the split functions,
-read from the moment table or summed on a grid; the reference here is the
-per-pair route: the Hamilton product conj(g) f of two grids, weighted and
-summed component by component.  The coefficient
+taken from the closed-form monomial norms or summed on a grid; the
+reference here is the per-pair route: the Hamilton product conj(g) f of
+two grids, weighted and summed component by component.  The coefficient
 maps add one whole shifted row per term; the reference is the scalar
-Quaternion loop, which they must equal bit for bit.  C^d Grams build
-their moment table once and are exactly Hermitian; each entry agrees with
-the per-pair inner product.  The transforms take a whole grid of points;
-the references are the scalar series Horner loop, the scalar slice
-decomposition and, per point, the node sum of the scalar kernel against
-phi.  Polynomial integrals run on the smallest exact rule; the references
-are the same sums on the ``quad_order`` grid.
+Quaternion loop, which they must equal bit for bit.  C^d Grams build no
+grid and are exactly Hermitian; each entry agrees with the per-pair inner
+product.  The transforms take a whole grid of points; the references are
+the scalar series Horner loop, the scalar slice decomposition and, per
+point, the node sum of the scalar kernel against phi.  Polynomial
+integrals are exact at every rule order; the references are the same
+sums on the ``quad_order`` grid, exact for their degrees.
 """
 
 import math
@@ -94,8 +94,8 @@ SMALL_RULE_DEGREES = (0, 1, 3, 7, 8, 15, 22, 30)
 @pytest.mark.parametrize("order", [8, 40, 80, 160])
 @pytest.mark.parametrize("kind", ["fock", "rbf"])
 def test_small_rule_slice_integrals_match_full_order_reference(kind, order):
-    """Inner products, norms and Grams run on the smallest exact rule; the
-    reference is the per-pair sum on the ``quad_order`` grid."""
+    """Inner products, norms and Grams are exact; the reference is the
+    per-pair sum on the ``quad_order`` grid, exact for these degrees."""
     rng = np.random.default_rng(order)
     unit = UNITS["(1,2,3)"]
     # a Gram needs twice its highest degree within 2 * order - 1
@@ -140,8 +140,9 @@ def cd_reference_table(alpha, order, degree):
 @pytest.mark.parametrize("dim, order", [(1, 8), (1, 40), (1, 80), (1, 160),
                                         (2, 8), (2, 16), (2, 32)])
 def test_small_rule_cd_tables_match_full_order_reference(dim, order):
-    """C^d moment tables run on the smallest exact rule; the reference is
-    the table and the term-pair sum on the ``quad_order`` grid."""
+    """C^d inner products, norms and Grams are exact; the reference is the
+    term-pair sum of the moment table on the ``quad_order`` grid, exact for
+    these degrees."""
     rng = np.random.default_rng(order + dim)
     alpha = 1.5
     tops = [t for t in ((0, 2, 5, 9, 15, 22, 30) if dim == 1 else (0, 2, 4, 7))
@@ -155,9 +156,6 @@ def test_small_rule_cd_tables_match_full_order_reference(dim, order):
     space = FockCSpace(alpha, dim, order)
     degree = tops[-1]
     ref = cd_reference_table(alpha, order, degree)
-    diag = np.sqrt(np.abs(np.diag(ref)))
-    table = spaces._moment_table(alpha, min(order, degree + 1), degree)
-    assert (np.abs(table - ref) <= 1e-14 * diag[:, None] * diag[None, :]).all()
 
     def reference(f, g):
         terms = [(kf, kg, cf * cg.conjugate())
@@ -290,21 +288,17 @@ def test_cd_gram_builds_one_table_and_matches_inner_products(dim, monkeypatch):
             (idx, complex(*rng.uniform(-1.0, 1.0, 2))) for idx in indices)))
     order = 40 if dim == 1 else 16
     space = FockCSpace(1.5, dim, order)
-    builds = []
-    powers = spaces._powers
 
-    def counted(z, degree):
-        builds.append(degree)
-        return powers(z, degree)
+    def refuse(*_, **__):
+        raise AssertionError("a Gram built a grid")
 
-    monkeypatch.setattr(spaces, "_powers", counted)
-    spaces._moment_table.cache_clear()
+    for name in ("gauss_hermite", "_grid"):
+        monkeypatch.setattr(spaces, name, refuse)
     gram = space.gram(functions)
-    assert builds == [9]
     # one matrix product, symmetrized: exactly Hermitian, real diagonal
     assert np.array_equal(gram, gram.conj().T)
     assert not np.diag(gram).imag.any()
-    # the inner product and norm on the table of the pair's own degree agree
+    # the inner product and norm, on the pair's own multi-indices, agree
     for a, f in enumerate(functions):
         assert abs(gram[a, a].real - space.norm_sq(f)) <= 1e-14 * gram[a, a].real
         for b, g in enumerate(functions):

@@ -837,13 +837,13 @@ class TestVerifyCommand:
 
 
 def test_importing_the_cli_builds_nothing():
-    """Starting the CLI builds no rule, grid, moment table or slice frame;
+    """Starting the CLI builds no rule, grid, Fock weights or slice frame;
     perfbench's ``setup_s`` times this import in a fresh interpreter."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     code = ("import rbffock.cli\n"
             "from rbffock import _quatarray, quadrature, spaces\n"
             "print([f.cache_info().currsize for f in (quadrature.gauss_hermite,"
-            " spaces._grid, spaces._moment_table, _quatarray._frame)])")
+            " spaces._grid, spaces._weights, _quatarray._frame)])")
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True)

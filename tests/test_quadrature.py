@@ -121,8 +121,8 @@ class TestIntegrateSlice:
             assert abs(a - b) <= 1e-12 * (1 + abs(a))
 
     def test_doubling_order_self_consistency(self):
-        # reproduce runs on the quad_order rule (inner products run on the
-        # smallest exact one), so the two orders give different bits
+        # reproduce runs on the quad_order rule (inner products are closed
+        # forms), so the two orders give different bits
         f = QPowerSeries.monomial(6)
         w = Quaternion(0.6, 0.8, 0.0, 0.0)
         vals = [FockSliceSpace(2.0, I_DEFAULT, order).reproduce(f, w)

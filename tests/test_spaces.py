@@ -59,11 +59,11 @@ class TestFockSliceSpace:
             space.inner_product(lambda sp: Quaternion(1, 0, 0, 0),
                                 QPowerSeries.monomial(0))
 
-    def test_degree_exceeding_rule_refused(self):
+    def test_degree_beyond_the_rule_is_exact(self):
+        # the order-8 rule is exact to degree 15, not 18; ||q^9||^2 = 9!
         space = FockSliceSpace(1.0, UNIT_I, 8)
         f = QPowerSeries.monomial(9)
-        with pytest.raises(ValueError, match="quad_order"):
-            space.inner_product(f, f)
+        assert space.inner_product(f, f).to_list() == [362880.0, 0.0, 0.0, 0.0]
 
 
 class TestRBFSliceSpace:
@@ -100,6 +100,17 @@ class TestRBFSliceSpace:
             fock_route = space.norm_sq(f)
             direct = space.inner_product_direct(f, f).w
             assert direct == pytest.approx(fock_route, rel=1e-10)
+
+    def test_direct_route_refuses_what_its_rule_cannot_integrate(self):
+        # ||q^10||^2 = 10!/2^10 = 3543.75 at gamma = 1; the order-8 rule,
+        # exact to degree 15, gives 3221.98 for this degree-20 integrand
+        space = RBFSliceSpace(1.0, UNIT_I, 8)
+        f = GaussSeries(1.0, QPowerSeries.monomial(10))
+        with pytest.raises(ValueError, match=re.escape(
+                "combined integrand degree 20 exceeds quadrature exactness "
+                "15; raise quad_order")):
+            space.inner_product_direct(f, f)
+        assert space.norm_sq(f) == 3543.75
 
     def test_direct_route_of_two_elements(self):
         rng = np.random.default_rng(25)
@@ -293,31 +304,31 @@ class TestComplexSpaces:
 @pytest.mark.parametrize("space", [FockSliceSpace(1.0, quad_order=8),
                                    RBFSliceSpace(1.0, quad_order=8)],
                          ids=["fock", "rbf"])
-def test_gram_refuses_pairs_beyond_quadrature_exactness(space):
+def test_gram_is_exact_beyond_quadrature_exactness(space):
     # q^10 paired with itself has degree 20 > 2*8 - 1; the rule alone
-    # would return 3,299,310 for ||q^10||^2 = 10! = 3,628,800
+    # gives 3,299,310 for ||q^10||^2 = 10! = 3,628,800 at nu = 1, and
+    # gamma = 1 is nu = 2, where the norm is 10!/2^10
     f = QPowerSeries.monomial(10)
+    want = 3628800.0
     if isinstance(space, RBFSliceSpace):
-        f = GaussSeries(1.0, f)
-    with pytest.raises(ValueError, match="combined integrand degree"):
-        space.inner_product(f, f)
-    with pytest.raises(ValueError, match="combined integrand degree"):
-        space.gram([f])
+        f, want = GaussSeries(1.0, f), want / 1024
+    assert space.inner_product(f, f).to_list() == [want, 0.0, 0.0, 0.0]
+    assert space.norm_sq(f) == want
+    assert space.gram([f]).tolist() == [[[want, 0.0, 0.0, 0.0]]]
 
 
-def test_cd_gram_refuses_pairs_beyond_quadrature_exactness():
+def test_cd_gram_is_exact_beyond_quadrature_exactness():
     # z^10 paired with itself has degree 20 > 2*8 - 1
     f = CPowerSeries(1, (((10,), 1.0),))
     space = FockCSpace(1.0, 1, 8)
-    with pytest.raises(ValueError, match="combined integrand degree"):
-        space.inner_product(f, f)
-    with pytest.raises(ValueError, match="combined integrand degree"):
-        space.gram([f])
+    assert space.inner_product(f, f) == 3628800.0
+    assert space.norm_sq(f) == 3628800.0
+    assert space.gram([f]).tolist() == [[3628800.0]]
 
 
 def test_slice_integrals_evaluate_nothing_on_a_grid(monkeypatch):
-    """Inner products, norms and Grams of slice functions read the moment
-    table; no series is evaluated on a slice grid."""
+    """Inner products, norms and Grams of slice functions are closed forms;
+    no series is evaluated on a slice grid."""
     from rbffock import _quatarray
 
     def refuse(*_, **__):
@@ -360,3 +371,81 @@ def test_every_fock_inner_product_runs_on_the_one_engine(monkeypatch):
                      lambda: space.norm_sq(f), lambda: space.gram([f, f])):
             with pytest.raises(AssertionError, match="the engine was called"):
                 call()
+
+
+def _mp_qmul(a, b):
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw)
+
+
+def _assert_gram_matches(mpmath, gram, oracle):
+    """Entries as component lists, each within 1e-15 of the oracle's
+    relative to sqrt(O_aa O_bb) (whose first components are the norms)."""
+    for a, row in enumerate(oracle):
+        for b, want in enumerate(row):
+            err = mpmath.sqrt(mpmath.fsum((mpmath.mpf(x) - y) ** 2
+                                          for x, y in zip(gram[a][b], want)))
+            assert err <= 1e-15 * mpmath.sqrt(oracle[a][a][0] * oracle[b][b][0])
+
+
+MP_DEGREES = (0, 1, 7, 30, 64, 100)
+
+
+@pytest.mark.parametrize("nu", [0.7, 1.3, 2.0])
+def test_slice_norms_and_gram_match_an_mpmath_oracle(nu):
+    """<f, g> = sum_n conj(b_n) a_n n!/nu^n for f = sum q^n a_n and
+    g = sum q^n b_n, in 40 digits, up to degree 100."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(int(10 * nu))
+    # coefficients of the basis' scale sqrt(nu^n/n!): every term counts
+    series = [QPowerSeries(tuple(
+        Quaternion(*(rng.uniform(-1.0, 1.0, 4)
+                     * math.sqrt(nu ** n / math.factorial(n))))
+        for n in range(d + 1))) for d in MP_DEGREES]
+    space = FockSliceSpace(nu, UNIT_TILTED, 128)
+    with mpmath.workdps(40):
+        weights = [mpmath.factorial(n) / mpmath.mpf(nu) ** n for n in range(101)]
+        coeffs = [[tuple(map(mpmath.mpf, c.to_list())) for c in f.coeffs]
+                  for f in series]
+        oracle = [[[sum(w * _mp_qmul((b[0], -b[1], -b[2], -b[3]), a)[c]
+                        for w, a, b in zip(weights, fa, fb)) for c in range(4)]
+                   for fb in coeffs] for fa in coeffs]
+        _assert_gram_matches(mpmath, space.gram(series), oracle)
+        for a, f in enumerate(series):
+            norm = space.norm_sq(f)
+            assert abs(norm - oracle[a][a][0]) <= 1e-15 * oracle[a][a][0]
+
+
+@pytest.mark.parametrize("dim, alpha", [(1, 0.7), (1, 1.3), (2, 0.9), (2, 2.0)])
+def test_cd_norms_and_gram_match_an_mpmath_oracle(dim, alpha):
+    """<f, g> = sum_n f_n conj(g_n) prod_l n_l!/alpha^{n_l}, in 40 digits,
+    up to degree 100 in each coordinate."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(dim * 100 + int(10 * alpha))
+    functions = []
+    for top in MP_DEGREES:
+        indices = {tuple(rng.integers(0, top + 1, dim)) for _ in range(40)}
+        indices.add((top,) * dim)
+        functions.append(CPowerSeries(dim, tuple(
+            (idx, complex(*rng.uniform(-1.0, 1.0, 2)) * math.sqrt(math.prod(
+                alpha ** n / math.factorial(n) for n in idx))) for idx in indices)))
+    space = FockCSpace(alpha, dim, 128)
+    with mpmath.workdps(40):
+        def weight(idx):
+            return mpmath.fprod(mpmath.factorial(n) / mpmath.mpf(alpha) ** n
+                                for n in idx)
+
+        terms = [dict(f.terms) for f in functions]
+        oracle = [[mpmath.fsum(weight(k) * mpmath.mpc(c) * mpmath.conj(tg[k])
+                               for k, c in tf.items() if k in tg)
+                   for tg in terms] for tf in terms]
+        oracle = [[(v.real, v.imag) for v in row] for row in oracle]
+        gram = space.gram(functions)
+        _assert_gram_matches(mpmath, np.stack([gram.real, gram.imag], -1), oracle)
+        for a, f in enumerate(functions):
+            norm = space.norm_sq(f)
+            assert abs(norm - oracle[a][a][0]) <= 1e-15 * oracle[a][a][0]

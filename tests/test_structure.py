@@ -31,11 +31,12 @@ def _owners(pattern: str) -> set:
 @pytest.mark.parametrize("pattern", ["2.0 ** 600", "x * x - y * y",
                                      "else 0.75", "lgamma(",
                                      "max(idx) for idx", "1j * dots[",
-                                     "@ rows.conj().T"],
+                                     "@ rows.conj().T", "as_integer_ratio"],
                          ids=["subnormal-rescale", "slice-envelope-exponent",
                               "segal-bargmann-prefactor-power",
                               "factorial-weight", "largest-axis-degree",
-                              "quaternion-split", "fock-inner-product"])
+                              "quaternion-split", "fock-inner-product",
+                              "fock-monomial-norm"])
 def test_rule_lives_in_one_function(pattern):
     owners = _owners(pattern)
     assert len(owners) == 1, owners

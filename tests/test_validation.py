@@ -425,3 +425,42 @@ def test_transform_d_refuses_phi_of_another_dimension(dim, z, method):
     with pytest.raises(ValueError, match=re.escape(
             f"phi is a function on R^1, not on R^{dim}")):
         rbf_sb_transform_d(1.0, dim, phi, z, method=method)
+
+
+_HUGE = QPowerSeries((Quaternion(1e200, 0.0, 0.0, 0.0),))
+_HUGE_C = CPowerSeries(2, (((1, 0), 1e200),))
+
+# inner products, norms and Grams beyond double range, with the Fock
+# space's scale that the refusal names (an RBF space's is nu = 2/gamma^2)
+NON_FINITE_INNER_PRODUCTS = {
+    "FockSliceSpace.norm_sq": (lambda: FockSliceSpace(1.0).norm_sq(_HUGE), "nu=1.0"),
+    "FockCSpace.gram": (lambda: FockCSpace(1.0, 1).gram(
+        [CPowerSeries(1, (((0,), 1e200),))]), "alpha=1.0"),
+    # ||q^180||^2 = 180! 2^180, about 3e358: the weight itself overflows
+    "weight-overflow": (lambda: FockSliceSpace(0.5, quad_order=200).norm_sq(
+        QPowerSeries.monomial(180)), "nu=0.5"),
+    "RBFSliceSpace.inner_product": (lambda: RBFSliceSpace(1.0).inner_product(
+        GaussSeries(1.0, _HUGE), GaussSeries(1.0, QPowerSeries((1e200,)))), "nu=2.0"),
+    "RBFCSpace.norm_sq": (lambda: RBFCSpace(1.0, 2).norm_sq(
+        GaussCSeries(1.0, _HUGE_C)), "alpha=2.0"),
+    "FockCSpace.inner_product": (lambda: FockCSpace(0.5, 2).inner_product(
+        _HUGE_C, _HUGE_C), "alpha=0.5"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("target", NON_FINITE_INNER_PRODUCTS)
+def test_inner_product_beyond_double_range_is_refused(target):
+    call, named = NON_FINITE_INNER_PRODUCTS[target]
+    with pytest.raises(OverflowError, match=re.escape(
+            f"an inner product with {named} is not finite: it overflows")):
+        call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_inner_product_is_kept_when_only_a_norm_overflows():
+    # |<f, g>| <= ||f|| ||g||: ||f||^2 = 1e400 leaves double range, <f, g> not
+    f, g = _HUGE, QPowerSeries((Quaternion(1e-200, 0.0, 0.0, 0.0),))
+    assert FockSliceSpace(1.0).inner_product(f, g).w == 1.0
+    c = CPowerSeries(2, (((1, 0), 1e-200),))
+    assert FockCSpace(1.0, 2).inner_product(_HUGE_C, c) == 1.0
