@@ -468,8 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Gaussian kernel width parameter")
     common.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER,
                         help="Gauss-Hermite order, 8 to 512 (default 80), of "
-                        "the quadrature routes (reproduce, the direct "
-                        "isometry route, quadrature transforms); Fock inner "
+                        "the kernel routes (reproduce, quadrature "
+                        "transforms) and the cap of the polynomial routes "
+                        "(the direct isometry route, verify's oracles), "
+                        "which take their smallest exact rule; Fock inner "
                         "products are exact and use none")
     common.add_argument("--dim", type=int, default=None,
                         help="dimension for quadrature-backed commands, "

@@ -4,9 +4,12 @@ Every integral in this package that has no closed form runs through the
 rules built here: the grid routes of the spaces (``reproduce``,
 ``inner_product_direct``), the quadrature transforms and the oracles of
 verify.  Fock inner products, norms and Grams need none; the monomials
-are orthogonal with norms n!/alpha^n (``spaces._fock_sums``).  The
-convention is strict: the Gaussian weight exp(-nu*x^2) lives in the rule's
-nodes and weights, never in the integrand.  Integrands are the remaining
+are orthogonal with norms n!/alpha^n (``spaces._fock_sums``).  A
+polynomial integrand of degree D runs on its smallest exact rule, of
+order D // 2 + 1, with ``quad_order`` as the cap (``spaces.exact_grid``);
+one holding a kernel runs on the ``quad_order`` rule.  The convention is
+strict: the Gaussian weight exp(-nu*x^2) lives in the rule's nodes and
+weights, never in the integrand.  Integrands are the remaining
 smooth factors, so polynomial integrands of degree <= 2M-1 per variable are
 integrated exactly and nothing is ever double-damped.
 
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,8 +83,7 @@ def gauss_hermite(order: int, nu: float = 1.0) -> QuadratureRule:
     representable mass.  Rules are built once per (order, nu) and shared,
     so their arrays are read-only.
     """
-    if not 1 <= order <= 512:
-        raise ValueError("order must lie in [1, 512]")
+    rule_order(order)
     positive_finite("nu", nu)
     if order == 1:
         nodes = np.zeros(1)
@@ -108,6 +111,14 @@ def gauss_hermite(order: int, nu: float = 1.0) -> QuadratureRule:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return QuadratureRule(nodes=nodes, weights=weights, order=order, nu=nu)
+
+
+def rule_order(order: int) -> int:
+    """``order`` if a rule of it can be built: TypeError unless a whole
+    number, ValueError unless in [1, 512]."""
+    if not 1 <= operator.index(order) <= 512:
+        raise ValueError("order must lie in [1, 512]")
+    return order
 
 
 def exact_order(degree: int, quad_order: int,

@@ -12,6 +12,11 @@ That forces a representation discipline: RBF-space elements enter as
 ``GaussSeries`` / ``GaussCSeries`` (envelope times series), Fock-space
 elements as ``QPowerSeries`` / ``CPowerSeries``, and anything else is
 refused.
+
+Grids serve the routes without a closed form, built when called: a
+polynomial integrand runs on its smallest exact grid (``exact_grid``,
+capped by ``quad_order``), a kernel section (``reproduce``) on the
+``quad_order`` grid.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ import numpy as np
 from . import _quatarray as qa
 from ._checks import finite_points, finite_values, nu_from_gamma, positive_finite
 from .hypercomplex import I_DEFAULT, ImaginaryUnit, Quaternion, SlicePoint
-from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, exact_order,
-                         gauss_hermite, integrate_rd)
+from .quadrature import (DEFAULT_QUAD_ORDER, exact_order, gauss_hermite,
+                         integrate_rd, rule_order)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      beta_coeffs, dimension)
 
@@ -74,30 +79,56 @@ def _grid(order: int, nu: float) -> _Grid:
     return grid
 
 
+def exact_grid(degree: int, quad_order: int, nu: float) -> _Grid:
+    """The grid of a polynomial integrand of ``degree``: the smallest exact
+    one, of order degree // 2 + 1, within the cap ``quad_order``."""
+    exact_order(degree, quad_order)
+    return _grid(degree // 2 + 1, nu)
+
+
 @functools.lru_cache(maxsize=64)
-def _weights(alpha: float, degree: int) -> np.ndarray:
-    """||z^n||^2 = n!/alpha^n, n <= degree, the Fock norms of the monomials
-    (the moments (alpha/pi) integral |z|^(2n) exp(-alpha|z|^2)), each
-    rounded once from the exact rational by int true division; shared, so
-    read-only.  OverflowError when one leaves double range."""
+def _weights(alpha: float, degree: int) -> tuple:
+    """||z^n||^2 = n!/alpha^n = m_n 2^e_n, n <= degree, the Fock norms of
+    the monomials (the moments (alpha/pi) integral |z|^(2n)
+    exp(-alpha|z|^2)), as the mantissas m_n in [0.5, 1), each rounded once
+    from the exact rational by int true division, and the exponents e_n,
+    so a weight beyond double range is carried too; shared, so read-only."""
     num, den = float(alpha).as_integer_ratio()
-    top, bottom, weights = 1, 1, np.ones(degree + 1)
-    for n in range(1, degree + 1):
-        top, bottom = top * n * den, bottom * num
-        weights[n] = top / bottom
-    weights.setflags(write=False)
-    return weights
+    top, bottom = 1, 1
+    mantissas, exponents = np.empty(degree + 1), np.empty(degree + 1, dtype=int)
+    for n in range(degree + 1):
+        if n:
+            top, bottom = top * n * den, bottom * num
+        shift = top.bit_length() - bottom.bit_length()
+        mantissas[n], exponents[n] = math.frexp(
+            top / (bottom << shift) if shift >= 0 else (top << -shift) / bottom)
+        exponents[n] += shift
+    mantissas.setflags(write=False)
+    exponents.setflags(write=False)
+    return mantissas, exponents
+
+
+def _ldexp(rows: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """rows * 2^exponents, column by column, exact unless a part leaves
+    the normal range."""
+    rows = np.ascontiguousarray(rows, dtype=complex)
+    return np.ldexp(rows.view(float), np.repeat(exponents, 2)).view(complex)
 
 
 def _fock_sums(alpha: float, indices: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The Fock inner products h = R diag(w) R^H of the functions whose
     coefficients on the monomials of ``indices`` (U, d) are the rows R
     (n, U): the monomials are orthogonal, with w_t = prod_l
-    n_{t,l}!/alpha^{n_{t,l}} (``_weights``).  R takes the factors of w_t
-    one coordinate at a time, so no product of them overflows alone."""
-    weights = _weights(alpha, int(indices.max(initial=0)))
-    weighted = functools.reduce(lambda r, n: r * weights[n], indices.T, rows)
-    return weighted @ rows.conj().T
+    n_{t,l}!/alpha^{n_{t,l}} = M_t 2^E_t (``_weights``).  The left R takes
+    the mantissas, one coordinate at a time, and 2^(E_t - E_t // 2), the
+    right R 2^(E_t // 2).  Powers of two scale exactly, so h keeps the
+    bits of R diag(w) R^H, and a norm stays finite when its value does,
+    even where w_t leaves double range: each side holds about its root."""
+    mantissas, exponents = _weights(alpha, int(indices.max(initial=0)))
+    weighted = functools.reduce(lambda r, n: r * mantissas[n], indices.T, rows)
+    total = exponents[indices].sum(axis=1)
+    rows = _ldexp(rows, total // 2)
+    return _ldexp(weighted, total - total // 2) @ rows.conj().T
 
 
 def _split_rows(functions, unit: ImaginaryUnit) -> tuple:
@@ -117,7 +148,8 @@ class FockSliceSpace:
     (the splitting lemma), so an inner product combines four complex ones
     (``_join``).  Inner products, norms and Grams take those from the
     closed-form monomial norms (``_fock_sums``), exact at every degree;
-    ``quad_order`` is the order of the grid of ``reproduce``.
+    ``quad_order`` is the order of the grid of ``reproduce``, built when
+    it is called.
     """
 
     def __init__(self, nu: float, unit: ImaginaryUnit = I_DEFAULT,
@@ -125,9 +157,7 @@ class FockSliceSpace:
         positive_finite("nu", nu)
         self.nu = nu
         self.unit = unit
-        self.quad_order = quad_order
-        self.rule: QuadratureRule = gauss_hermite(quad_order, nu)
-        self.grid = _grid(quad_order, nu)
+        self.quad_order = rule_order(quad_order)
 
     # -- the two routes -----------------------------------------------
 
@@ -141,15 +171,16 @@ class FockSliceSpace:
         return qa.join_pair((f1g1 + np.conj(f2g2), f2g1 - np.conj(f1g2)),
                             self.unit)
 
-    def _grid_pair(self, f_values: np.ndarray, g_values: np.ndarray) -> np.ndarray:
+    def _grid_pair(self, grid: _Grid, f_values: np.ndarray,
+                   g_values: np.ndarray) -> np.ndarray:
         """<f_a, g_b>, shape (n, m, 4), of values (n, M, M, 4), (m, M, M, 4)
-        on the ``quad_order`` grid: the real products P = sum W f_c g_d, one
+        on ``grid``, of scale nu: the real products P = sum W f_c g_d, one
         matrix product, split block by block (the split is linear) as
         S P S^H, S = ``split_pair``(eye(4))."""
         n, m = len(f_values), len(g_values)
         f, g = (np.moveaxis(v.reshape(len(v), -1, 4), 0, 1).reshape(-1, 4 * len(v))
                 for v in (f_values, g_values))
-        p = ((f * self.grid.w[:, None]).T @ g).reshape(n, 4, m, 4).swapaxes(1, 2)
+        p = ((f * grid.w[:, None]).T @ g).reshape(n, 4, m, 4).swapaxes(1, 2)
         S = np.array(qa.split_pair(np.eye(4), self.unit))
         h = (S @ p @ S.conj().T).transpose(2, 0, 3, 1).reshape(2 * n, 2 * m)
         return self._join((self.nu / math.pi) * h)
@@ -180,9 +211,9 @@ class FockSliceSpace:
         f(w) for f in the space."""
         f = _slice_series(f)
         exact_order(f.degree, self.quad_order, "series degree")
-        x, y = self.grid.x, self.grid.y
+        x, y, _ = grid = _grid(self.quad_order, self.nu)
         return Quaternion(*self._grid_pair(
-            f.eval_slice_grid(x, y, self.unit)[None],
+            grid, f.eval_slice_grid(x, y, self.unit)[None],
             qa.star_exp_grid(self.nu, x, y, self.unit, w)[None])[0, 0])
 
 
@@ -239,8 +270,9 @@ class _RBFSpace:
 class RBFSliceSpace(_RBFSpace):
     """Quaternionic slice RBF space, nu = 2/gamma^2, prefactor 2/(pi gamma^2),
     over ``FockSliceSpace``.  ``inner_product_direct`` instead evaluates
-    elements pointwise on the ``quad_order`` grid and re-weights
-    explicitly, providing an independent route for isometry checks.
+    elements pointwise on the smallest grid exact for their degrees
+    (``exact_grid``, capped by ``quad_order``) and re-weights explicitly,
+    providing an independent route for isometry checks.
     """
 
     member = GaussSeries
@@ -253,15 +285,15 @@ class RBFSliceSpace(_RBFSpace):
         """Direct-weight route: pointwise values times exp(-4y^2/gamma^2),
         with the rule's Gaussian compensated explicitly."""
         f, g = self._require_member(f), self._require_member(g)
-        exact_order(f.series.degree + g.series.degree, self.quad_order)
-        (x, y, _), unit = self._fock.grid, self._fock.unit
+        grid = exact_grid(f.series.degree + g.series.degree, self.quad_order, self.nu)
+        (x, y, _), unit = grid, self._fock.unit
         vals_f = f.eval_slice_grid(x, y, unit)
         vals_g = vals_f if g is f else g.eval_slice_grid(x, y, unit)
         comp = np.exp(-4.0 * y * y / (self.gamma * self.gamma)
                       + self.nu * (x ** 2 + y ** 2))
         # 2/(pi gamma^2) = nu/pi, so the Fock rule's sum applies as it is
-        return Quaternion(*self._fock._grid_pair(vals_f[None] * comp[..., None],
-                                                 vals_g[None])[0, 0])
+        return Quaternion(*self._fock._grid_pair(
+            grid, vals_f[None] * comp[..., None], vals_g[None])[0, 0])
 
 
 def _cd_series(f, dim: int) -> CPowerSeries:
@@ -277,16 +309,15 @@ class FockCSpace:
 
     The monomials are orthogonal, so inner products, norms and Grams are
     closed forms (``_fock_sums``); ``reproduce``'s integrand factors over
-    coordinates, on one coordinate's M x M grid of order ``quad_order``.
+    coordinates, on one coordinate's M x M grid of order ``quad_order``,
+    built when it is called.
     """
 
-    def __init__(self, alpha: float, dim: int, quad_order: int | None = None):
+    def __init__(self, alpha: float, dim: int, quad_order: int = DEFAULT_QUAD_ORDER):
         positive_finite("alpha", alpha)
         self.alpha = alpha
         self.dim = dimension(dim)
-        self.quad_order = (quad_order if quad_order is not None
-                           else DEFAULT_QUAD_ORDER if self.dim == 1 else 32)
-        self.rule = gauss_hermite(self.quad_order, alpha)
+        self.quad_order = rule_order(quad_order)
 
     def _sums(self, functions, part) -> np.ndarray:
         """``part`` of the ``_fock_sums`` of the functions on the union of
@@ -334,7 +365,7 @@ class RBFCSpace(_RBFSpace):
 
     member = GaussCSeries
 
-    def __init__(self, gamma: float, dim: int, quad_order: int | None = None):
+    def __init__(self, gamma: float, dim: int, quad_order: int = DEFAULT_QUAD_ORDER):
         super().__init__(gamma, FockCSpace, dim, quad_order)
         self.dim = self._fock.dim
 
@@ -373,13 +404,13 @@ class BoundCheckReport:
 
 
 def pointwise_bound_check(gamma: float, f: GaussSeries, points,
-                          unit: ImaginaryUnit = I_DEFAULT,
-                          quad_order: int = DEFAULT_QUAD_ORDER) -> BoundCheckReport:
-    """Check |f(q)| <= exp(2 y^2/gamma^2) ||f|| over the given slice points.
+                          unit: ImaginaryUnit = I_DEFAULT) -> BoundCheckReport:
+    """Check |f(q)| <= exp(2 y^2/gamma^2) ||f|| over the given slice points,
+    ||f|| in closed form.
 
     Returns the max of |f(q)| / bound (NaN if one is); above 1 is a violation.
     """
-    space = RBFSliceSpace(gamma, unit, quad_order)
+    space = RBFSliceSpace(gamma, unit)
     norm = math.sqrt(space.norm_sq(f))
     worst = None
     max_ratio = -math.inf

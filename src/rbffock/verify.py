@@ -27,11 +27,11 @@ from .hypercomplex import (ImaginaryUnit, Quaternion, SlicePoint,
 from .kernels import (fock_kernel_d, kernel_sum_tail_bound,
                       kernel_sum_truncated, rbf_kernel_c, rbf_kernel_d,
                       rbf_kernel_qslice)
-from .quadrature import DEFAULT_QUAD_ORDER, exact_order
+from .quadrature import DEFAULT_QUAD_ORDER
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      beta_coeffs, multi_indices, sequential_norm)
 from .spaces import (FockCSpace, FockSliceSpace, RBFCSpace, RBFSliceSpace,
-                     pointwise_bound_check, slice_independence_check)
+                     exact_grid, pointwise_bound_check, slice_independence_check)
 from .transforms import (HermiteCoeffFunctionD, hermite_basis_l2,
                          rbf_sb_image_series, rbf_sb_image_series_d,
                          rbf_sb_kernel, rbf_sb_transform, sb_kernel)
@@ -93,18 +93,18 @@ def _random_qseries(rng, degree: int) -> QPowerSeries:
 
 def crit_fock_orthogonality(cfg: VerifyConfig) -> list[CheckResult]:
     """<q^m, q^n> = delta_{mn} m!/nu^m, m, n <= 12, three Gaussian scales:
-    the closed-form Gram against the one on the smallest exact grid, of
-    order 13, which ``quad_order`` caps."""
-    exact_order(24, cfg.quad_order)
+    the closed-form Gram against the one on the smallest grid exact for
+    degree 24 (``exact_grid``, of order 13), which ``quad_order`` caps."""
     out = []
     monos = [QPowerSeries.monomial(n) for n in range(13)]
     for nu in (0.5, 2.0, 8.0):
-        space = FockSliceSpace(nu, UNIT_I, 13)
-        values = np.array([f.eval_slice_grid(*space.grid[:2], UNIT_I) for f in monos])
+        space = FockSliceSpace(nu, UNIT_I)
+        grid = exact_grid(24, cfg.quad_order, nu)
+        values = np.array([f.eval_slice_grid(grid.x, grid.y, UNIT_I) for f in monos])
         gram = space.gram(monos)
         norms = np.diagonal(gram[..., 0])
         scale = np.sqrt(norms[:, None] * norms[None, :])
-        dev = np.sqrt(np.sum((gram - space._grid_pair(values, values)) ** 2,
+        dev = np.sqrt(np.sum((gram - space._grid_pair(grid, values, values)) ** 2,
                              axis=-1)) / scale
         out.append(_result("fock-monomial-orthogonality", {"nu": nu},
                            float(dev.max()), 1e-10, cfg))
@@ -119,14 +119,14 @@ def crit_rbf_orthonormality(cfg: VerifyConfig) -> list[CheckResult]:
     for gamma in (0.5, 1.0, 2.0):
         basis = [rbf_basis_series(gamma, n) for n in range(13)]
         for label, unit in (("slice-i", UNIT_I), ("slice-ij", UNIT_IJ)):
-            gram = RBFSliceSpace(gamma, unit, cfg.quad_order).gram(basis)
+            gram = RBFSliceSpace(gamma, unit).gram(basis)
             dev = float(np.sqrt(np.sum((gram - eye) ** 2, axis=-1)).max())
             out.append(_result("rbf-basis-orthonormality",
                                {"gamma": gamma, "domain": label}, dev, 1e-8, cfg))
         for dim in (1, 2):
             indices = list(multi_indices(dim, 12 if dim == 1 else 4))[:13]
             basis_d = [rbf_basis_series_d(gamma, idx) for idx in indices]
-            gram = RBFCSpace(gamma, dim, 16).gram(basis_d)
+            gram = RBFCSpace(gamma, dim).gram(basis_d)
             dev = float(np.abs(gram - np.eye(13)).max())
             out.append(_result("rbf-basis-orthonormality",
                                {"gamma": gamma, "domain": f"C^{dim}"},
@@ -238,7 +238,7 @@ def crit_diagonal_and_bound(cfg: VerifyConfig) -> list[CheckResult]:
     worst_ratio = 0.0
     for _ in range(5):
         f = GaussSeries(gamma, _random_qseries(rng, 6))
-        report = pointwise_bound_check(gamma, f, points, UNIT_I, cfg.quad_order)
+        report = pointwise_bound_check(gamma, f, points, UNIT_I)
         worst_ratio = np.maximum(worst_ratio, report.max_ratio)
     results.append(_result("pointwise-bound", {"gamma": gamma},
                            worst_ratio - 1.0, 1e-9, cfg))
@@ -258,7 +258,7 @@ def crit_sequential(cfg: VerifyConfig) -> list[CheckResult]:
         f = GaussSeries(gamma, fock_part)
         taylor = beta_coeffs(gamma, fock_part.coeffs, 32, sign=-1)
         seq = sequential_norm(gamma, taylor, 32)
-        fock = RBFSliceSpace(gamma, UNIT_I, cfg.quad_order).norm_sq(f)
+        fock = RBFSliceSpace(gamma, UNIT_I).norm_sq(f)
         worst_norm = np.maximum(worst_norm, abs(seq - fock) / abs(fock))
 
     worst_beta = 0.0
@@ -315,7 +315,7 @@ def crit_sb_unitarity(cfg: VerifyConfig) -> list[CheckResult]:
 
     images = [rbf_sb_image_series(gamma, hermite_basis_l2(nu, n),
                                   cfg.normalization) for n in range(11)]
-    gram = RBFSliceSpace(gamma, UNIT_I, cfg.quad_order).gram(images)
+    gram = RBFSliceSpace(gamma, UNIT_I).gram(images)
     factor = 1.0 if cfg.normalization == "unitary" else nu / math.pi
     expected = np.zeros((11, 11, 4))
     expected[np.arange(11), np.arange(11), 0] = factor
@@ -329,7 +329,7 @@ def crit_sb_unitarity(cfg: VerifyConfig) -> list[CheckResult]:
     images_d = [rbf_sb_image_series_d(
         gamma, HermiteCoeffFunctionD(nu, 2, ((idx, 1.0),)))
         for idx in indices]
-    gram_d = RBFCSpace(gamma, 2, 16).gram(images_d)
+    gram_d = RBFCSpace(gamma, 2).gram(images_d)
     dev_d = float(np.abs(gram_d - np.eye(len(indices))).max())
     out.append(_result("sb-unitarity", {"domain": "C^2"}, dev_d, 1e-8, cfg))
 

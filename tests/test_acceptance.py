@@ -93,8 +93,12 @@ def test_check_fails_when_the_moment_table_is_perturbed(name, monkeypatch):
     from rbffock import spaces
 
     weights = spaces._weights
-    monkeypatch.setattr(spaces, "_weights",
-                        lambda *args: weights(*args) * (1.0 + DELTA))
+
+    def perturbed(*args):
+        mantissas, exponents = weights(*args)
+        return mantissas * (1.0 + DELTA), exponents
+
+    monkeypatch.setattr(spaces, "_weights", perturbed)
     _assert_fails(name, TABLE_ROUTE[name])
 
 

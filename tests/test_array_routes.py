@@ -11,7 +11,8 @@ product.  The transforms take a whole grid of points; the references are
 the scalar series Horner loop, the scalar slice decomposition and, per
 point, the node sum of the scalar kernel against phi.  Polynomial
 integrals are exact at every rule order; the references are the same
-sums on the ``quad_order`` grid, exact for their degrees.
+sums on the ``quad_order`` grid, exact for their degrees, or, for the
+direct route, on the smallest exact grid that it uses.
 """
 
 import math
@@ -43,11 +44,13 @@ UNITS = {
 }
 
 
-def pair_integral_reference(space, vals_f, vals_g):
+def pair_integral_reference(space, vals_f, vals_g, order=None):
     """(nu/pi) sum w conj(g) f by qmul and one compensated sum per component,
-    on the grid of the space's ``quad_order`` rule."""
+    on the grid of the rule of ``order`` (default the space's
+    ``quad_order``)."""
     integrand = qa.qmul(qa.qconj(vals_g), vals_f)
-    weights = space.rule.weights[:, None] * space.rule.weights[None, :]
+    rule = gauss_hermite(order or space.quad_order, space.nu)
+    weights = rule.weights[:, None] * rule.weights[None, :]
     return np.array([space.nu / math.pi
                      * compensated_sum((weights * integrand[..., c]).ravel())
                      for c in range(4)])
@@ -67,8 +70,8 @@ def mixed_series():
 def test_slice_gram_matches_per_pair_reference(unit, mixed_series):
     space = FockSliceSpace(1.3, unit, 40)
     gram = space.gram(mixed_series)
-    vals = [f.eval_slice_grid(space.grid.x, space.grid.y, unit)
-            for f in mixed_series]
+    grid = spaces._grid(space.quad_order, space.nu)
+    vals = [f.eval_slice_grid(grid.x, grid.y, unit) for f in mixed_series]
     n = len(mixed_series)
     assert gram.shape == (n, n, 4)
     for a in range(n):
@@ -107,7 +110,8 @@ def test_small_rule_slice_integrals_match_full_order_reference(kind, order):
         space = RBFSliceSpace(1.2, unit, order)
         fock = space._fock
         members = [GaussSeries(1.2, f) for f in series]
-    vals = [f.eval_slice_grid(fock.grid.x, fock.grid.y, unit) for f in series]
+    grid = spaces._grid(fock.quad_order, fock.nu)
+    vals = [f.eval_slice_grid(grid.x, grid.y, unit) for f in series]
     want = np.array([[pair_integral_reference(fock, vf, vg) for vg in vals]
                      for vf in vals])
     gram = space.gram(members)
@@ -211,17 +215,20 @@ def test_reproduce_and_direct_route_match_reference(unit):
     fock = space._fock
     f, g = (GaussSeries(1.0, random_series(rng, d)) for d in (6, 12))
     w = Quaternion(0.3, -0.2, 0.4, 0.1)
-    x, y = fock.grid.x, fock.grid.y
+    x, y, _ = spaces._grid(fock.quad_order, fock.nu)
     kvals = qa.star_exp_grid(fock.nu, x, y, unit, w)
     want = pair_integral_reference(fock, f.series.eval_slice_grid(x, y, unit),
                                    kvals)
     got = fock.reproduce(f.series, w)
     assert np.abs(np.array(got.to_list()) - want).max() <= 1e-14 * np.abs(want).max()
 
+    # the direct route's integrand is a polynomial of degree 6 + 12: its
+    # grid is the smallest exact one, of order 10
+    x, y, _ = spaces._grid(10, fock.nu)
     comp = np.exp(-4.0 * y ** 2 + fock.nu * (x ** 2 + y ** 2))
     vals_f = f.eval_slice_grid(x, y, unit)
     vals_g = g.eval_slice_grid(x, y, unit)
-    want = pair_integral_reference(fock, vals_f * comp[..., None], vals_g)
+    want = pair_integral_reference(fock, vals_f * comp[..., None], vals_g, 10)
     got = space.inner_product_direct(f, g)
     scale = math.sqrt(space.norm_sq(f) * space.norm_sq(g))
     assert np.abs(np.array(got.to_list()) - want).max() <= 1e-13 * scale

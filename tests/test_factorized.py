@@ -26,7 +26,8 @@ def grid_sum(weights, values) -> complex:
 
 def fock_grid(space):
     """Points of C^d and weights of the M^(2d) grid of a FockCSpace."""
-    coords, weights = tensor_grid(space.rule, 2 * space.dim)
+    coords, weights = tensor_grid(gauss_hermite(space.quad_order, space.alpha),
+                                  2 * space.dim)
     return coords[:, 0::2] + 1j * coords[:, 1::2], weights
 
 

@@ -112,6 +112,36 @@ class TestRBFSliceSpace:
             space.inner_product_direct(f, f)
         assert space.norm_sq(f) == 3543.75
 
+    @pytest.mark.parametrize("a, b", [(0, 0), (0, 5), (6, 12), (24, 24)])
+    def test_direct_route_builds_only_its_smallest_exact_grid(self, a, b,
+                                                              monkeypatch):
+        """Degrees a and b make a polynomial integrand of degree a + b: the
+        route builds the order (a + b) // 2 + 1 grid alone, and agrees with
+        the same sum on the order-80 grid."""
+        from rbffock import spaces
+
+        rng = np.random.default_rng(a * 100 + b)
+        gamma = 1.0
+        space = RBFSliceSpace(gamma, UNIT_TILTED)
+        f, g = (GaussSeries(gamma, QPowerSeries(
+            tuple(random_quaternion(rng) for _ in range(d + 1)))) for d in (a, b))
+        grid, built = spaces._grid, []
+
+        def recorded(order, nu):
+            built.append(order)
+            return grid(order, nu)
+
+        monkeypatch.setattr(spaces, "_grid", recorded)
+        got = np.array(space.inner_product_direct(f, g).to_list())
+        assert built == [(a + b) // 2 + 1]
+        x, y, _ = full = grid(80, space.nu)
+        comp = np.exp(-4.0 * y * y / (gamma * gamma) + space.nu * (x * x + y * y))
+        want = space._fock._grid_pair(
+            full, f.eval_slice_grid(x, y, UNIT_TILTED)[None] * comp[..., None],
+            g.eval_slice_grid(x, y, UNIT_TILTED)[None])[0, 0]
+        scale = math.sqrt(space.norm_sq(f) * space.norm_sq(g))
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
     def test_direct_route_of_two_elements(self):
         rng = np.random.default_rng(25)
         space = RBFSliceSpace(1.3, UNIT_TILTED, 80)
@@ -190,7 +220,7 @@ class TestBoundAndSliceChecks:
     def test_gaussian_on_real_axis(self):
         f = rbf_basis_series(1.0, 0)
         points = [SlicePoint(x, 0.0, UNIT_I) for x in np.linspace(-2, 2, 9)]
-        report = pointwise_bound_check(1.0, f, points, UNIT_I, 60)
+        report = pointwise_bound_check(1.0, f, points, UNIT_I)
         assert report.max_ratio <= 1.0 + 1e-12
         assert report.norm == pytest.approx(1.0, rel=1e-10)
 
@@ -202,7 +232,7 @@ class TestBoundAndSliceChecks:
         for _ in range(5):
             f = GaussSeries(1.0, QPowerSeries(
                 tuple(random_quaternion(rng) for _ in range(7))))
-            report = pointwise_bound_check(1.0, f, points, UNIT_I, 80)
+            report = pointwise_bound_check(1.0, f, points, UNIT_I)
             assert report.max_ratio <= 1.0 + 1e-9
 
     def test_nan_ratio_fails_the_bound(self, monkeypatch):
@@ -223,8 +253,7 @@ class TestBoundAndSliceChecks:
         with pytest.raises(OverflowError, match=re.escape(
                 "the pointwise bound with gamma=1.0 at point "
                 "[0.0, 30.0, 0.0, 0.0] is not finite")):
-            pointwise_bound_check(1.0, rbf_basis_series(1.0, 1), points,
-                                  quad_order=8)
+            pointwise_bound_check(1.0, rbf_basis_series(1.0, 1), points)
 
     def test_kernel_section_attains_bound(self):
         # f = K^p has norm sqrt(K(p,p)) and |f(p)| = K(p,p): the ratio at
@@ -241,7 +270,7 @@ class TestBoundAndSliceChecks:
         section = GaussSeries(gamma, QPowerSeries(tuple(coeffs)))
         report = pointwise_bound_check(gamma, section,
                                        [SlicePoint(0.4, 0.8, UNIT_I)],
-                                       UNIT_I, 80)
+                                       UNIT_I)
         assert report.max_ratio == pytest.approx(1.0, rel=1e-8)
 
     def test_slice_independence(self):
@@ -418,6 +447,39 @@ def test_slice_norms_and_gram_match_an_mpmath_oracle(nu):
         for a, f in enumerate(series):
             norm = space.norm_sq(f)
             assert abs(norm - oracle[a][a][0]) <= 1e-15 * oracle[a][a][0]
+
+
+# 171!/nu^171 leaves double range at nu <= 1; a coefficient of 1e-100
+# brings the norm back to about 1e109
+_FAR = 171
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0])
+def test_weights_beyond_double_range_match_an_mpmath_oracle(nu):
+    """Norms and Grams whose monomial weights n!/nu^n leave double range
+    while the values do not, on a slice and on C^2."""
+    mpmath = pytest.importorskip("mpmath")
+    small = Quaternion(1e-100, -3e-101, 2e-101, 0.0)
+    f = QPowerSeries((1.0,) + (0.0,) * (_FAR - 1) + (small,))
+    g = QPowerSeries((0.5,) + (0.0,) * (_FAR - 1) + (small * 2.0,))
+    c = CPowerSeries(2, (((_FAR, 0), 1e-100), ((3, _FAR - 3), 2e-100j),
+                         ((1, 1), 0.5)))
+    with mpmath.workdps(40):
+        def weight(*idx):
+            return mpmath.fprod(mpmath.factorial(n) / mpmath.mpf(nu) ** n
+                                for n in idx)
+
+        coeffs = [[tuple(map(mpmath.mpf, q.to_list()))
+                   for q in (s.coeffs[0], s.coeffs[-1])] for s in (f, g)]
+        oracle = [[[sum(w * _mp_qmul((b[0], -b[1], -b[2], -b[3]), a)[k]
+                        for w, a, b in zip((1, weight(_FAR)), fa, fb))
+                    for k in range(4)] for fb in coeffs] for fa in coeffs]
+        space = FockSliceSpace(nu, UNIT_TILTED)
+        _assert_gram_matches(mpmath, space.gram([f, g]), oracle)
+        assert abs(space.norm_sq(f) - oracle[0][0][0]) <= 1e-15 * oracle[0][0][0]
+        want = mpmath.fsum(weight(*k) * abs(mpmath.mpc(v)) ** 2 for k, v in c.terms)
+        got = FockCSpace(nu, 2).norm_sq(c)
+        assert abs(got - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("dim, alpha", [(1, 0.7), (1, 1.3), (2, 0.9), (2, 2.0)])

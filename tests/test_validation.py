@@ -363,6 +363,30 @@ def test_cd_space_refuses_quad_order_zero(target):
         target()
 
 
+@pytest.mark.parametrize("order", [0, 513])
+@pytest.mark.parametrize("space", [FockSliceSpace, RBFSliceSpace])
+def test_slice_space_refuses_a_quad_order_without_a_rule(space, order):
+    with pytest.raises(ValueError, match=re.escape("order must lie in [1, 512]")):
+        space(1.0, quad_order=order)
+    with pytest.raises(TypeError):
+        space(1.0, quad_order=order + 0.5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FockSliceSpace(1.0 + 2.0 ** -30),
+    lambda: RBFSliceSpace(1.0 + 2.0 ** -29),
+    lambda: FockCSpace(1.0 + 2.0 ** -28, 2),
+    lambda: RBFCSpace(1.0 + 2.0 ** -27, 3),
+], ids=["FockSliceSpace", "RBFSliceSpace", "FockCSpace", "RBFCSpace"])
+def test_constructing_a_space_builds_no_rule_or_grid(make):
+    from rbffock import spaces
+
+    caches = (gauss_hermite, spaces._grid)
+    before = [cache.cache_info() for cache in caches]
+    make()
+    assert [cache.cache_info() for cache in caches] == before
+
+
 @pytest.mark.parametrize("dim", [0, -1, 1.5, math.nan, math.inf, "2", None],
                          ids=repr)
 @pytest.mark.parametrize("target", [
