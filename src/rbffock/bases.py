@@ -23,6 +23,7 @@ import numpy as np
 from ._checks import finite_points, finite_values, positive_finite
 from .hypercomplex import (Quaternion, embed_in_slice, envelope_exponent,
                            slice_decompose)
+from .quadrature import _orthonormal_hermite
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      basis_coeff, multi_index)
 
@@ -71,21 +72,16 @@ def hermite_h(nu: float, n: int, x):
 def hermite_psi_all(nu: float, n_max: int, x) -> np.ndarray:
     """All normalized weighted Hermite functions psi_0 .. psi_{n_max} at x.
 
-    Returns an array of shape (n_max + 1,) + shape(x).  Uses the
-    normalized recurrence, which keeps every row O(1) in magnitude.
+    Returns an array of shape (n_max + 1,) + shape(x).  Uses the one
+    normalized recurrence (``quadrature._orthonormal_hermite``) from row 0
+    (nu/pi)^{1/4} exp(-nu x^2/2), which keeps every row O(1) in magnitude.
     """
     x = _hermite_points(nu, n_max, x)
 
     def recurrence():
         u = math.sqrt(nu) * x
-        out = np.empty((n_max + 1,) + x.shape)
-        out[0] = (nu / math.pi) ** 0.25 * np.exp(-u * u / 2.0)
-        if n_max >= 1:
-            out[1] = math.sqrt(2.0) * u * out[0]
-        for k in range(1, n_max):
-            out[k + 1] = (math.sqrt(2.0 / (k + 1)) * u * out[k]
-                          - math.sqrt(k / (k + 1)) * out[k - 1])
-        return out
+        return _orthonormal_hermite(u, n_max, (nu / math.pi) ** 0.25
+                                    * np.exp(-u * u / 2.0))
     # axis 0 of the values holds the order, so each point repeats along it
     return finite_values("psi_n(x)", recurrence, lambda: np.broadcast_to(
         x[..., None], (n_max + 1,) + x.shape + (1,)), nu=nu)

@@ -11,7 +11,10 @@ one holding a kernel runs on the ``quad_order`` rule.  The convention is
 strict: the Gaussian weight exp(-nu*x^2) lives in the rule's nodes and
 weights, never in the integrand.  Integrands are the remaining
 smooth factors, so polynomial integrands of degree <= 2M-1 per variable are
-integrated exactly and nothing is ever double-damped.
+integrated exactly and nothing is ever double-damped; the transforms'
+rule holds the Gaussians of their kernel and of psi_n (``_sb_rule``).
+One normalized Hermite recurrence, ``_orthonormal_hermite``, gives their
+rows, ``bases.hermite_psi_all`` and the Newton polish of the rules.
 
 Integrands on R^d and C^d are sums of products of one-coordinate factors,
 so ``integrate_rd`` sums each axis once instead of the tensor grid.
@@ -57,14 +60,17 @@ class QuadratureRule:
     nu: float
 
 
-def _orthonormal_hermite(x: np.ndarray, n: int) -> np.ndarray:
-    """Orthonormal (physicists') Hermite polynomial of degree n at x."""
-    prev = np.zeros_like(x)
-    cur = np.full_like(x, math.pi ** -0.25)
-    for k in range(n):
-        prev, cur = cur, (x * math.sqrt(2.0 / (k + 1)) * cur
-                          - math.sqrt(k / (k + 1)) * prev)
-    return cur
+def _orthonormal_hermite(u: np.ndarray, n_max: int, row0) -> np.ndarray:
+    """Rows 0 .. n_max, shape (n_max + 1,) + shape(u), of the normalized
+    Hermite recurrence r_{k+1} = sqrt(2/(k+1)) u r_k - sqrt(k/(k+1)) r_{k-1}
+    from the given row 0: pi^{-1/4} gives the orthonormal (physicists')
+    Hermite polynomials at u."""
+    rows = np.zeros((n_max + 1,) + u.shape)
+    rows[0] = row0
+    for k in range(n_max):  # at k = 0, rows[k - 1] is the last row, still 0
+        rows[k + 1] = (u * math.sqrt(2.0 / (k + 1)) * rows[k]
+                       - math.sqrt(k / (k + 1)) * rows[k - 1])
+    return rows
 
 
 @functools.lru_cache(maxsize=64)
@@ -93,13 +99,12 @@ def gauss_hermite(order: int, nu: float = 1.0) -> QuadratureRule:
         jacobi = np.diag(band, 1) + np.diag(band, -1)
         nodes = np.linalg.eigvalsh(jacobi)
         # Newton refinement: phi_n(x) = 0 with phi_n' = sqrt(2n) phi_{n-1}
-        value = _orthonormal_hermite(nodes, order)
-        slope = math.sqrt(2.0 * order) * _orthonormal_hermite(nodes, order - 1)
-        nodes = nodes - value / slope
+        rows = _orthonormal_hermite(nodes, order, math.pi ** -0.25)
+        nodes = nodes - rows[order] / (math.sqrt(2.0 * order) * rows[order - 1])
         # w_i is proportional to 1/phi_{n-1}(x_i)^2; the squares span more
         # than the double exponent range at high orders, so form them in
         # log space relative to the largest weight
-        base = _orthonormal_hermite(nodes, order - 1)
+        base = _orthonormal_hermite(nodes, order - 1, math.pi ** -0.25)[-1]
         log_w = -2.0 * np.log(np.abs(base))
         weights = np.exp(log_w - log_w.max())
         weights *= math.sqrt(math.pi) / weights.sum()

@@ -11,9 +11,12 @@ The d-dimensional kernel (2/(pi gamma^2))^{d/4} exp(-(sqrt2 z - x)^2 /
 gamma^2) is already unitary, so it takes no normalization switch.
 
 Transforms of functions given by Hermite coefficients are computed exactly
-through the action on the basis; quadrature against the closed-form kernel
-is kept as an independent route.  The transforms take a whole grid of
-points and build what does not depend on the point once per call.
+through the action on the basis.  Quadrature is kept as the independent
+route, one for both settings: the Gaussians of the kernel and of psi_n live
+in the rule, at (nu + phi.nu)/2, and the integrand is entire in x
+(``_sb_rule``, ``_sb_exponential``); an RBF transform is the envelope
+exp(-z^2/gamma^2) times the Fock-side one.  The transforms take a whole
+grid of points and build what does not depend on the point once per call.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from .bases import hermite_psi_all
 from .hypercomplex import (Quaternion, embed_in_slice, envelope_exponent,
                            slice_decompose)
 from .kernels import NORMALIZATIONS
-from .quadrature import (DEFAULT_QUAD_ORDER, exact_order, gauss_hermite,
-                         integrate_rd)
+from .quadrature import (DEFAULT_QUAD_ORDER, _orthonormal_hermite,
+                         exact_order, gauss_hermite, integrate_rd)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      axis_degree, basis_coeff, dimension, multi_index_terms)
 
@@ -80,13 +83,6 @@ class HermiteCoeffFunction:
 
     def norm_sq(self) -> float:
         return math.fsum(c.norm_sq() for c in self.coeffs)
-
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
-        """Values at real points, shape (len(x), 4)."""
-        x = np.asarray(x, dtype=float)
-        psis = hermite_psi_all(self.nu, self.degree, x)
-        cmat = np.array([c.to_list() for c in self.coeffs])
-        return np.einsum("nm,nc->mc", psis, cmat)
 
 
 def hermite_basis_l2(nu: float, n: int) -> HermiteCoeffFunction:
@@ -184,38 +180,45 @@ def sb_image_series(nu: float, phi: HermiteCoeffFunction,
                               for n, c in enumerate(phi.coeffs)))
 
 
+def _sb_rule(nu: float, phi_nu: float, n_max: int, quad_order: int):
+    """The rule at (nu + phi_nu)/2 and the rows (phi_nu/pi)^{1/4}
+    h_n(sqrt(phi_nu) x), n <= n_max, at its nodes: psi_n(x; phi_nu) without
+    its Gaussian, which the rule holds with the kernel's."""
+    exact_order(n_max, quad_order, "Hermite degree")
+    rule = gauss_hermite(quad_order, 0.5 * (nu + phi_nu))
+    return rule, _orthonormal_hermite(math.sqrt(phi_nu) * rule.nodes, n_max,
+                                      (phi_nu / math.pi) ** 0.25)
+
+
+def _sb_exponential(nu: float, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(nu (sqrt2 z x - z^2/2)) at points z and nodes x, shape
+    z.shape + x.shape: the Segal-Bargmann kernel without its Gaussian
+    exp(-nu x^2/2) and its prefactor."""
+    return np.exp(nu * (np.multiply.outer(math.sqrt(2.0) * z, x)
+                        - 0.5 * (z * z)[..., None]))
+
+
 def _sb_quadrature(nu: float, phi: HermiteCoeffFunction, q: np.ndarray,
                    normalization: str, quad_order: int) -> np.ndarray:
     """The transform at points q (..., 4) by quadrature against the kernel.
 
-    On the slice of q the kernel is a complex K, and the weighted node sum
-    of (Re K + I Im K) phi is Re K @ F + I (Im K @ F) with
-    F = phi(x) w exp(nu_rule x^2): one real matrix product per block of
-    points, on the interleaved (Re, Im) columns of K, and one Hamilton
-    product for all points.
+    On the slice of q the integrand's part outside the rule is the complex
+    E = ``_sb_exponential``, so the node sum is one complex product E @ F
+    per block of points, F = w rows^T C with the quaternion coefficients C
+    as four real columns; its real and imaginary parts join through one
+    Hamilton product with each point's unit.
     """
-    nu_rule = 0.5 * (nu + phi.nu)
-    rule = gauss_hermite(quad_order, nu_rule)
-    x = rule.nodes
-    f = phi.eval_array(x) * (rule.weights * np.exp(nu_rule * x * x))[:, None]
-    # row 2m gives Re K_m F_m in columns 0-3, row 2m+1 Im K_m F_m in 4-7
-    f_pair = np.zeros((x.size, 2, 8))
-    f_pair[:, 0, :4] = f_pair[:, 1, 4:] = f
-    f_pair = f_pair.reshape(2 * x.size, 8)
+    rule, rows = _sb_rule(nu, phi.nu, phi.degree, quad_order)
+    f = (_sb_prefactor(nu, normalization) * rule.weights)[:, None] * (
+        rows.T @ np.array([c.to_list() for c in phi.coeffs]))
     re, im, units = qa.slice_decompose_arr(q.reshape(-1, 4))
     z = re + 1j * im
-    pref = _sb_prefactor(nu, normalization)
-    parts = np.empty((z.size, 8))
+    parts = np.empty((z.size, 4), dtype=complex)
     for start in range(0, z.size, _BLOCK_POINTS):
         zb = z[start:start + _BLOCK_POINTS]
-        k = np.add.outer(zb * zb, x * x)
-        k *= -0.5 * nu
-        k += np.multiply.outer(nu * math.sqrt(2.0) * zb, x)
-        np.exp(k, out=k)
-        k *= pref
-        parts[start:start + zb.size] = k.view(float) @ f_pair
+        parts[start:start + zb.size] = _sb_exponential(nu, zb, rule.nodes) @ f
     unit_q = np.concatenate([np.zeros((z.size, 1)), units], axis=1)
-    values = parts[:, :4] + qa.qmul(unit_q, parts[:, 4:])
+    values = parts.real + qa.qmul(unit_q, parts.imag)
     return values.reshape(q.shape)
 
 
@@ -225,12 +228,11 @@ def sb_transform(nu: float, phi, q, normalization: str = "unitary",
 
     q is a Quaternion, giving a Quaternion, or points of shape (..., 4),
     giving values of that shape; what does not depend on the point (the
-    image series, or the rule and phi at its nodes) is built once per
-    call.  ``method="auto"`` uses the exact action on Hermite
-    coefficients of the matching scale and integrates against the
-    closed-form kernel otherwise; ``method="quadrature"`` always
-    integrates.  A value that is not finite raises OverflowError naming
-    its point.
+    image series, or the rule and the Hermite rows at its nodes) is built
+    once per call.  ``method="auto"`` uses the exact action on Hermite
+    coefficients of the matching scale and integrates otherwise
+    (``_sb_quadrature``); ``method="quadrature"`` always integrates.  A
+    value that is not finite raises OverflowError naming its point.
     """
     positive_finite("nu", nu)
     _check_normalization(normalization)
@@ -242,7 +244,6 @@ def sb_transform(nu: float, phi, q, normalization: str = "unitary",
     if method == "auto" and phi.nu == nu:
         series = sb_image_series(nu, phi, normalization)
         return _like(q, series.eval_points(points))
-    exact_order(phi.degree, quad_order, "Hermite degree")
     return _like(q, finite_values("the transform value", lambda: _sb_quadrature(
         nu, phi, points, normalization, quad_order), points))
 
@@ -335,12 +336,12 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",
     """d-dimensional RBF Segal-Bargmann transform evaluated at z in C^d.
 
     z holds points of shape (..., dim) and gives values of shape (...); one
-    point, a sequence of dim complex numbers, gives a complex number.  The
-    image series, or the rule and the Hermite table at its nodes, is built
-    once per call.  Kernel and Hermite terms factor over coordinates; the
-    quadrature path integrates psi_n(x) exp(-(sqrt2 z_l - x)^2/gamma^2)
-    per axis, per block of points.  A value that is not finite raises
-    OverflowError naming its point.
+    point, a sequence of dim complex numbers, gives a complex number.  By
+    both routes the value is the envelope exp(-z^2/gamma^2) times the
+    Fock-side transform at nu = 2/gamma^2: the image series, or, per axis
+    and block of points, the rows of ``_sb_rule`` times ``_sb_exponential``
+    on the rule at (phi.nu + nu)/2, built once per call.  A value that is
+    not finite raises OverflowError naming its point.
     """
     nu = nu_from_gamma(gamma)
     if method not in ("auto", "quadrature"):
@@ -356,33 +357,29 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",
         raise TypeError("quadrature path needs HermiteCoeffFunctionD")
 
     if method == "auto" and phi.nu == nu:
-        image = rbf_sb_image_series_d(gamma, phi)
-        fock = image.series.eval_points(rows)
-        values = finite_values("the transform value",
-                               lambda: image.envelope(rows) * fock, rows)
+        fock = rbf_sb_image_series_d(gamma, phi).series.eval_points(rows)
     else:
-        rule = gauss_hermite(quad_order, nu)
-        x = rule.nodes
-        n_max = axis_degree(phi.terms)
-        psis = hermite_psi_all(phi.nu, n_max, x) * np.exp(nu * x * x)
+        rule, table = _sb_rule(nu, phi.nu, axis_degree(phi.terms), quad_order)
         pref = _sb_prefactor(nu, "unitary", dim)
 
         def at(block, where):
             # one (points, K, M) table per axis
             return finite_values("the transform value", lambda: pref * integrate_rd(
-                rule.weights, [psis * np.exp(-(math.sqrt(2.0) * zl[:, None] - x) ** 2
-                                             / (gamma * gamma))[:, None]
+                rule.weights, [table * _sb_exponential(nu, zl, rule.nodes)[:, None]
                                for zl in block.T], phi.terms), where)
 
-        values = np.empty(len(rows), dtype=complex)
+        fock = np.empty(len(rows), dtype=complex)
         for start in range(0, len(rows), _BLOCK_POINTS):
             block = rows[start:start + _BLOCK_POINTS]
             try:
-                values[start:start + len(block)] = at(block, block)
+                fock[start:start + len(block)] = at(block, block)
             except OverflowError:
                 # a refusal of the whole block names the block; point by
                 # point, it names the first point that overflows
-                values[start:start + len(block)] = [
+                fock[start:start + len(block)] = [
                     at(point[None], point)[0] for point in block]
+    envelope = GaussCSeries(gamma, CPowerSeries(dim, ())).envelope
+    values = finite_values("the transform value",
+                           lambda: envelope(rows) * fock, rows)
     values = values.reshape(z.shape[:-1])
     return complex(values) if values.ndim == 0 else values

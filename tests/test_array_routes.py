@@ -25,10 +25,10 @@ from conftest import random_quaternion
 from rbffock import (CPowerSeries, FockCSpace, FockSliceSpace, GaussSeries,
                      HermiteCoeffFunction, HermiteCoeffFunctionD,
                      ImaginaryUnit, QPowerSeries, Quaternion, RBFSliceSpace,
-                     beta_coeffs, cauchy_mul, gauss_hermite, intrinsic_exp_sq,
-                     multi_indices, rbf_sb_image_series_d, rbf_sb_transform,
-                     rbf_sb_transform_d, sb_image_series, sb_kernel,
-                     sb_transform, slice_decompose)
+                     beta_coeffs, cauchy_mul, gauss_hermite, hermite_psi_all,
+                     intrinsic_exp_sq, multi_indices, rbf_sb_image_series_d,
+                     rbf_sb_transform, rbf_sb_transform_d, sb_image_series,
+                     sb_kernel, sb_transform, slice_decompose)
 from rbffock import _quatarray as qa
 from rbffock import spaces
 from rbffock.quadrature import compensated_sum
@@ -364,7 +364,8 @@ def sb_quadrature_reference(nu, phi, q, normalization, order):
     """sum_m w_m exp(nu_rule x_m^2) K(q, x_m) phi(x_m), scalar per node."""
     nu_rule = 0.5 * (nu + phi.nu)
     rule = gauss_hermite(order, nu_rule)
-    phis = phi.eval_array(rule.nodes)
+    phis = hermite_psi_all(phi.nu, phi.degree, rule.nodes).T @ np.array(
+        [c.to_list() for c in phi.coeffs])
     total = Quaternion(0.0, 0.0, 0.0, 0.0)
     for x, w, f in zip(rule.nodes, rule.weights, phis):
         total = total + (sb_kernel(nu, q, x, normalization) * Quaternion(*f)

@@ -604,6 +604,36 @@ class TestTransformCommand:
         assert row[4] == pytest.approx(want.real, rel=1e-12)
         assert row[5] == pytest.approx(want.imag, rel=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("order", ["400", "512"])
+    @pytest.mark.parametrize("flags", [["--gamma", "1"], ["--nu", "2"],
+                                       ["--gamma", "1", "--dim", "2"]],
+                             ids=["gamma", "nu", "dim-2"])
+    def test_quadrature_at_high_orders_matches_order_80(self, tmp_path, capsys,
+                                                        flags, order):
+        rng = np.random.default_rng(9)
+        grid = rng.uniform(-0.6, 0.6, (25, 4))  # |q| <= 1.2
+        if "--dim" in flags:
+            hermite = {"nu": 1.0, "terms": [[[a, b], rng.uniform(-1, 1, 2).tolist()]
+                                            for a in range(4) for b in range(4 - a)]}
+            grid = grid.reshape(25, 2, 2)
+        else:
+            hermite = {"nu": 1.0, "coeffs": rng.uniform(-1, 1, (10, 4)).tolist()}
+        inp = tmp_path / "t.json"
+        inp.write_text(json.dumps({"hermite": hermite,
+                                   "grid": {"points": grid.tolist()}}))
+        outputs = []
+        for quad_order in (order, "80"):
+            code, out, err = run_cli(["transform", *flags, "--quad-order",
+                                      quad_order, "--input", str(inp)], capsys)
+            assert code == 0 and err == ""
+            rows = np.array([[float(v) for v in line.split(",")]
+                             for line in out.splitlines()[1:]])
+            outputs.append(rows[:, -2:] if "--dim" in flags else rows[:, 4:])
+        got, want = outputs
+        assert np.all(np.abs(got - want)
+                      <= 1e-13 * (1 + np.linalg.norm(want, axis=1))[:, None])
+
     def test_parameter_range_validation(self, tmp_path, capsys):
         inp = tmp_path / "t.json"
         inp.write_text("{}")
@@ -822,6 +852,11 @@ class TestVerifyCommand:
     def test_smallest_exact_orders_pass(self, capsys, flags):
         code, out, _ = run_cli(["verify", *flags], capsys)
         assert code == 0 and "all checks passed" in out
+
+    def test_unitarity_passes_at_the_largest_order(self, capsys):
+        code, out, err = run_cli(["verify", "--quad-order", "512",
+                                  "--only", "sb-unitarity"], capsys)
+        assert code == 0 and err == "" and "all checks passed" in out
 
     def test_unknown_criterion_exits_2(self, capsys):
         code, _, err = run_cli(["verify", "--only", "nope"], capsys)

@@ -45,11 +45,14 @@ def oracle_reproduce(space, f, point) -> complex:
 
 
 def oracle_transform(gamma, dim, phi, point, order) -> complex:
+    """The closed-form kernel times phi, summed over the tensor grid of
+    the rule the quadrature route uses, at (nu + phi.nu)/2."""
     nu = 2.0 / (gamma * gamma)
-    x, w = tensor_grid(gauss_hermite(order, nu), dim)
+    nu_rule = 0.5 * (nu + phi.nu)
+    x, w = tensor_grid(gauss_hermite(order, nu_rule), dim)
     u = math.sqrt(2.0) * np.asarray(point)[None, :] - x
     kernel = np.exp(-np.sum(u * u, axis=1) / (gamma * gamma))
-    comp = np.exp(nu * np.sum(x * x, axis=1))
+    comp = np.exp(nu_rule * np.sum(x * x, axis=1))
     pref = (2.0 / (math.pi * gamma * gamma)) ** (dim / 4.0)
     return pref * grid_sum(w, kernel * phi.eval_points(x) * comp)
 

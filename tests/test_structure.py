@@ -31,12 +31,15 @@ def _owners(pattern: str) -> set:
 @pytest.mark.parametrize("pattern", ["2.0 ** 600", "x * x - y * y",
                                      "else 0.75", "lgamma(",
                                      "max(idx) for idx", "1j * dots[",
-                                     "@ rows.conj().T", "as_integer_ratio"],
+                                     "@ rows.conj().T", "as_integer_ratio",
+                                     "math.sqrt(k / (k + 1))",
+                                     "0.5 * (nu + phi"],
                          ids=["subnormal-rescale", "slice-envelope-exponent",
                               "segal-bargmann-prefactor-power",
                               "factorial-weight", "largest-axis-degree",
                               "quaternion-split", "fock-inner-product",
-                              "fock-monomial-norm"])
+                              "fock-monomial-norm", "hermite-recurrence",
+                              "segal-bargmann-rule"])
 def test_rule_lives_in_one_function(pattern):
     owners = _owners(pattern)
     assert len(owners) == 1, owners

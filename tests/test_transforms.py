@@ -6,11 +6,11 @@ from conftest import assert_qclose, random_quaternion
 
 from rbffock import (FockSliceSpace, ImaginaryUnit, Quaternion, RBFCSpace,
                      RBFSliceSpace, hermite_basis_l2, hermite_psi,
-                     intrinsic_exp_sq, rbf_basis_q, rbf_basis_series_d,
-                     rbf_sb_image_series, rbf_sb_image_series_d,
-                     rbf_sb_kernel, rbf_sb_kernel_d, rbf_sb_transform,
-                     rbf_sb_transform_d, sb_image_series, sb_kernel,
-                     sb_transform)
+                     intrinsic_exp_sq, multi_indices, rbf_basis_q,
+                     rbf_basis_series_d, rbf_sb_image_series,
+                     rbf_sb_image_series_d, rbf_sb_kernel, rbf_sb_kernel_d,
+                     rbf_sb_transform, rbf_sb_transform_d, sb_image_series,
+                     sb_kernel, sb_transform)
 from rbffock.transforms import HermiteCoeffFunction, HermiteCoeffFunctionD
 
 UNIT_I = ImaginaryUnit(1.0, 0.0, 0.0)
@@ -247,3 +247,134 @@ class TestDTransform:
     def test_norm_sq_is_coefficient_sum(self):
         phi = HermiteCoeffFunctionD(1.0, 2, (((0, 0), 1 + 1j), ((2, 1), 2.0)))
         assert phi.norm_sq() == pytest.approx(6.0, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the one quadrature route: high rule orders and scales mu != nu
+
+HIGH_ORDERS = (400, 512)
+
+
+def _high_order_points(rng, n):
+    """Quaternions with |q| <= 1.2."""
+    q = rng.normal(size=(n, 4))
+    return q * (rng.uniform(0.0, 1.2, n) / np.linalg.norm(q, axis=1))[:, None]
+
+
+def _close_to(got, want):
+    return np.all(np.abs(got - want) <= 1e-13 * (1 + np.abs(want)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", HIGH_ORDERS)
+def test_slice_quadrature_at_high_orders_matches_order_80(order):
+    rng = np.random.default_rng(41)
+    phi = HermiteCoeffFunction(0.8, tuple(random_quaternion(rng)
+                                          for _ in range(12)))
+    q = _high_order_points(rng, 40)
+    for normalization in ("unitary", "literal"):
+        got = sb_transform(2.0, phi, q, normalization, "quadrature", order)
+        want = sb_transform(2.0, phi, q, normalization, "quadrature", 80)
+        assert _close_to(got, want)
+    got = rbf_sb_transform(1.0, phi, q, method="quadrature", quad_order=order)
+    want = rbf_sb_transform(1.0, phi, q, method="quadrature", quad_order=80)
+    assert _close_to(got, want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("order", HIGH_ORDERS)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cd_quadrature_at_high_orders_matches_order_80(dim, order):
+    rng = np.random.default_rng(42 + dim)
+    phi = HermiteCoeffFunctionD(1.0, dim, tuple(
+        (idx, complex(*rng.uniform(-1.0, 1.0, 2)))
+        for idx in multi_indices(dim, 5)))
+    z = _high_order_points(rng, 30)[:, :2 * dim].reshape(30, dim, 2)
+    z = z[..., 0] + 1j * z[..., 1]
+    got = rbf_sb_transform_d(1.0, dim, phi, z, "quadrature", order)
+    want = rbf_sb_transform_d(1.0, dim, phi, z, "quadrature", 80)
+    assert _close_to(got, want)
+
+
+def _mp_fock_transforms(mpmath, nu, mu, n_max, z):
+    """The unitary Fock-side transforms at scale nu of psi_0 .. psi_n_max
+    at scale mu, at the complex point z, in 40 digits and closed form: the
+    integrand is exp(-nu z^2/2) exp(-a x^2 + b x) H_n(sqrt(mu) x) with
+    a = (nu + mu)/2 and b = nu sqrt2 z, so each transform is a sum of the
+    Gaussian moments I_k = int x^k exp(-a x^2 + b x) dx, which satisfy
+    I_{k+1} = (b I_k + k I_{k-1}) / (2a), over the integer coefficients
+    of H_n."""
+    with mpmath.workdps(40):
+        nu, mu, z = mpmath.mpf(nu), mpmath.mpf(mu), mpmath.mpc(z)
+        a, b = (nu + mu) / 2, nu * mpmath.sqrt(2) * z
+        first = mpmath.sqrt(mpmath.pi / a) * mpmath.exp(b * b / (4 * a))
+        moments = [first, b * first / (2 * a)]
+        for k in range(1, n_max):
+            moments.append((b * moments[k] + k * moments[k - 1]) / (2 * a))
+        pref = ((nu * mu) ** 0.25 / mpmath.sqrt(mpmath.pi)
+                * mpmath.exp(-nu * z * z / 2))
+        values, prev, cur = [], [], [1]
+        for n in range(n_max + 1):
+            values.append(complex(pref / mpmath.sqrt(
+                2 ** n * mpmath.factorial(n)) * mpmath.fsum(
+                h * mpmath.sqrt(mu) ** j * moments[j] for j, h in enumerate(cur))))
+            # H_{n+1}(u) = 2u H_n(u) - 2n H_{n-1}(u), on the coefficients
+            following = [0] + [2 * h for h in cur]
+            for j, h in enumerate(prev):
+                following[j] -= 2 * n * h
+            prev, cur = cur, following
+        return values
+
+
+MP_POINTS = (0.3 + 0.2j, -1.1 + 0.9j, 1.3 - 0.7j, 1.5j)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 4.0])
+def test_quadrature_routes_at_mu_not_nu_match_an_mpmath_oracle(mu):
+    """nu = 2 (gamma = 1) and psi_n at scale mu, order 40, |z| <= 1.5: the
+    slice route and the C^1 and C^2 routes within 1e-13 relative."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(43)
+    nu, n_max = 2.0, 6
+    table = {z: _mp_fock_transforms(mpmath, nu, mu, n_max, z) for z in MP_POINTS}
+    unit = ImaginaryUnit(0.6, 0.0, -0.8)
+    phi = HermiteCoeffFunction(mu, tuple(random_quaternion(rng)
+                                         for _ in range(n_max + 1)))
+    for z, fock in table.items():
+        q = Quaternion(z.real, z.imag * unit.x, z.imag * unit.y, z.imag * unit.z)
+        got = sb_transform(nu, phi, q, method="quadrature", quad_order=40)
+        want = sum((Quaternion(f.real, f.imag * unit.x, f.imag * unit.y,
+                               f.imag * unit.z) * c
+                    for f, c in zip(fock, phi.coeffs)), Quaternion(0, 0, 0, 0))
+        assert abs(got - want) <= 1e-13 * abs(want)
+    for dim in (1, 2):
+        terms = tuple((idx, complex(*rng.uniform(-1.0, 1.0, 2)))
+                      for idx in multi_indices(dim, n_max))
+        phi_d = HermiteCoeffFunctionD(mu, dim, terms)
+        points = list(MP_POINTS) if dim == 1 else list(zip(MP_POINTS, MP_POINTS[::-1]))
+        for point in points:
+            point = np.atleast_1d(point)
+            got = rbf_sb_transform_d(1.0, dim, phi_d, point, "quadrature", 40)
+            want = np.exp(-np.sum(point * point)) * sum(
+                c * math.prod(table[zl][k] for zl, k in zip(point, idx))
+                for idx, c in terms)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_quadrature_takes_hermite_degrees_beyond_64():
+    """The rows come from the recurrence itself, capped only by the rule's
+    exactness 2 * quad_order - 1; degree 100 agrees with the exact route."""
+    rng = np.random.default_rng(44)
+    phi = HermiteCoeffFunction(2.0, tuple(random_quaternion(rng)
+                                          for _ in range(101)))
+    q = _high_order_points(rng, 20) * 0.5
+    got = sb_transform(2.0, phi, q, method="quadrature", quad_order=80)
+    assert _close_to(got, sb_transform(2.0, phi, q))
+    phi_d = HermiteCoeffFunctionD(2.0, 1, tuple(((n,), 1.0) for n in range(101)))
+    z = np.array([[0.3 + 0.1j], [-0.2 + 0.4j]])
+    got = rbf_sb_transform_d(1.0, 1, phi_d, z, "quadrature", 80)
+    assert _close_to(got, rbf_sb_transform_d(1.0, 1, phi_d, z))
+    with pytest.raises(ValueError, match="Hermite degree 101 exceeds"):
+        sb_transform(2.0, HermiteCoeffFunction(2.0, phi.coeffs + (1.0,)), q,
+                     method="quadrature", quad_order=50)
