@@ -132,18 +132,22 @@ def _parameter(name: str, kind: type, value, where: str):
 
 def _kernel_input(data: dict, args, command: str, field: str):
     """Kernel id, spec, parameters and the non-empty list ``field`` of a
-    kernel or gram input.  gamma may come from --gamma instead of the JSON,
-    and a missing alpha is derived from gamma as 2/gamma^2."""
+    kernel or gram input.  gamma comes from the JSON or from --gamma, not
+    both, and a missing alpha is derived from gamma as 2/gamma^2."""
     kernel_id = _require(data, "kernel", f"{command} input")
     if kernel_id not in GRAM_KERNELS:
         raise InputError(f"{command}: unknown kernel {kernel_id!r}; "
                          f"choose from {GRAM_KERNELS}")
     spec = KERNELS[kernel_id]
+    if args.gamma is not None and "gamma" in data:
+        raise InputError(f"{command}: give gamma by the input or --gamma, not both")
     gamma = data.get("gamma", args.gamma)
+    unread = args.gamma is not None
     params: dict = {}
     for name, kind in spec.params:
         value = data.get(name)
         if value is None and gamma is not None and name in ("gamma", "alpha"):
+            unread = False
             value = _parameter("gamma", float, gamma, command)
             if name == "alpha":
                 with _refusal(command):
@@ -153,6 +157,9 @@ def _kernel_input(data: dict, args, command: str, field: str):
                     "derive alpha = 2/gamma^2"}.get(name, "")
             raise InputError(f"{command}: supply {name} in the input{hint}")
         params[name] = _parameter(name, kind, value, command)
+    if unread:
+        raise InputError(f"{command}: kernel {kernel_id!r} reads no --gamma"
+                         + (" when the input gives alpha" if "alpha" in params else ""))
     items = _require(data, field, f"{command} input")
     if not isinstance(items, list) or not items:
         raise InputError(f"{command} input: field {field!r} must be a "
@@ -301,6 +308,8 @@ def _grid_points(data) -> list:
 
 def _transform_d(args, data) -> int:
     """Several-complex-variable branch of the transform command."""
+    if args.normalization is not None:
+        raise InputError("transform: the C^d transform reads no --normalization")
     dim = args.dim
     fn_data = _require(data, "hermite", "transform input")
     nu_phi = _hermite_nu(fn_data)
@@ -363,13 +372,14 @@ def cmd_transform(args) -> int:
     points = np.array([_parse_point(Quaternion, p, f"grid.points[{i}]").to_list()
                        for i, p in enumerate(_grid_points(data))]).reshape(-1, 4)
 
+    normalization = args.normalization or "unitary"
     if args.gamma is not None:
         def apply(q):
-            return rbf_sb_transform(args.gamma, phi, q, args.normalization,
+            return rbf_sb_transform(args.gamma, phi, q, normalization,
                                     quad_order=args.quad_order)
     elif args.nu is not None:
         def apply(q):
-            return sb_transform(args.nu, phi, q, args.normalization,
+            return sb_transform(args.nu, phi, q, normalization,
                                 quad_order=args.quad_order)
     else:
         raise InputError("transform: choose the target with --gamma "
@@ -415,6 +425,9 @@ def cmd_basis(args) -> int:
                          f"got {args.n_max}")
     if getattr(args, scale) is None:
         raise InputError(f"basis: the {args.family} family needs --{scale}")
+    if args.imag is not None and scale == "nu":
+        raise InputError(f"basis: the {args.family} family reads no --imag")
+    args.imag = 0.0 if args.imag is None else args.imag
     orders = range(args.n_max + 1)
     lines = ["x," + ",".join(f"n{n}{c}" for n in orders for c in suffixes)]
     with _refusal("basis"):
@@ -433,10 +446,12 @@ def cmd_verify(args) -> int:
         if unknown:
             raise InputError(f"verify: unknown criteria {unknown}; "
                              f"choose from {sorted(CRITERIA)}")
+        for name in (n for n in only if only.count(n) > 1):
+            raise InputError(f"verify: --only names {name!r} more than once")
     with _refusal("verify"):
         cfg = VerifyConfig(gamma=args.gamma if args.gamma is not None else 1.0,
                            quad_order=args.quad_order,
-                           normalization=args.normalization,
+                           normalization=args.normalization or "unitary",
                            tol_scale=args.tol, seed=args.seed)
         results = run_all(cfg, only)
     payload = {"config": {"gamma": cfg.gamma, "quad_order": cfg.quad_order,
@@ -463,67 +478,70 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gaussian RBF kernels, Fock spaces, and their transforms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--gamma", type=float, default=None,
-                        help="Gaussian kernel width parameter")
-    common.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER,
-                        help="Gauss-Hermite order, 8 to 512 (default 80), of "
-                        "the kernel routes (reproduce, quadrature "
-                        "transforms) and the cap of the polynomial routes "
-                        "(the direct isometry route, verify's oracles), "
-                        "which take their smallest exact rule; Fock inner "
-                        "products are exact and use none")
-    common.add_argument("--dim", type=int, default=None,
-                        help="dimension for quadrature-backed commands, "
-                        "1 to 3")
-    common.add_argument("--output", default=None, help="CSV output path "
-                        "(stdout when omitted)")
+    # shared flags; each subcommand takes only the flags its routes read
+    flags = {
+        "--gamma": dict(type=float, help="Gaussian kernel width parameter"),
+        "--nu": dict(type=float, help="Fock-side scale (alternative to --gamma)"),
+        "--quad-order": dict(type=int, default=DEFAULT_QUAD_ORDER, help=(
+            "Gauss-Hermite order, 8 to 512 (default 80), of the kernel routes "
+            "(reproduce, quadrature transforms) and the cap of the polynomial "
+            "routes (the direct isometry route, verify's oracles), which take "
+            "their smallest exact rule; Fock inner products are exact and use "
+            "none; verify's C^2 reproducing-property rows take order 32 always")),
+        "--normalization": dict(choices=NORMALIZATIONS, help="default unitary"),
+        "--output": dict(help="CSV output path (stdout when omitted)"),
+        "--report": dict(help="JSON report path"),
+    }
 
-    p = sub.add_parser("kernel", parents=[common],
+    def parent(*names: str) -> argparse.ArgumentParser:  # two: exclusive
+        p = argparse.ArgumentParser(add_help=False)
+        group = p.add_mutually_exclusive_group() if len(names) > 1 else p
+        for name in names:
+            group.add_argument(name, **flags[name])
+        return p
+
+    gamma, output, report, quad_order, normalization = map(parent, (
+        "--gamma", "--output", "--report", "--quad-order", "--normalization"))
+    scale = parent("--gamma", "--nu")
+
+    p = sub.add_parser("kernel", parents=[gamma, output],
                        help="evaluate kernel values for point pairs")
     p.add_argument("--input", required=True, help="JSON with kernel id, "
                    "parameters, and pairs")
     p.set_defaults(fn=cmd_kernel)
 
-    p = sub.add_parser("gram", parents=[common],
+    p = sub.add_parser("gram", parents=[gamma, output, report],
                        help="assemble a kernel Gram matrix and certify PSD")
     p.add_argument("--input", required=True,
                    help="JSON with kernel id, parameters, and points")
-    p.add_argument("--report", default=None, help="JSON report path")
     p.add_argument("--tol", type=float, default=None,
                    help="PSD tolerance (default size*eps*|G|)")
     p.set_defaults(fn=cmd_gram)
 
-    p = sub.add_parser("transform", parents=[common],
-                       help="apply a Segal-Bargmann-type transform")
+    p = sub.add_parser("transform", help="apply a Segal-Bargmann-type transform",
+                       parents=[scale, output, quad_order, normalization])
     p.add_argument("--input", required=True,
                    help="JSON with the hermite-coefficient function and grid")
-    p.add_argument("--nu", type=float, default=None,
-                   help="Fock-side transform scale (alternative to --gamma)")
-    p.add_argument("--normalization", choices=list(NORMALIZATIONS),
-                   default="unitary")
+    p.add_argument("--dim", type=int, default=None,
+                   help="1, the slice transform (default), or 2 or 3, C^d")
     p.set_defaults(fn=cmd_transform)
 
-    p = sub.add_parser("basis", parents=[common],
+    p = sub.add_parser("basis", parents=[scale, output],
                        help="tabulate basis functions on a grid to CSV")
     p.add_argument("--family", required=True, choices=list(BASIS_FAMILIES))
-    p.add_argument("--nu", type=float, default=None)
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--grid", default="-2:2:81", help="start:stop:count")
-    p.add_argument("--imag", type=float, default=0.0,
-                   help="imaginary offset of the evaluation line")
+    p.add_argument("--imag", type=float, help="imaginary offset of the "
+                   "evaluation line, default 0 (rbf families only)")
     p.set_defaults(fn=cmd_basis)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run the full property-verification suite")
-    p.add_argument("--normalization", choices=list(NORMALIZATIONS),
-                   default="unitary")
+    p = sub.add_parser("verify", help="run the full property-verification suite",
+                       parents=[gamma, quad_order, normalization, report])
     p.add_argument("--tol", type=float, default=1.0,
                    help="multiplier applied to every check bound")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--report", default=None, help="JSON report path")
     p.add_argument("--only", default=None,
-                   help="comma-separated criterion names")
+                   help="comma-separated criterion names, each once")
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -49,7 +49,7 @@ _ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
 def _as_quaternion(value) -> Quaternion:
     if isinstance(value, Quaternion):
         return value
-    if isinstance(value, (int, float)):
+    if isinstance(value, numbers.Real):
         return Quaternion.from_real(value)
     raise TypeError(f"cannot use {type(value).__name__} as a series coefficient")
 
@@ -193,6 +193,9 @@ def basis_coeff(log_nu: float, index: Sequence[int]) -> float:
 def multi_index_terms(terms, dim: int) -> tuple:
     """Pairs (multi-index, coefficient) checked by ``multi_index``, with
     complex coefficients, in graded order."""
+    terms = tuple(terms)
+    for bad in (c for _, c in terms if not isinstance(c, numbers.Number)):
+        raise TypeError(f"cannot use {type(bad).__name__} as a series coefficient")
     return tuple(sorted(((multi_index(index, dim), complex(coeff))
                          for index, coeff in terms),
                         key=lambda t: (multi_order(t[0]), t[0])))

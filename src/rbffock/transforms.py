@@ -73,9 +73,8 @@ class HermiteCoeffFunction:
 
     def __post_init__(self) -> None:
         positive_finite("nu", self.nu)
-        coerced = tuple(c if isinstance(c, Quaternion) else Quaternion.from_real(c)
-                        for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coerced)
+        # coerced as a series' coefficients; no coefficients is the zero function
+        object.__setattr__(self, "coeffs", QPowerSeries(self.coeffs).coeffs)
 
     @property
     def degree(self) -> int:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -501,7 +502,8 @@ def transform_inputs(draw):
     """Flags and input of a transform on H (the quaternions, --gamma or
     --nu) or on C^2, by the exact route (Hermite scale 2, matched by
     --gamma 1 and --nu 2) or the quadrature route (scale 1), at points
-    drawn from ``numbers``; or with one field broken."""
+    drawn from ``numbers``, with possibly no coefficients, terms or points;
+    or with one field broken."""
     dim = draw(st.sampled_from([1, 2]))
     target = draw(st.sampled_from(["--gamma", "--nu"])) if dim == 1 else "--gamma"
     argv = ["transform", target, "1" if target == "--gamma" else "2"]
@@ -512,7 +514,7 @@ def transform_inputs(draw):
         key = "coeffs"
         hermite = {"nu": nu, key: draw(st.lists(
             st.lists(coefficient, min_size=4, max_size=4),
-            min_size=1, max_size=4))}
+            min_size=0, max_size=4))}
         point = st.lists(numbers, min_size=4, max_size=4)
     else:
         argv += ["--dim", "2"]
@@ -520,10 +522,10 @@ def transform_inputs(draw):
         index = st.lists(st.integers(0, 3), min_size=2, max_size=2)
         hermite = {"nu": nu, key: draw(st.lists(
             st.tuples(index, st.lists(coefficient, min_size=2, max_size=2))
-            .map(list), min_size=1, max_size=3))}
+            .map(list), min_size=0, max_size=3))}
         point = st.lists(st.lists(numbers, min_size=2, max_size=2),
                          min_size=2, max_size=2)
-    points = draw(st.lists(point, min_size=1, max_size=4))
+    points = draw(st.lists(point, min_size=0, max_size=4))
     broken = draw(st.sampled_from([None, None, None, "nu", "function",
                                    "point", "points"]))
     if broken == "nu":
@@ -589,6 +591,25 @@ class TestTransformCommand:
         code, _, err = run_cli(["transform", "--input", str(inp)], capsys)
         assert code == 2
         assert "--gamma" in err
+
+    @pytest.mark.parametrize("points", [[[0.1, 0.2, 0, 0]], []],
+                             ids=["point", "no-points"])
+    @pytest.mark.parametrize("flags", [["--gamma", "1"], ["--nu", "2"]],
+                             ids=["gamma", "nu"])
+    def test_no_coefficients_give_the_exact_routes_zeros(self, tmp_path, capsys,
+                                                         flags, points):
+        outputs = []
+        for nu in (1.0, 2.0):  # the quadrature route, then the exact one
+            payload = {"hermite": {"nu": nu, "coeffs": []},
+                       "grid": {"points": points}}
+            code, out, err = run_input(tmp_path, capsys, "transform", payload,
+                                       *flags)
+            assert code == 0 and err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 1 + len(points)
+        assert all(line.endswith(",0,0,0,0")
+                   for line in outputs[0].splitlines()[1:])
 
     def test_d2_transform_of_multiindex_basis(self, tmp_path, capsys):
         payload = {"hermite": {"nu": 2.0, "terms": [[[1, 0], [1.0, 0.0]]]},
@@ -739,16 +760,19 @@ class TestBasisCommand:
 @st.composite
 def basis_inputs(draw):
     """basis flags for a random family: widths and offsets from ``numbers``
-    or non-finite, orders from -1 to 70, and grids with any such ends."""
+    or non-finite, orders from -1 to 70, and grids with any such ends; an
+    offset only for the rbf families, the only ones that read --imag."""
     wide = st.one_of(numbers, st.sampled_from(["nan", "inf", "-inf", "1e-300"]))
     family = draw(st.sampled_from(["rbf-q", "rbf-c", "hermite-h",
                                    "hermite-psi"]))
     width = "--nu" if family.startswith("hermite") else "--gamma"
-    start, stop, imag = draw(wide), draw(wide), draw(wide)
-    return ["basis", "--family", family, f"{width}={draw(wide)}",
+    start, stop = draw(wide), draw(wide)
+    argv = ["basis", "--family", family, f"{width}={draw(wide)}",
             f"--n-max={draw(st.integers(-1, 70))}",
-            f"--grid={start}:{stop}:{draw(st.integers(-1, 4))}",
-            f"--imag={imag}"]
+            f"--grid={start}:{stop}:{draw(st.integers(-1, 4))}"]
+    if width == "--gamma" and draw(st.booleans()):
+        argv.append(f"--imag={draw(wide)}")
+    return argv
 
 
 class TestFuzzBasis:
@@ -790,6 +814,128 @@ class TestFlagValidation:
                                  capsys)
         assert code == 2 and out == ""
         assert f"error: {flag} must be" in err
+
+
+# the flags of each subcommand: the ones that its routes read
+SUBCOMMAND_FLAGS = {
+    "kernel": {"--gamma", "--input", "--output"},
+    "gram": {"--gamma", "--input", "--output", "--report", "--tol"},
+    "transform": {"--gamma", "--nu", "--input", "--output", "--quad-order",
+                  "--dim", "--normalization"},
+    "basis": {"--gamma", "--nu", "--family", "--n-max", "--grid", "--imag",
+              "--output"},
+    "verify": {"--gamma", "--quad-order", "--normalization", "--tol", "--seed",
+               "--report", "--only"},
+}
+
+KERNEL_INPUT = {"kernel": "rbf-real", "gamma": 1.0, "pairs": [[[0.0], [1.0]]],
+                "points": [[0.0], [1.0]]}
+SLICE_INPUT = {"hermite": {"nu": 1.0, "coeffs": [[1, 0, 0, 0]]},
+               "grid": {"points": [[0.1, 0.2, 0, 0]]}}
+C2_INPUT = {"hermite": {"nu": 1.0, "terms": [[[1, 0], [1.0, 0.0]]]},
+            "grid": {"points": [[[0.1, 0.2], [0, 0]]]}}
+
+
+def command_argv(tmp_path, command, payload=None):
+    """A working invocation of ``command`` that writes its CSV, and its
+    report if it takes one, into tmp_path; payload is the --input JSON."""
+    argv = {"kernel": ["kernel"], "gram": ["gram", "--report", "report.json"],
+            "transform": ["transform", "--gamma", "1"],
+            "basis": ["basis", "--family", "hermite-psi", "--nu", "2"],
+            "verify": ["verify", "--only", "psd", "--report", "report.json"]}[command]
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    if payload is not None:
+        (tmp_path / "in.json").write_text(json.dumps(payload))
+        argv += ["--input", str(tmp_path / "in.json")]
+    return argv + ["--output", str(tmp_path / "out.csv")] * (command != "verify")
+
+
+def outputs(tmp_path) -> list:
+    return sorted(p.name for p in tmp_path.iterdir() if p.name != "in.json")
+
+
+class TestFlagSurface:
+    """Each subcommand takes only the flags that its routes read; a flag
+    that it takes but the chosen route does not read exits 2 naming it."""
+
+    def test_each_subcommand_takes_the_flags_its_routes_read(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        taken = {name: {flag for a in p._actions for flag in a.option_strings}
+                 - {"-h", "--help"} for name, p in sub.choices.items()}
+        assert taken == SUBCOMMAND_FLAGS
+        assert sum(map(len, taken.values())) == 29
+
+    @pytest.mark.parametrize("command, payload, flag, value", [
+        ("kernel", KERNEL_INPUT, "--quad-order", "80"),
+        ("kernel", KERNEL_INPUT, "--dim", "1"),
+        ("gram", KERNEL_INPUT, "--quad-order", "80"),
+        ("gram", KERNEL_INPUT, "--dim", "1"),
+        ("basis", None, "--quad-order", "80"),
+        ("basis", None, "--dim", "1"),
+        ("verify", None, "--dim", "1"),
+        ("verify", None, "--output", "out.csv"),
+        ("transform", SLICE_INPUT, "--nu", "2"),
+        ("basis", None, "--gamma", "1"),
+    ], ids=["kernel-quad-order", "kernel-dim", "gram-quad-order", "gram-dim",
+            "basis-quad-order", "basis-dim", "verify-dim", "verify-output",
+            "transform-gamma-and-nu", "basis-gamma-and-nu"])
+    def test_flag_not_taken_exits_2(self, tmp_path, capsys, command, payload,
+                                    flag, value):
+        argv = command_argv(tmp_path, command, payload)
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0 and outputs(tmp_path)
+        for name in outputs(tmp_path):
+            (tmp_path / name).unlink()
+        if value.endswith(".csv"):
+            value = str(tmp_path / value)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert outputs(tmp_path) == []
+
+    @pytest.mark.parametrize("command, payload, route, flag", [
+        ("transform", C2_INPUT, ["--dim", "2"], "--normalization=literal"),
+        ("transform", C2_INPUT, ["--dim", "2"], "--normalization=unitary"),
+        ("basis", None, [], "--imag=0"),
+        ("basis", None, ["--family", "hermite-h"], "--imag=0.5"),
+        ("kernel", KERNEL_INPUT, [], "--gamma=2"),
+        ("gram", KERNEL_INPUT, [], "--gamma=2"),
+        ("kernel", {"kernel": "polynomial", "degree": 2,
+                    "pairs": [[[0.5], [1.0]]]}, [], "--gamma=1"),
+        ("gram", {"kernel": "exponential", "points": [[0.5], [1.0]]}, [],
+         "--gamma=1"),
+        ("gram", {"kernel": "fock", "alpha": 2.0, "points": [[[0.5, 0]]]}, [],
+         "--gamma=1"),
+    ], ids=["c2-literal", "c2-unitary", "hermite-psi-imag", "hermite-h-imag",
+            "kernel-input-gamma", "gram-input-gamma", "kernel-polynomial",
+            "gram-exponential", "gram-fock-alpha"])
+    def test_flag_the_route_does_not_read_exits_2(self, tmp_path, capsys,
+                                                  command, payload, route,
+                                                  flag):
+        argv = command_argv(tmp_path, command, payload) + route
+        assert run_cli(argv, capsys)[0] == 0
+        for name in outputs(tmp_path):
+            (tmp_path / name).unlink()
+        code, out, err = run_cli(argv + [flag], capsys)
+        assert code == 2 and out == "" and outputs(tmp_path) == []
+        assert err.startswith("error: ") and flag.split("=")[0] in err
+
+    def test_fock_without_alpha_reads_gamma(self, tmp_path, capsys):
+        payload = {"kernel": "fock", "pairs": [[[0.5, 0], [1.0, 0]]]}
+        code, out, _ = run_input(tmp_path, capsys, "kernel", payload,
+                                 "--gamma", "1")
+        assert code == 0
+        assert float(out.splitlines()[1].split(",")[1]) == math.exp(2 * 0.5)
+
+    def test_repeated_criterion_exits_2(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        code, out, err = run_cli(["verify", "--only", "psd,psd", "--report",
+                                  str(report)], capsys)
+        assert code == 2 and out == "" and not report.exists()
+        assert err == "error: verify: --only names 'psd' more than once\n"
 
 
 class TestVerifyCommand:

@@ -204,6 +204,10 @@ class TestMultiIndex:
         zsq = z[0] ** 2 + z[1] ** 2
         assert f.eval(z) == pytest.approx(z[0] * np.exp(-zsq), rel=1e-14)
 
+    def test_text_coefficient_rejected(self):
+        with pytest.raises(TypeError, match="str"):
+            CPowerSeries(2, (((1, 0), "2"),))
+
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             CPowerSeries(2, (((1,), 1.0),))

@@ -76,6 +76,21 @@ class TestSBTransform:
                            Quaternion(1, 1, 0, 0))
         assert abs(got) == 0.0
 
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    def test_no_coefficients_is_the_zero_function(self, method):
+        phi = HermiteCoeffFunction(1.0, ())
+        assert phi.coeffs == (Quaternion(0, 0, 0, 0),)
+        got = sb_transform(2.0, phi, Quaternion(0.1, 0.2, 0, 0), method=method)
+        assert got == Quaternion(0, 0, 0, 0)
+
+    def test_text_coefficient_rejected(self):
+        with pytest.raises(TypeError, match="str"):
+            HermiteCoeffFunction(2.0, ("1.5",))
+
+    def test_numpy_scalar_coefficients_accepted(self):
+        phi = HermiteCoeffFunction(2.0, (np.float32(1.5), np.int64(2)))
+        assert phi.coeffs == (Quaternion(1.5, 0, 0, 0), Quaternion(2, 0, 0, 0))
+
     def test_quadrature_matches_exact(self):
         rng = np.random.default_rng(32)
         nu = 2.0
