@@ -29,9 +29,9 @@ from .gram import GRAM_KERNELS, build_gram, psd_check
 from .hypercomplex import Quaternion
 from .kernels import KERNELS, NORMALIZATIONS
 from .quadrature import DEFAULT_QUAD_ORDER
-from .transforms import (HermiteCoeffFunction, HermiteCoeffFunctionD,
+from .transforms import (HermiteCoeffFunction, HermiteCoeffFunctionD, _exact,
                          rbf_sb_transform, rbf_sb_transform_d, sb_transform)
-from .verify import CRITERIA, DEFAULT_SEED, VerifyConfig, run_all
+from .verify import CRITERIA, DEFAULT_SEED, VerifyConfig, reads, run_all
 
 
 class InputError(Exception):
@@ -306,6 +306,15 @@ def _grid_points(data) -> list:
     return raw_points
 
 
+def _quad_order(args, phi_nu: float) -> int:
+    """--quad-order or its default; the exact route for phi_nu refuses it."""
+    with _refusal("transform"):
+        exact = _exact("auto", phi_nu, args.nu or nu_from_gamma(args.gamma))
+    if exact and args.quad_order is not None:
+        raise InputError("transform: the exact route reads no --quad-order")
+    return args.quad_order or DEFAULT_QUAD_ORDER
+
+
 def _transform_d(args, data) -> int:
     """Several-complex-variable branch of the transform command."""
     if args.normalization is not None:
@@ -341,9 +350,10 @@ def _transform_d(args, data) -> int:
     if args.gamma is None:
         raise InputError("transform: the C^d transform needs --gamma")
     points = np.array(points, dtype=complex).reshape(-1, dim)
+    quad_order = _quad_order(args, phi.nu)
 
     values = _grid_values(lambda z: rbf_sb_transform_d(
-        args.gamma, dim, phi, z, quad_order=args.quad_order), points)
+        args.gamma, dim, phi, z, quad_order=quad_order), points)
     header = ",".join(f"z{l}.re,z{l}.im" for l in range(dim))
     _write_lines(itertools.chain(
         [header + ",value.re,value.im"],
@@ -372,20 +382,15 @@ def cmd_transform(args) -> int:
     points = np.array([_parse_point(Quaternion, p, f"grid.points[{i}]").to_list()
                        for i, p in enumerate(_grid_points(data))]).reshape(-1, 4)
 
-    normalization = args.normalization or "unitary"
-    if args.gamma is not None:
-        def apply(q):
-            return rbf_sb_transform(args.gamma, phi, q, normalization,
-                                    quad_order=args.quad_order)
-    elif args.nu is not None:
-        def apply(q):
-            return sb_transform(args.nu, phi, q, normalization,
-                                quad_order=args.quad_order)
-    else:
+    if args.gamma is None and args.nu is None:
         raise InputError("transform: choose the target with --gamma "
                          "(RBF-side) or --nu (Fock-side)")
-
-    values = _grid_values(apply, points)
+    transform, scale = ((rbf_sb_transform, args.gamma) if args.gamma is not None
+                        else (sb_transform, args.nu))
+    quad_order = _quad_order(args, phi.nu)
+    values = _grid_values(lambda q: transform(
+        scale, phi, q, args.normalization or "unitary", quad_order=quad_order),
+        points)
     _write_lines(itertools.chain(
         ["q.w,q.x,q.y,q.z,value.w,value.x,value.y,value.z"],
         _transform_rows(points, values)), args.output)
@@ -439,30 +444,27 @@ def cmd_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    only = None
-    if args.only:
-        only = [name.strip() for name in args.only.split(",")]
-        unknown = [n for n in only if n not in CRITERIA]
-        if unknown:
-            raise InputError(f"verify: unknown criteria {unknown}; "
-                             f"choose from {sorted(CRITERIA)}")
-        for name in (n for n in only if only.count(n) > 1):
-            raise InputError(f"verify: --only names {name!r} more than once")
+    only = [name.strip() for name in args.only.split(",")] if args.only else None
+    unknown = [n for n in only or () if n not in CRITERIA]
+    if unknown:
+        raise InputError(f"verify: unknown criteria {unknown}; "
+                         f"choose from {sorted(CRITERIA)}")
+    for name in (n for n in only or () if only.count(n) > 1):
+        raise InputError(f"verify: --only names {name!r} more than once")
+    read = reads(only)
+    given = {name: getattr(args, name) for name in ("gamma", "quad_order", "seed")
+             if getattr(args, name) is not None}
+    for name in (n for n in given if n not in read):
+        raise InputError("verify: no selected criterion reads --"
+                         + name.replace("_", "-"))
     with _refusal("verify"):
-        cfg = VerifyConfig(gamma=args.gamma if args.gamma is not None else 1.0,
-                           quad_order=args.quad_order,
-                           normalization=args.normalization or "unitary",
-                           tol_scale=args.tol, seed=args.seed)
+        cfg = VerifyConfig(tol_scale=args.tol, **given)
         results = run_all(cfg, only)
-    payload = {"config": {"gamma": cfg.gamma, "quad_order": cfg.quad_order,
-                          "normalization": cfg.normalization,
-                          "tol_scale": cfg.tol_scale, "seed": cfg.seed},
+    payload = {"config": {name: getattr(cfg, name) for name in read},
                "checks": [r.to_json() for r in results],
                "passed": all(r.passed for r in results)}
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        _write_lines([json.dumps(payload, indent=2, allow_nan=False)], args.report)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         sys.stdout.write(f"[{status}] {r.check} {r.params} "
@@ -470,6 +472,21 @@ def cmd_verify(args) -> int:
     sys.stdout.write("verify: all checks passed\n" if payload["passed"]
                      else "verify: FAILURES present\n")
     return 0 if payload["passed"] else 1
+
+
+def _domain(flag: str, kind: type, ok, domain: str):
+    """The argparse type of ``flag``: a ``kind`` for which ok(value) holds,
+    or an InputError naming the flag, which argparse passes on to main."""
+    def parse(text: str):
+        with contextlib.suppress(ValueError):
+            if ok(value := kind(text)):
+                return value
+        raise InputError(f"{flag} must be {domain}, got {text}")
+    return parse
+
+
+_POSITIVE = (float, lambda v: 0.0 < v < math.inf, "positive and finite")
+_FINITE = (float, math.isfinite, "finite")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,15 +497,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     # shared flags; each subcommand takes only the flags its routes read
     flags = {
-        "--gamma": dict(type=float, help="Gaussian kernel width parameter"),
-        "--nu": dict(type=float, help="Fock-side scale (alternative to --gamma)"),
-        "--quad-order": dict(type=int, default=DEFAULT_QUAD_ORDER, help=(
+        "--gamma": dict(type=_domain("--gamma", *_POSITIVE),
+                        help="Gaussian kernel width parameter"),
+        "--nu": dict(type=_domain("--nu", *_POSITIVE),
+                     help="Fock-side scale (alternative to --gamma)"),
+        "--quad-order": dict(type=_domain("--quad-order", int, lambda v: 8 <= v <= 512,
+                                          "a whole number in [8, 512]"), help=(
             "Gauss-Hermite order, 8 to 512 (default 80), of the kernel routes "
             "(reproduce, quadrature transforms) and the cap of the polynomial "
-            "routes (the direct isometry route, verify's oracles), which take "
-            "their smallest exact rule; Fock inner products are exact and use "
-            "none; verify's C^2 reproducing-property rows take order 32 always")),
-        "--normalization": dict(choices=NORMALIZATIONS, help="default unitary"),
+            "routes' smallest exact rules; refused where no route reads it")),
         "--output": dict(help="CSV output path (stdout when omitted)"),
         "--report": dict(help="JSON report path"),
     }
@@ -500,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument(name, **flags[name])
         return p
 
-    gamma, output, report, quad_order, normalization = map(parent, (
-        "--gamma", "--output", "--report", "--quad-order", "--normalization"))
+    gamma, output, report, quad_order = map(parent, (
+        "--gamma", "--output", "--report", "--quad-order"))
     scale = parent("--gamma", "--nu")
 
     p = sub.add_parser("kernel", parents=[gamma, output],
@@ -514,16 +531,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="assemble a kernel Gram matrix and certify PSD")
     p.add_argument("--input", required=True,
                    help="JSON with kernel id, parameters, and points")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_domain("--tol", *_FINITE),
                    help="PSD tolerance (default size*eps*|G|)")
     p.set_defaults(fn=cmd_gram)
 
     p = sub.add_parser("transform", help="apply a Segal-Bargmann-type transform",
-                       parents=[scale, output, quad_order, normalization])
+                       parents=[scale, output, quad_order])
     p.add_argument("--input", required=True,
                    help="JSON with the hermite-coefficient function and grid")
-    p.add_argument("--dim", type=int, default=None,
+    p.add_argument("--dim", type=_domain("--dim", int, lambda v: 1 <= v <= 3,
+                                         "1, 2 or 3"),
                    help="1, the slice transform (default), or 2 or 3, C^d")
+    p.add_argument("--normalization", choices=NORMALIZATIONS,
+                   help="default unitary")
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("basis", parents=[scale, output],
@@ -531,43 +551,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True, choices=list(BASIS_FAMILIES))
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--grid", default="-2:2:81", help="start:stop:count")
-    p.add_argument("--imag", type=float, help="imaginary offset of the "
-                   "evaluation line, default 0 (rbf families only)")
+    p.add_argument("--imag", type=_domain("--imag", *_FINITE), help="imaginary offset "
+                   "of the evaluation line, default 0 (rbf families only)")
     p.set_defaults(fn=cmd_basis)
 
     p = sub.add_parser("verify", help="run the full property-verification suite",
-                       parents=[gamma, quad_order, normalization, report])
-    p.add_argument("--tol", type=float, default=1.0,
+                       parents=[gamma, quad_order, report])
+    p.add_argument("--tol", type=_domain("--tol", *_POSITIVE), default=1.0,
                    help="multiplier applied to every check bound")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_domain("--seed", int, lambda v: v >= 0,
+                                          "a whole number >= 0"),
+                   help=f"seed of the random draws (default {DEFAULT_SEED})")
     p.add_argument("--only", default=None,
                    help="comma-separated criterion names, each once")
     p.set_defaults(fn=cmd_verify)
     return parser
 
 
-def _validate_common(args) -> None:
-    for flag in ("gamma", "nu", "tol", "imag"):
-        value = getattr(args, flag, None)
-        # gram's --tol is a PSD tolerance and basis's --imag an offset;
-        # either may be zero or negative
-        signed = flag == "imag" or (flag, args.command) == ("tol", "gram")
-        low = -math.inf if signed else 0.0
-        if value is not None and not low < value < math.inf:
-            kind = "finite" if low < 0 else "positive and finite"
-            raise InputError(f"--{flag} must be {kind}, got {value}")
-    if not 8 <= getattr(args, "quad_order", DEFAULT_QUAD_ORDER) <= 512:
-        raise InputError("--quad-order must lie in [8, 512]")
-    dim = getattr(args, "dim", None)
-    if dim is not None and not 1 <= dim <= 3:
-        raise InputError("--dim must lie in [1, 3]")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _validate_common(args)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -136,6 +136,14 @@ def _sb_prefactor(nu: float, normalization: str, dim: int = 1) -> float:
     return (nu / math.pi) ** (power * dim)
 
 
+def _exact(method: str, phi_nu: float, nu: float) -> bool:
+    """Whether a transform at scale nu of Hermite coefficients of scale
+    phi_nu takes the exact route: under ``method="auto"``, if they match."""
+    if method not in ("auto", "quadrature"):
+        raise ValueError("method must be auto or quadrature")
+    return method == "auto" and phi_nu == nu
+
+
 def _quaternion_points(q) -> np.ndarray:
     """A Quaternion, or an array of shape (..., 4), as a float array."""
     points = np.asarray(q.to_list() if isinstance(q, Quaternion) else q,
@@ -235,12 +243,10 @@ def sb_transform(nu: float, phi, q, normalization: str = "unitary",
     """
     positive_finite("nu", nu)
     _check_normalization(normalization)
-    if method not in ("auto", "quadrature"):
-        raise ValueError("method must be auto or quadrature")
     points = _quaternion_points(q)
     if not isinstance(phi, HermiteCoeffFunction):
         raise TypeError("quadrature path needs HermiteCoeffFunction")
-    if method == "auto" and phi.nu == nu:
+    if _exact(method, phi.nu, nu):
         series = sb_image_series(nu, phi, normalization)
         return _like(q, series.eval_points(points))
     return _like(q, finite_values("the transform value", lambda: _sb_quadrature(
@@ -343,8 +349,6 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",
     not finite raises OverflowError naming its point.
     """
     nu = nu_from_gamma(gamma)
-    if method not in ("auto", "quadrature"):
-        raise ValueError("method must be auto or quadrature")
     if isinstance(phi, HermiteCoeffFunctionD) and phi.dim != dim:
         raise ValueError(f"phi is a function on R^{phi.dim}, not on R^{dim}")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -355,28 +359,23 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",
     if not isinstance(phi, HermiteCoeffFunctionD):
         raise TypeError("quadrature path needs HermiteCoeffFunctionD")
 
-    if method == "auto" and phi.nu == nu:
+    if _exact(method, phi.nu, nu):
         fock = rbf_sb_image_series_d(gamma, phi).series.eval_points(rows)
     else:
         rule, table = _sb_rule(nu, phi.nu, axis_degree(phi.terms), quad_order)
         pref = _sb_prefactor(nu, "unitary", dim)
 
-        def at(block, where):
-            # one (points, K, M) table per axis
+        def at(block):
+            # one (points, K, M) table per axis, refused naming its point
+            tables = [finite_values("the transform value", lambda: table
+                                    * _sb_exponential(nu, zl, rule.nodes)[:, None],
+                                    block) for zl in block.T]
             return finite_values("the transform value", lambda: pref * integrate_rd(
-                rule.weights, [table * _sb_exponential(nu, zl, rule.nodes)[:, None]
-                               for zl in block.T], phi.terms), where)
+                rule.weights, tables, phi.terms), block)
 
         fock = np.empty(len(rows), dtype=complex)
         for start in range(0, len(rows), _BLOCK_POINTS):
-            block = rows[start:start + _BLOCK_POINTS]
-            try:
-                fock[start:start + len(block)] = at(block, block)
-            except OverflowError:
-                # a refusal of the whole block names the block; point by
-                # point, it names the first point that overflows
-                fock[start:start + len(block)] = [
-                    at(point[None], point)[0] for point in block]
+            fock[start:start + _BLOCK_POINTS] = at(rows[start:start + _BLOCK_POINTS])
     envelope = GaussCSeries(gamma, CPowerSeries(dim, ())).envelope
     values = finite_values("the transform value",
                            lambda: envelope(rows) * fock, rows)

@@ -12,8 +12,9 @@ deterministic for a given seed.
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -24,7 +25,7 @@ from .bases import (hermite_psi_all, rbf_basis_q, rbf_basis_series,
 from .gram import build_gram, psd_check, quat_matrix_to_complex
 from .hypercomplex import (ImaginaryUnit, Quaternion, SlicePoint,
                            intrinsic_exp_sq)
-from .kernels import (fock_kernel_d, kernel_sum_tail_bound,
+from .kernels import (NORMALIZATIONS, fock_kernel_d, kernel_sum_tail_bound,
                       kernel_sum_truncated, rbf_kernel_c, rbf_kernel_d,
                       rbf_kernel_qslice)
 from .quadrature import DEFAULT_QUAD_ORDER
@@ -36,8 +37,8 @@ from .transforms import (HermiteCoeffFunctionD, hermite_basis_l2,
                          rbf_sb_image_series, rbf_sb_image_series_d,
                          rbf_sb_kernel, rbf_sb_transform, sb_kernel)
 
-__all__ = ["VerifyConfig", "CheckResult", "CRITERIA", "run_criterion",
-           "run_all"]
+__all__ = ["VerifyConfig", "CheckResult", "CRITERIA", "reads",
+           "run_criterion", "run_all"]
 
 UNIT_I = ImaginaryUnit(1.0, 0.0, 0.0)
 UNIT_IJ = ImaginaryUnit.from_vector(1.0, 1.0, 0.0)
@@ -48,7 +49,6 @@ DEFAULT_SEED = 20240801
 class VerifyConfig:
     gamma: float = 1.0
     quad_order: int = DEFAULT_QUAD_ORDER
-    normalization: str = "unitary"
     tol_scale: float = 1.0
     seed: int = DEFAULT_SEED
 
@@ -74,8 +74,8 @@ class CheckResult:
 
 
 def _result(check: str, params: dict, value: float, bound: float,
-            cfg: VerifyConfig) -> CheckResult:
-    bound = bound * cfg.tol_scale
+            tol_scale: float) -> CheckResult:
+    bound = bound * tol_scale
     return CheckResult(check=check, params=params, value=float(value),
                        bound=float(bound), passed=bool(value <= bound))
 
@@ -91,15 +91,16 @@ def _random_qseries(rng, degree: int) -> QPowerSeries:
 # ---------------------------------------------------------------------------
 # criteria
 
-def crit_fock_orthogonality(cfg: VerifyConfig) -> list[CheckResult]:
+def crit_fock_orthogonality(quad_order, tol_scale) -> list[CheckResult]:
     """<q^m, q^n> = delta_{mn} m!/nu^m, m, n <= 12, three Gaussian scales:
     the closed-form Gram against the one on the smallest grid exact for
-    degree 24 (``exact_grid``, of order 13), which ``quad_order`` caps."""
+    degree 24 (``exact_grid``, of order 13), which ``quad_order`` caps; no
+    two scales differ by a power of 4, under which both routes scale exactly."""
     out = []
     monos = [QPowerSeries.monomial(n) for n in range(13)]
-    for nu in (0.5, 2.0, 8.0):
+    for nu in (0.5, 3.0, 10.0):
         space = FockSliceSpace(nu, UNIT_I)
-        grid = exact_grid(24, cfg.quad_order, nu)
+        grid = exact_grid(24, quad_order, nu)
         values = np.array([f.eval_slice_grid(grid.x, grid.y, UNIT_I) for f in monos])
         gram = space.gram(monos)
         norms = np.diagonal(gram[..., 0])
@@ -107,47 +108,46 @@ def crit_fock_orthogonality(cfg: VerifyConfig) -> list[CheckResult]:
         dev = np.sqrt(np.sum((gram - space._grid_pair(grid, values, values)) ** 2,
                              axis=-1)) / scale
         out.append(_result("fock-monomial-orthogonality", {"nu": nu},
-                           float(dev.max()), 1e-10, cfg))
+                           float(dev.max()), 1e-10, tol_scale))
     return out
 
 
-def crit_rbf_orthonormality(cfg: VerifyConfig) -> list[CheckResult]:
-    """13x13 basis Gram = identity: quaternionic on two slices, C^1, C^2."""
+def crit_rbf_orthonormality(tol_scale) -> list[CheckResult]:
+    """13x13 basis Gram = identity on a slice and on C^2; with real
+    coefficients, the slice's unit and C^1 would repeat the slice's bits."""
     out = []
-    eye = np.zeros((13, 13, 4))
-    eye[np.arange(13), np.arange(13), 0] = 1.0
+    eye = np.eye(13)[..., None] * [1.0, 0.0, 0.0, 0.0]
+    indices = list(multi_indices(2, 4))[:13]
     for gamma in (0.5, 1.0, 2.0):
         basis = [rbf_basis_series(gamma, n) for n in range(13)]
-        for label, unit in (("slice-i", UNIT_I), ("slice-ij", UNIT_IJ)):
-            gram = RBFSliceSpace(gamma, unit).gram(basis)
-            dev = float(np.sqrt(np.sum((gram - eye) ** 2, axis=-1)).max())
-            out.append(_result("rbf-basis-orthonormality",
-                               {"gamma": gamma, "domain": label}, dev, 1e-8, cfg))
-        for dim in (1, 2):
-            indices = list(multi_indices(dim, 12 if dim == 1 else 4))[:13]
-            basis_d = [rbf_basis_series_d(gamma, idx) for idx in indices]
-            gram = RBFCSpace(gamma, dim).gram(basis_d)
-            dev = float(np.abs(gram - np.eye(13)).max())
-            out.append(_result("rbf-basis-orthonormality",
-                               {"gamma": gamma, "domain": f"C^{dim}"},
-                               dev, 1e-8, cfg))
+        gram = RBFSliceSpace(gamma, UNIT_I).gram(basis)
+        dev = float(np.sqrt(np.sum((gram - eye) ** 2, axis=-1)).max())
+        out.append(_result("rbf-basis-orthonormality",
+                           {"gamma": gamma, "domain": "slice"}, dev, 1e-8,
+                           tol_scale))
+        basis_d = [rbf_basis_series_d(gamma, idx) for idx in indices]
+        gram = RBFCSpace(gamma, 2).gram(basis_d)
+        dev = float(np.abs(gram - np.eye(13)).max())
+        out.append(_result("rbf-basis-orthonormality",
+                           {"gamma": gamma, "domain": "C^2"}, dev, 1e-8,
+                           tol_scale))
     return out
 
 
-def crit_isometry(cfg: VerifyConfig) -> list[CheckResult]:
+def crit_isometry(seed, quad_order, tol_scale) -> list[CheckResult]:
     """Envelope-stripping map preserves norms: Fock route vs direct weight."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     gammas = (0.5, 1.0, 2.0)
     worst = 0.0
     for trial in range(100):
         gamma = gammas[trial % len(gammas)]
         f = GaussSeries(gamma, _random_qseries(rng, 24))
-        space = RBFSliceSpace(gamma, UNIT_I, cfg.quad_order)
+        space = RBFSliceSpace(gamma, UNIT_I, quad_order)
         fock_route = space.norm_sq(f)
         direct_route = space.inner_product_direct(f, f).w
         worst = np.maximum(worst, abs(fock_route - direct_route) / abs(fock_route))
     return [_result("m-operator-isometry", {"trials": 100, "degree": 24},
-                    worst, 1e-10, cfg)]
+                    worst, 1e-10, tol_scale)]
 
 
 def _worst_reproduce(space, draws) -> float:
@@ -156,9 +156,9 @@ def _worst_reproduce(space, draws) -> float:
                    for f, w in draws])
 
 
-def crit_reproduce(cfg: VerifyConfig) -> list[CheckResult]:
+def crit_reproduce(gamma, seed, quad_order, tol_scale) -> list[CheckResult]:
     """<f, K_w> recovers f(w) in all four space families."""
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = np.random.default_rng(seed + 1)
     indices = list(multi_indices(2, 3))
 
     # 20 draws (series, point) each, taken from rng lazily, check by check
@@ -176,25 +176,24 @@ def crit_reproduce(cfg: VerifyConfig) -> list[CheckResult]:
                                    rng.uniform(-0.8, 0.8)) for _ in range(2))
 
     checks = [
-        ({"space": "fock-slice"}, FockSliceSpace(2.0, UNIT_I, cfg.quad_order),
+        ({"space": "fock-slice"}, FockSliceSpace(2.0, UNIT_I, quad_order),
          slice_draws(lambda series: series)),
-        ({"space": "rbf-slice", "gamma": cfg.gamma},
-         RBFSliceSpace(cfg.gamma, UNIT_I, cfg.quad_order),
-         slice_draws(lambda series: GaussSeries(cfg.gamma, series))),
+        ({"space": "rbf-slice", "gamma": gamma},
+         RBFSliceSpace(gamma, UNIT_I, quad_order),
+         slice_draws(lambda series: GaussSeries(gamma, series))),
         ({"space": "fock-C2"}, FockCSpace(2.0, 2, 32),
          c2_draws(lambda series: series)),
-        ({"space": "rbf-C2", "gamma": cfg.gamma}, RBFCSpace(cfg.gamma, 2, 32),
-         c2_draws(lambda series: GaussCSeries(cfg.gamma, series))),
+        ({"space": "rbf-C2", "gamma": gamma}, RBFCSpace(gamma, 2, 32),
+         c2_draws(lambda series: GaussCSeries(gamma, series))),
     ]
     return [_result("reproducing-property", params,
-                    _worst_reproduce(space, draws), 1e-7, cfg)
+                    _worst_reproduce(space, draws), 1e-7, tol_scale)
             for params, space, draws in checks]
 
 
-def crit_kernel_sum(cfg: VerifyConfig) -> list[CheckResult]:
+def crit_kernel_sum(gamma, seed, tol_scale) -> list[CheckResult]:
     """Basis expansion of the quaternionic kernel, truncated at N = 40."""
-    rng = np.random.default_rng(cfg.seed + 2)
-    gamma = cfg.gamma
+    rng = np.random.default_rng(seed + 2)
     worst_abs = 0.0
     worst_vs_bound = 0.0
     for _ in range(20):
@@ -212,16 +211,15 @@ def crit_kernel_sum(cfg: VerifyConfig) -> list[CheckResult]:
         worst_vs_bound = np.maximum(worst_vs_bound, diff / max(bound, floor))
     return [
         _result("kernel-sum-truncation", {"gamma": gamma, "terms": 40},
-                worst_abs, 1e-10, cfg),
+                worst_abs, 1e-10, tol_scale),
         _result("kernel-sum-within-tail-bound", {"gamma": gamma, "terms": 40},
-                worst_vs_bound, 1.0, cfg),
+                worst_vs_bound, 1.0, tol_scale),
     ]
 
 
-def crit_diagonal_and_bound(cfg: VerifyConfig) -> list[CheckResult]:
+def crit_diagonal_and_bound(gamma, seed, tol_scale) -> list[CheckResult]:
     """Diagonal K(q,q) = exp(4y^2/g^2); |f(q)| <= exp(2y^2/g^2) ||f||."""
-    rng = np.random.default_rng(cfg.seed + 3)
-    gamma = cfg.gamma
+    rng = np.random.default_rng(seed + 3)
     grid = [(x, y) for x in np.linspace(-2.0, 2.0, 7)
             for y in np.linspace(-2.0, 2.0, 7)]
     worst = 0.0
@@ -232,7 +230,7 @@ def crit_diagonal_and_bound(cfg: VerifyConfig) -> list[CheckResult]:
             expected = math.exp(4.0 * y * y / (gamma * gamma))
             worst = np.maximum(worst, abs(k - Quaternion.from_real(expected)) / expected)
     results = [_result("kernel-diagonal-identity", {"gamma": gamma},
-                       worst, 1e-10, cfg)]
+                       worst, 1e-10, tol_scale)]
 
     points = [SlicePoint(x, y, UNIT_I) for x, y in grid]
     worst_ratio = 0.0
@@ -241,15 +239,15 @@ def crit_diagonal_and_bound(cfg: VerifyConfig) -> list[CheckResult]:
         report = pointwise_bound_check(gamma, f, points, UNIT_I)
         worst_ratio = np.maximum(worst_ratio, report.max_ratio)
     results.append(_result("pointwise-bound", {"gamma": gamma},
-                           worst_ratio - 1.0, 1e-9, cfg))
+                           worst_ratio - 1.0, 1e-9, tol_scale))
     return results
 
 
-def crit_sequential(cfg: VerifyConfig) -> list[CheckResult]:
+def crit_sequential(seed, tol_scale) -> list[CheckResult]:
     """The RBF norm by two closed forms, the beta-mapped Taylor weights
     against the Fock weights (the report keeps the check's name
     sequential-norm-vs-quadrature); beta map vs convolution."""
-    rng = np.random.default_rng(cfg.seed + 4)
+    rng = np.random.default_rng(seed + 4)
     gammas = (1.0, 2.0, 0.8)
     worst_norm = 0.0
     for trial in range(50):
@@ -275,16 +273,15 @@ def crit_sequential(cfg: VerifyConfig) -> list[CheckResult]:
             worst_beta = np.maximum(worst_beta, abs(betas[k] - acc))
     return [
         _result("sequential-norm-vs-quadrature", {"trials": 50},
-                worst_norm, 1e-6, cfg),
+                worst_norm, 1e-6, tol_scale),
         _result("beta-vs-cauchy-product", {"trials": 10}, worst_beta,
-                1e-13, cfg),
+                1e-13, tol_scale),
     ]
 
 
-def crit_factorizations(cfg: VerifyConfig) -> list[CheckResult]:
+def crit_factorizations(gamma, seed, tol_scale) -> list[CheckResult]:
     """Product and Fock factorizations of the C^d kernel, d = 3."""
-    rng = np.random.default_rng(cfg.seed + 5)
-    gamma = cfg.gamma
+    rng = np.random.default_rng(seed + 5)
     nu = nu_from_gamma(gamma)
     worst_prod = 0.0
     worst_fock = 0.0
@@ -299,31 +296,31 @@ def crit_factorizations(cfg: VerifyConfig) -> list[CheckResult]:
         worst_fock = np.maximum(worst_fock, abs(kd - fock) / abs(kd))
     return [
         _result("kernel-product-factorization", {"gamma": gamma, "dim": 3},
-                worst_prod, 1e-14, cfg),
+                worst_prod, 1e-14, tol_scale),
         _result("kernel-fock-factorization", {"gamma": gamma, "dim": 3},
-                worst_fock, 1e-14, cfg),
+                worst_fock, 1e-14, tol_scale),
     ]
 
 
-def crit_sb_unitarity(cfg: VerifyConfig) -> list[CheckResult]:
+def crit_sb_unitarity(gamma, seed, quad_order, tol_scale) -> list[CheckResult]:
     """Transform images of the Hermite basis stay orthonormal (or shift by
-    exactly sqrt(nu/pi) under the literal convention)."""
-    rng = np.random.default_rng(cfg.seed + 6)
-    gamma = cfg.gamma
+    exactly sqrt(nu/pi) under the literal convention), and the quadrature
+    transform matches them under both conventions on the same draws."""
+    rng = np.random.default_rng(seed + 6)
     nu = nu_from_gamma(gamma)
     out = []
 
-    images = [rbf_sb_image_series(gamma, hermite_basis_l2(nu, n),
-                                  cfg.normalization) for n in range(11)]
-    gram = RBFSliceSpace(gamma, UNIT_I).gram(images)
-    factor = 1.0 if cfg.normalization == "unitary" else nu / math.pi
-    expected = np.zeros((11, 11, 4))
-    expected[np.arange(11), np.arange(11), 0] = factor
-    dev = float(np.sqrt(np.sum((gram - expected) ** 2, axis=-1)).max()) / factor
-    out.append(_result("sb-unitarity", {"domain": "quaternionic",
-                                        "normalization": cfg.normalization,
-                                        "norm_offset": math.sqrt(factor)},
-                       dev, 1e-8, cfg))
+    for norm in NORMALIZATIONS:
+        images = [rbf_sb_image_series(gamma, hermite_basis_l2(nu, n), norm)
+                  for n in range(11)]
+        gram = RBFSliceSpace(gamma, UNIT_I).gram(images)
+        factor = 1.0 if norm == "unitary" else nu / math.pi
+        expected = np.eye(11)[..., None] * [factor, 0.0, 0.0, 0.0]
+        dev = float(np.sqrt(np.sum((gram - expected) ** 2, axis=-1)).max()) / factor
+        out.append(_result("sb-unitarity", {"domain": "quaternionic",
+                                            "normalization": norm,
+                                            "norm_offset": math.sqrt(factor)},
+                           dev, 1e-8, tol_scale))
 
     indices = list(multi_indices(2, 4))
     images_d = [rbf_sb_image_series_d(
@@ -331,7 +328,7 @@ def crit_sb_unitarity(cfg: VerifyConfig) -> list[CheckResult]:
         for idx in indices]
     gram_d = RBFCSpace(gamma, 2).gram(images_d)
     dev_d = float(np.abs(gram_d - np.eye(len(indices))).max())
-    out.append(_result("sb-unitarity", {"domain": "C^2"}, dev_d, 1e-8, cfg))
+    out.append(_result("sb-unitarity", {"domain": "C^2"}, dev_d, 1e-8, tol_scale))
 
     # independent route: quadrature transform matches the exact images
     worst = 0.0
@@ -339,30 +336,31 @@ def crit_sb_unitarity(cfg: VerifyConfig) -> list[CheckResult]:
         phi = hermite_basis_l2(nu, n)
         for _ in range(3):
             q = _random_quaternion(rng)
-            via_quad = rbf_sb_transform(gamma, phi, q, cfg.normalization,
-                                        method="quadrature",
-                                        quad_order=cfg.quad_order)
-            exact = rbf_sb_image_series(gamma, phi, cfg.normalization).eval(q)
-            worst = np.maximum(worst, abs(via_quad - exact))
-    out.append(_result("sb-quadrature-vs-exact", {"domain": "quaternionic"},
-                       worst, 1e-9, cfg))
-    return out
+            worst = np.maximum(worst, [abs(
+                rbf_sb_transform(gamma, phi, q, norm, method="quadrature",
+                                 quad_order=quad_order)
+                - rbf_sb_image_series(gamma, phi, norm).eval(q))
+                for norm in NORMALIZATIONS])
+    return out + [_result("sb-quadrature-vs-exact", {"domain": "quaternionic",
+                                                     "normalization": norm},
+                          dev, 1e-9, tol_scale)
+                  for norm, dev in zip(NORMALIZATIONS, worst)]
 
 
-def crit_sb_kernel_match(cfg: VerifyConfig) -> list[CheckResult]:
-    """Closed RBF transform kernel vs envelope times Fock kernel, and vs
-    its generating series truncated at N = 40."""
-    rng = np.random.default_rng(cfg.seed + 7)
-    gamma = cfg.gamma
+def crit_sb_kernel_match(gamma, seed, tol_scale) -> list[CheckResult]:
+    """Closed RBF transform kernel vs envelope times Fock kernel, under both
+    conventions, and vs its generating series truncated at N = 40."""
+    rng = np.random.default_rng(seed + 7)
     nu = nu_from_gamma(gamma)
     worst_match = 0.0
     for _ in range(20):
         q = _random_quaternion(rng, 1.2)
         x = rng.uniform(-2.0, 2.0)
-        lhs = rbf_sb_kernel(gamma, q, x, cfg.normalization)
-        rhs = intrinsic_exp_sq(gamma, q) * sb_kernel(nu, q, x,
-                                                     cfg.normalization)
-        worst_match = np.maximum(worst_match, abs(lhs - rhs) / (1.0 + abs(lhs)))
+        envelope = intrinsic_exp_sq(gamma, q)
+        lhs = [rbf_sb_kernel(gamma, q, x, norm) for norm in NORMALIZATIONS]
+        rhs = [envelope * sb_kernel(nu, q, x, norm) for norm in NORMALIZATIONS]
+        worst_match = np.maximum(worst_match, [abs(a - b) / (1.0 + abs(a))
+                                               for a, b in zip(lhs, rhs)])
 
     worst_series = 0.0
     for _ in range(10):
@@ -375,36 +373,34 @@ def crit_sb_kernel_match(cfg: VerifyConfig) -> list[CheckResult]:
             acc = acc + rbf_basis_q(gamma, n, q) * psi[n]
         closed = rbf_sb_kernel(gamma, q, x, "unitary")
         worst_series = np.maximum(worst_series, abs(acc - closed))
-    return [
-        _result("rbf-sb-kernel-envelope-match",
-                {"gamma": gamma, "normalization": cfg.normalization},
-                worst_match, 1e-13, cfg),
-        _result("rbf-sb-kernel-series", {"gamma": gamma, "terms": 40},
-                worst_series, 1e-9, cfg),
-    ]
+    return [*(_result("rbf-sb-kernel-envelope-match",
+                      {"gamma": gamma, "normalization": norm}, dev, 1e-13, tol_scale)
+              for norm, dev in zip(NORMALIZATIONS, worst_match)),
+            _result("rbf-sb-kernel-series", {"gamma": gamma, "terms": 40},
+                    worst_series, 1e-9, tol_scale)]
 
 
-def crit_slice_independence(cfg: VerifyConfig) -> list[CheckResult]:
+def crit_slice_independence(gamma, seed, quad_order, tol_scale) -> list[CheckResult]:
     """RBF norms agree on C_i and C_{(i+j)/sqrt2} for random elements."""
-    rng = np.random.default_rng(cfg.seed + 8)
+    rng = np.random.default_rng(seed + 8)
     worst = 0.0
     for _ in range(20):
-        f = GaussSeries(cfg.gamma, _random_qseries(rng, 12))
-        rep = slice_independence_check(cfg.gamma, f, UNIT_I, UNIT_IJ,
-                                       cfg.quad_order)
+        f = GaussSeries(gamma, _random_qseries(rng, 12))
+        rep = slice_independence_check(gamma, f, UNIT_I, UNIT_IJ,
+                                       quad_order)
         worst = np.maximum(worst, rep.rel_diff)
-    return [_result("slice-independence", {"gamma": cfg.gamma, "trials": 20},
-                    worst, 1e-10, cfg)]
+    return [_result("slice-independence", {"gamma": gamma, "trials": 20},
+                    worst, 1e-10, tol_scale)]
 
 
-def crit_psd(cfg: VerifyConfig) -> list[CheckResult]:
+def crit_psd(seed, tol_scale) -> list[CheckResult]:
     """Real Gaussian Gram is PSD; adjoint representation is a homomorphism."""
-    rng = np.random.default_rng(cfg.seed + 9)
+    rng = np.random.default_rng(seed + 9)
     pts = rng.uniform(-1.5, 1.5, (16, 3))
     gram = build_gram("rbf-real", {"gamma": 1.0}, pts)
     report = psd_check(gram, tol=1e-10)
     out = [_result("gaussian-gram-psd", {"points": 16, "dim": 3},
-                   np.maximum(0.0, -report.min_eigenvalue), 1e-10, cfg)]
+                   np.maximum(0.0, -report.min_eigenvalue), 1e-10, tol_scale)]
 
     worst = 0.0
     for _ in range(5):
@@ -422,11 +418,12 @@ def crit_psd(cfg: VerifyConfig) -> list[CheckResult]:
         rhs = quat_matrix_to_complex(pmat) @ quat_matrix_to_complex(qmat)
         worst = np.maximum(worst, float(np.abs(lhs - rhs).max()))
     out.append(_result("adjoint-representation-homomorphism", {"trials": 5},
-                       worst, 1e-13, cfg))
+                       worst, 1e-13, tol_scale))
     return out
 
 
-CRITERIA: dict[str, tuple[str, Callable[[VerifyConfig], list[CheckResult]]]] = {
+# name -> (description, criterion taking the settings it reads)
+CRITERIA: dict[str, tuple[str, Callable[..., list[CheckResult]]]] = {
     "fock-orthogonality": ("Fock monomial orthogonality", crit_fock_orthogonality),
     "rbf-orthonormality": ("RBF basis orthonormality", crit_rbf_orthonormality),
     "isometry": ("envelope-map isometry", crit_isometry),
@@ -443,17 +440,18 @@ CRITERIA: dict[str, tuple[str, Callable[[VerifyConfig], list[CheckResult]]]] = {
 }
 
 
+def reads(only: list[str] | None = None) -> list[str]:
+    """The VerifyConfig fields, in order, that the selected criteria read."""
+    read = {p for name in only or CRITERIA
+            for p in inspect.signature(CRITERIA[name][1]).parameters}
+    return [f.name for f in fields(VerifyConfig) if f.name in read]
+
+
 def run_criterion(name: str, cfg: VerifyConfig | None = None) -> list[CheckResult]:
-    if name not in CRITERIA:
-        raise KeyError(f"unknown criterion {name!r}")
-    return CRITERIA[name][1](cfg or VerifyConfig())
+    cfg = cfg or VerifyConfig()
+    return CRITERIA[name][1](**{p: getattr(cfg, p) for p in reads([name])})
 
 
 def run_all(cfg: VerifyConfig | None = None,
             only: list[str] | None = None) -> list[CheckResult]:
-    cfg = cfg or VerifyConfig()
-    names = only or list(CRITERIA)
-    results: list[CheckResult] = []
-    for name in names:
-        results.extend(run_criterion(name, cfg))
-    return results
+    return [r for name in only or CRITERIA for r in run_criterion(name, cfg)]

@@ -27,6 +27,17 @@ def test_criterion(name):
         for r in results if not r.passed)
 
 
+def test_rows_of_each_check_report_different_values():
+    """No two rows of one check report one computation: at the default
+    config, the rows of each check name hold pairwise different values."""
+    values = {}
+    for name in CRITERIA:
+        for r in run_criterion(name, CONFIG):
+            values.setdefault(r.check, []).append(r.value)
+    for check, seen in values.items():
+        assert len(set(seen)) == len(seen), (check, seen)
+
+
 def test_doubling_quadrature_order_is_self_consistent():
     """Doubling the rule order moves no reported value past its bound.
 
@@ -46,15 +57,15 @@ def test_doubling_quadrature_order_is_self_consistent():
 
 def test_literal_normalization_reports_offset():
     """Under the literal convention the suite verifies the constant
-    sqrt(nu/pi) norm offset instead of unitarity."""
+    sqrt(nu/pi) norm offset instead of unitarity, in the default run."""
     import math
 
-    cfg = VerifyConfig(normalization="literal")
-    results = run_criterion("sb-unitarity", cfg)
+    results = run_criterion("sb-unitarity", CONFIG)
     ok = all(r.passed for r in results)
     print(f"[{'PASS' if ok else 'FAIL'}] sb-unitarity (literal normalization)")
     quat = next(r for r in results
-                if r.params.get("domain") == "quaternionic")
+                if r.params.get("domain") == "quaternionic"
+                and r.params["normalization"] == "literal")
     assert quat.params["norm_offset"] == pytest.approx(
         math.sqrt(2.0 / math.pi), rel=1e-12)
     assert ok

@@ -20,6 +20,7 @@ from rbffock import cli
 from rbffock.cli import main
 from rbffock.gram import GRAM_KERNELS
 from rbffock.kernels import KERNELS, NORMALIZATIONS
+from rbffock.verify import CRITERIA, reads
 
 
 def run_cli(args, capsys):
@@ -503,11 +504,14 @@ def transform_inputs(draw):
     --nu) or on C^2, by the exact route (Hermite scale 2, matched by
     --gamma 1 and --nu 2) or the quadrature route (scale 1), at points
     drawn from ``numbers``, with possibly no coefficients, terms or points;
-    or with one field broken."""
+    or with one field broken.  Only the quadrature route reads --quad-order,
+    so only its inputs may draw one."""
     dim = draw(st.sampled_from([1, 2]))
     target = draw(st.sampled_from(["--gamma", "--nu"])) if dim == 1 else "--gamma"
     argv = ["transform", target, "1" if target == "--gamma" else "2"]
     nu = draw(st.sampled_from([1.0, 2.0]))
+    if nu == 1.0 and draw(st.booleans()):
+        argv += ["--quad-order", str(draw(st.integers(8, 512)))]
     coefficient = st.floats(-1.0, 1.0)
     if dim == 1:
         argv += ["--normalization", draw(st.sampled_from(NORMALIZATIONS))]
@@ -801,9 +805,16 @@ class TestFlagValidation:
         (["verify", "--tol", "nan"], "--tol"),
         (["verify", "--tol", "0"], "--tol"),
         (["verify", "--tol", "-1"], "--tol"),
+        (["verify", "--seed", "-1"], "--seed"),
+        (["verify", "--seed", "1.5"], "--seed"),
+        (["verify", "--quad-order", "4"], "--quad-order"),
+        (["transform", "--gamma", "1", "--quad-order", "513"], "--quad-order"),
+        (["transform", "--gamma", "1", "--dim", "0"], "--dim"),
     ], ids=["kernel-gamma-nan", "gram-gamma-inf", "gram-tol-nan",
             "transform-nu-inf", "verify-gamma-nan", "verify-tol-nan",
-            "verify-tol-0", "verify-tol-negative"])
+            "verify-tol-0", "verify-tol-negative", "verify-seed-negative",
+            "verify-seed-fraction", "verify-quad-order-4",
+            "transform-quad-order-513", "transform-dim-0"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, argv, flag):
         path = tmp_path / "in.json"
         path.write_text(json.dumps({"kernel": "rbf-real",
@@ -824,8 +835,8 @@ SUBCOMMAND_FLAGS = {
                   "--dim", "--normalization"},
     "basis": {"--gamma", "--nu", "--family", "--n-max", "--grid", "--imag",
               "--output"},
-    "verify": {"--gamma", "--quad-order", "--normalization", "--tol", "--seed",
-               "--report", "--only"},
+    "verify": {"--gamma", "--quad-order", "--tol", "--seed", "--report",
+               "--only"},
 }
 
 KERNEL_INPUT = {"kernel": "rbf-real", "gamma": 1.0, "pairs": [[[0.0], [1.0]]],
@@ -834,6 +845,11 @@ SLICE_INPUT = {"hermite": {"nu": 1.0, "coeffs": [[1, 0, 0, 0]]},
                "grid": {"points": [[0.1, 0.2, 0, 0]]}}
 C2_INPUT = {"hermite": {"nu": 1.0, "terms": [[[1, 0], [1.0, 0.0]]]},
             "grid": {"points": [[[0.1, 0.2], [0, 0]]]}}
+# Hermite scale 2 = 2/gamma^2 at --gamma 1: the exact routes
+EXACT_SLICE_INPUT = {"hermite": {"nu": 2.0, "coeffs": [[1, 0, 0, 0]]},
+                     "grid": {"points": [[0.1, 0.2, 0, 0]]}}
+EXACT_C2_INPUT = {"hermite": {"nu": 2.0, "terms": [[[1, 0], [1.0, 0.0]]]},
+                  "grid": {"points": [[[0.1, 0.2], [0, 0]]]}}
 
 
 def command_argv(tmp_path, command, payload=None):
@@ -865,7 +881,7 @@ class TestFlagSurface:
         taken = {name: {flag for a in p._actions for flag in a.option_strings}
                  - {"-h", "--help"} for name, p in sub.choices.items()}
         assert taken == SUBCOMMAND_FLAGS
-        assert sum(map(len, taken.values())) == 29
+        assert sum(map(len, taken.values())) == 28
 
     @pytest.mark.parametrize("command, payload, flag, value", [
         ("kernel", KERNEL_INPUT, "--quad-order", "80"),
@@ -876,11 +892,13 @@ class TestFlagSurface:
         ("basis", None, "--dim", "1"),
         ("verify", None, "--dim", "1"),
         ("verify", None, "--output", "out.csv"),
+        ("verify", None, "--normalization", "literal"),
         ("transform", SLICE_INPUT, "--nu", "2"),
         ("basis", None, "--gamma", "1"),
     ], ids=["kernel-quad-order", "kernel-dim", "gram-quad-order", "gram-dim",
             "basis-quad-order", "basis-dim", "verify-dim", "verify-output",
-            "transform-gamma-and-nu", "basis-gamma-and-nu"])
+            "verify-normalization", "transform-gamma-and-nu",
+            "basis-gamma-and-nu"])
     def test_flag_not_taken_exits_2(self, tmp_path, capsys, command, payload,
                                     flag, value):
         argv = command_argv(tmp_path, command, payload)
@@ -909,9 +927,18 @@ class TestFlagSurface:
          "--gamma=1"),
         ("gram", {"kernel": "fock", "alpha": 2.0, "points": [[[0.5, 0]]]}, [],
          "--gamma=1"),
+        ("transform", EXACT_SLICE_INPUT, [], "--quad-order=80"),
+        ("transform", EXACT_C2_INPUT, ["--dim", "2"], "--quad-order=80"),
+        ("verify", None, [], "--gamma=3"),
+        ("verify", None, [], "--quad-order=9"),
+        ("verify", None, [], "--seed=-5"),
+        ("verify", None, ["--only", "fock-orthogonality"], "--seed=3"),
+        ("verify", None, ["--only", "rbf-orthonormality"], "--gamma=1"),
     ], ids=["c2-literal", "c2-unitary", "hermite-psi-imag", "hermite-h-imag",
             "kernel-input-gamma", "gram-input-gamma", "kernel-polynomial",
-            "gram-exponential", "gram-fock-alpha"])
+            "gram-exponential", "gram-fock-alpha", "exact-quad-order",
+            "c2-exact-quad-order", "psd-gamma", "psd-quad-order",
+            "psd-negative-seed", "orthogonality-seed", "orthonormality-gamma"])
     def test_flag_the_route_does_not_read_exits_2(self, tmp_path, capsys,
                                                   command, payload, route,
                                                   flag):
@@ -1003,6 +1030,41 @@ class TestVerifyCommand:
         code, out, err = run_cli(["verify", "--quad-order", "512",
                                   "--only", "sb-unitarity"], capsys)
         assert code == 0 and err == "" and "all checks passed" in out
+
+    def test_report_config_holds_the_settings_read(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        code, _, _ = run_cli(["verify", "--only", "psd", "--seed", "3",
+                              "--report", str(report)], capsys)
+        assert code == 0
+        assert json.loads(report.read_text())["config"] == {"tol_scale": 1.0,
+                                                            "seed": 3}
+
+    def test_default_report_checks_both_conventions(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        code, _, _ = run_cli(["verify", "--report", str(report)], capsys)
+        data = json.loads(report.read_text())
+        assert code == 0 and data["passed"] is True
+        assert list(data["config"]) == ["gamma", "quad_order", "tol_scale",
+                                        "seed"]
+        for check in ("sb-unitarity", "sb-quadrature-vs-exact",
+                      "rbf-sb-kernel-envelope-match"):
+            conventions = [c["params"]["normalization"] for c in data["checks"]
+                           if c["check"] == check and "normalization" in c["params"]]
+            assert conventions == list(NORMALIZATIONS), check
+
+    @pytest.mark.parametrize("name", sorted(CRITERIA))
+    def test_every_setting_the_criterion_does_not_read_is_refused(
+            self, tmp_path, capsys, name):
+        report = tmp_path / "report.json"
+        unread = [flag for setting, flag in (("gamma", "--gamma"),
+                                             ("quad_order", "--quad-order"),
+                                             ("seed", "--seed"))
+                  if setting not in reads([name])]
+        for flag in unread:
+            code, out, err = run_cli(["verify", "--only", name, flag, "80",
+                                      "--report", str(report)], capsys)
+            assert code == 2 and out == "" and not report.exists()
+            assert err == f"error: verify: no selected criterion reads {flag}\n"
 
     def test_unknown_criterion_exits_2(self, capsys):
         code, _, err = run_cli(["verify", "--only", "nope"], capsys)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from rbffock import RBFCSpace, RBFSliceSpace
+from rbffock.verify import CRITERIA, VerifyConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rbffock"
 
@@ -33,13 +34,14 @@ def _owners(pattern: str) -> set:
                                      "max(idx) for idx", "1j * dots[",
                                      "@ rows.conj().T", "as_integer_ratio",
                                      "math.sqrt(k / (k + 1))",
-                                     "0.5 * (nu + phi"],
+                                     "0.5 * (nu + phi",
+                                     'method not in ("auto", "quadrature")'],
                          ids=["subnormal-rescale", "slice-envelope-exponent",
                               "segal-bargmann-prefactor-power",
                               "factorial-weight", "largest-axis-degree",
                               "quaternion-split", "fock-inner-product",
                               "fock-monomial-norm", "hermite-recurrence",
-                              "segal-bargmann-rule"])
+                              "segal-bargmann-rule", "transform-route"])
 def test_rule_lives_in_one_function(pattern):
     owners = _owners(pattern)
     assert len(owners) == 1, owners
@@ -49,3 +51,20 @@ def test_rule_lives_in_one_function(pattern):
                                     "norm_sq", "gram", "reproduce"])
 def test_rbf_spaces_share_one_implementation(method):
     assert getattr(RBFSliceSpace, method) is getattr(RBFCSpace, method)
+
+
+def test_each_criterion_reads_every_setting_it_takes():
+    """A verify criterion's parameters are the settings it reads: each is a
+    VerifyConfig field, and each is read in the criterion's body, so a
+    signature cannot overstate what the check depends on."""
+    settings = set(VerifyConfig.__dataclass_fields__)
+    tree = ast.parse((SRC / "verify.py").read_text())
+    criteria = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("crit_")]
+    assert {fn.name for fn in criteria} == {f.__name__ for _, f in CRITERIA.values()}
+    for fn in criteria:
+        params = [a.arg for a in fn.args.args + fn.args.kwonlyargs]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert params and set(params) <= settings, (fn.name, params)
+        assert set(params) <= read, (fn.name, set(params) - read)
