@@ -26,9 +26,8 @@ from .quadrature import (DEFAULT_QUAD_ORDER, QuadratureRule, gauss_hermite,
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      beta_coeffs, cauchy_mul, multi_indices, multi_order,
                      sequential_norm)
-from .spaces import (BoundCheckReport, FockCSpace, FockSliceSpace, RBFCSpace,
-                     RBFSliceSpace, SliceIndependenceReport, m_operator,
-                     pointwise_bound_check, slice_independence_check)
+from .spaces import (FockCSpace, FockSliceSpace, RBFCSpace, RBFSliceSpace,
+                     m_operator)
 from .transforms import (HermiteCoeffFunction, HermiteCoeffFunctionD,
                          hermite_basis_l2, rbf_sb_kernel, rbf_sb_kernel_d,
                          rbf_sb_image_series, rbf_sb_image_series_d,

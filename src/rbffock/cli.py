@@ -458,7 +458,7 @@ def cmd_verify(args) -> int:
         raise InputError("verify: no selected criterion reads --"
                          + name.replace("_", "-"))
     with _refusal("verify"):
-        cfg = VerifyConfig(tol_scale=args.tol, **given)
+        cfg = VerifyConfig(**given)
         results = run_all(cfg, only)
     payload = {"config": {name: getattr(cfg, name) for name in read},
                "checks": [r.to_json() for r in results],
@@ -557,8 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full property-verification suite",
                        parents=[gamma, quad_order, report])
-    p.add_argument("--tol", type=_domain("--tol", *_POSITIVE), default=1.0,
-                   help="multiplier applied to every check bound")
     p.add_argument("--seed", type=_domain("--seed", int, lambda v: v >= 0,
                                           "a whole number >= 0"),
                    help=f"seed of the random draws (default {DEFAULT_SEED})")

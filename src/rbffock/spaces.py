@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import _quatarray as qa
 from ._checks import finite_points, finite_values, nu_from_gamma, positive_finite
-from .hypercomplex import I_DEFAULT, ImaginaryUnit, Quaternion, SlicePoint
+from .hypercomplex import I_DEFAULT, ImaginaryUnit, Quaternion
 from .quadrature import (DEFAULT_QUAD_ORDER, exact_order, gauss_hermite,
                          integrate_rd, rule_order)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
@@ -42,10 +41,6 @@ __all__ = [
     "FockCSpace",
     "RBFCSpace",
     "m_operator",
-    "pointwise_bound_check",
-    "slice_independence_check",
-    "BoundCheckReport",
-    "SliceIndependenceReport",
 ]
 
 _M_OUT_DEGREE = 48
@@ -394,50 +389,3 @@ def m_operator(gamma: float, direction: int, f, out_degree: int | None = None):
         k_max = out_degree if out_degree is not None else max(f.degree, _M_OUT_DEGREE)
         return QPowerSeries(beta_coeffs(gamma, f.coeffs, k_max, sign=direction))
     raise TypeError("m_operator acts on QPowerSeries or GaussSeries")
-
-
-@dataclass(frozen=True)
-class BoundCheckReport:
-    max_ratio: float
-    norm: float
-    worst_point: SlicePoint | None
-
-
-def pointwise_bound_check(gamma: float, f: GaussSeries, points,
-                          unit: ImaginaryUnit = I_DEFAULT) -> BoundCheckReport:
-    """Check |f(q)| <= exp(2 y^2/gamma^2) ||f|| over the given slice points,
-    ||f|| in closed form.
-
-    Returns the max of |f(q)| / bound (NaN if one is); above 1 is a violation.
-    """
-    space = RBFSliceSpace(gamma, unit)
-    norm = math.sqrt(space.norm_sq(f))
-    worst = None
-    max_ratio = -math.inf
-    for sp in points:
-        q = sp.to_quaternion()
-        bound = finite_values("the pointwise bound", lambda: math.exp(
-            2.0 * sp.y * sp.y / (gamma * gamma)) * norm, q, numpy=False,
-            gamma=gamma)
-        ratio = abs(f.eval(q)) / bound
-        if ratio > max_ratio or math.isnan(ratio):
-            max_ratio, worst = ratio, sp
-    return BoundCheckReport(max_ratio=max_ratio, norm=norm, worst_point=worst)
-
-
-@dataclass(frozen=True)
-class SliceIndependenceReport:
-    norm_sq_a: float
-    norm_sq_b: float
-    rel_diff: float
-
-
-def slice_independence_check(gamma: float, f: GaussSeries,
-                             unit_a: ImaginaryUnit, unit_b: ImaginaryUnit,
-                             quad_order: int = DEFAULT_QUAD_ORDER) -> SliceIndependenceReport:
-    """Compare the RBF norm of f on two slices by two routes: the closed
-    form on ``unit_a``, ``inner_product_direct`` on ``unit_b``."""
-    na = RBFSliceSpace(gamma, unit_a, quad_order).norm_sq(f)
-    nb = RBFSliceSpace(gamma, unit_b, quad_order).inner_product_direct(f, f).w
-    rel = abs(na - nb) / max(abs(na), abs(nb), 1e-300)
-    return SliceIndependenceReport(norm_sq_a=na, norm_sq_b=nb, rel_diff=rel)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._checks import nu_from_gamma
+from ._checks import finite_values, nu_from_gamma
 from .bases import (hermite_psi_all, rbf_basis_q, rbf_basis_series,
                     rbf_basis_series_d)
 from .gram import build_gram, psd_check, quat_matrix_to_complex
@@ -32,10 +32,11 @@ from .quadrature import DEFAULT_QUAD_ORDER
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
                      beta_coeffs, multi_indices, sequential_norm)
 from .spaces import (FockCSpace, FockSliceSpace, RBFCSpace, RBFSliceSpace,
-                     exact_grid, pointwise_bound_check, slice_independence_check)
-from .transforms import (HermiteCoeffFunctionD, hermite_basis_l2,
-                         rbf_sb_image_series, rbf_sb_image_series_d,
-                         rbf_sb_kernel, rbf_sb_transform, sb_kernel)
+                     exact_grid)
+from .transforms import (HermiteCoeffFunction, HermiteCoeffFunctionD,
+                         hermite_basis_l2, rbf_sb_image_series,
+                         rbf_sb_image_series_d, rbf_sb_kernel,
+                         rbf_sb_transform, sb_kernel)
 
 __all__ = ["VerifyConfig", "CheckResult", "CRITERIA", "reads",
            "run_criterion", "run_all"]
@@ -49,7 +50,6 @@ DEFAULT_SEED = 20240801
 class VerifyConfig:
     gamma: float = 1.0
     quad_order: int = DEFAULT_QUAD_ORDER
-    tol_scale: float = 1.0
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
@@ -62,22 +62,19 @@ class CheckResult:
     params: dict
     value: float
     bound: float
-    passed: bool
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value", float(self.value))
+
+    @property
+    def passed(self) -> bool:
+        """The value is at or below its pinned bound; a NaN value fails."""
+        return bool(self.value <= self.bound)
 
     def to_json(self) -> dict:
         """JSON-ready fields; a non-finite value becomes None (null)."""
-        out = asdict(self)
-        out["pass"] = out.pop("passed")
-        if not math.isfinite(out["value"]):
-            out["value"] = None
-        return out
-
-
-def _result(check: str, params: dict, value: float, bound: float,
-            tol_scale: float) -> CheckResult:
-    bound = bound * tol_scale
-    return CheckResult(check=check, params=params, value=float(value),
-                       bound=float(bound), passed=bool(value <= bound))
+        value = self.value if math.isfinite(self.value) else None
+        return {**asdict(self), "value": value, "pass": self.passed}
 
 
 def _random_quaternion(rng, scale: float = 1.0) -> Quaternion:
@@ -91,7 +88,7 @@ def _random_qseries(rng, degree: int) -> QPowerSeries:
 # ---------------------------------------------------------------------------
 # criteria
 
-def crit_fock_orthogonality(quad_order, tol_scale) -> list[CheckResult]:
+def crit_fock_orthogonality(quad_order) -> list[CheckResult]:
     """<q^m, q^n> = delta_{mn} m!/nu^m, m, n <= 12, three Gaussian scales:
     the closed-form Gram against the one on the smallest grid exact for
     degree 24 (``exact_grid``, of order 13), which ``quad_order`` caps; no
@@ -107,12 +104,12 @@ def crit_fock_orthogonality(quad_order, tol_scale) -> list[CheckResult]:
         scale = np.sqrt(norms[:, None] * norms[None, :])
         dev = np.sqrt(np.sum((gram - space._grid_pair(grid, values, values)) ** 2,
                              axis=-1)) / scale
-        out.append(_result("fock-monomial-orthogonality", {"nu": nu},
-                           float(dev.max()), 1e-10, tol_scale))
+        out.append(CheckResult("fock-monomial-orthogonality", {"nu": nu},
+                                float(dev.max()), 1e-10))
     return out
 
 
-def crit_rbf_orthonormality(tol_scale) -> list[CheckResult]:
+def crit_rbf_orthonormality() -> list[CheckResult]:
     """13x13 basis Gram = identity on a slice and on C^2; with real
     coefficients, the slice's unit and C^1 would repeat the slice's bits."""
     out = []
@@ -122,19 +119,17 @@ def crit_rbf_orthonormality(tol_scale) -> list[CheckResult]:
         basis = [rbf_basis_series(gamma, n) for n in range(13)]
         gram = RBFSliceSpace(gamma, UNIT_I).gram(basis)
         dev = float(np.sqrt(np.sum((gram - eye) ** 2, axis=-1)).max())
-        out.append(_result("rbf-basis-orthonormality",
-                           {"gamma": gamma, "domain": "slice"}, dev, 1e-8,
-                           tol_scale))
+        out.append(CheckResult("rbf-basis-orthonormality",
+                                {"gamma": gamma, "domain": "slice"}, dev, 1e-8))
         basis_d = [rbf_basis_series_d(gamma, idx) for idx in indices]
         gram = RBFCSpace(gamma, 2).gram(basis_d)
         dev = float(np.abs(gram - np.eye(13)).max())
-        out.append(_result("rbf-basis-orthonormality",
-                           {"gamma": gamma, "domain": "C^2"}, dev, 1e-8,
-                           tol_scale))
+        out.append(CheckResult("rbf-basis-orthonormality",
+                                {"gamma": gamma, "domain": "C^2"}, dev, 1e-8))
     return out
 
 
-def crit_isometry(seed, quad_order, tol_scale) -> list[CheckResult]:
+def crit_isometry(seed, quad_order) -> list[CheckResult]:
     """Envelope-stripping map preserves norms: Fock route vs direct weight."""
     rng = np.random.default_rng(seed)
     gammas = (0.5, 1.0, 2.0)
@@ -146,8 +141,8 @@ def crit_isometry(seed, quad_order, tol_scale) -> list[CheckResult]:
         fock_route = space.norm_sq(f)
         direct_route = space.inner_product_direct(f, f).w
         worst = np.maximum(worst, abs(fock_route - direct_route) / abs(fock_route))
-    return [_result("m-operator-isometry", {"trials": 100, "degree": 24},
-                    worst, 1e-10, tol_scale)]
+    return [CheckResult("m-operator-isometry", {"trials": 100, "degree": 24},
+                         worst, 1e-10)]
 
 
 def _worst_reproduce(space, draws) -> float:
@@ -156,7 +151,7 @@ def _worst_reproduce(space, draws) -> float:
                    for f, w in draws])
 
 
-def crit_reproduce(gamma, seed, quad_order, tol_scale) -> list[CheckResult]:
+def crit_reproduce(gamma, seed, quad_order) -> list[CheckResult]:
     """<f, K_w> recovers f(w) in all four space families."""
     rng = np.random.default_rng(seed + 1)
     indices = list(multi_indices(2, 3))
@@ -186,12 +181,12 @@ def crit_reproduce(gamma, seed, quad_order, tol_scale) -> list[CheckResult]:
         ({"space": "rbf-C2", "gamma": gamma}, RBFCSpace(gamma, 2, 32),
          c2_draws(lambda series: GaussCSeries(gamma, series))),
     ]
-    return [_result("reproducing-property", params,
-                    _worst_reproduce(space, draws), 1e-7, tol_scale)
+    return [CheckResult("reproducing-property", params,
+                         _worst_reproduce(space, draws), 1e-7)
             for params, space, draws in checks]
 
 
-def crit_kernel_sum(gamma, seed, tol_scale) -> list[CheckResult]:
+def crit_kernel_sum(gamma, seed) -> list[CheckResult]:
     """Basis expansion of the quaternionic kernel, truncated at N = 40."""
     rng = np.random.default_rng(seed + 2)
     worst_abs = 0.0
@@ -209,15 +204,27 @@ def crit_kernel_sum(gamma, seed, tol_scale) -> list[CheckResult]:
         # two evaluation routes
         floor = 1e-13 * (1.0 + abs(kernel))
         worst_vs_bound = np.maximum(worst_vs_bound, diff / max(bound, floor))
-    return [
-        _result("kernel-sum-truncation", {"gamma": gamma, "terms": 40},
-                worst_abs, 1e-10, tol_scale),
-        _result("kernel-sum-within-tail-bound", {"gamma": gamma, "terms": 40},
-                worst_vs_bound, 1.0, tol_scale),
-    ]
+    return [CheckResult("kernel-sum-truncation", {"gamma": gamma, "terms": 40},
+                        worst_abs, 1e-10),
+            CheckResult("kernel-sum-within-tail-bound",
+                        {"gamma": gamma, "terms": 40}, worst_vs_bound, 1.0)]
 
 
-def crit_diagonal_and_bound(gamma, seed, tol_scale) -> list[CheckResult]:
+def _bound_ratio(gamma, f: GaussSeries, points) -> float:
+    """The largest |f(q)| / (exp(2y^2/gamma^2) ||f||) over the slice points
+    q = x + yI, ||f|| in closed form; above 1, or NaN, violates the bound."""
+    norm = math.sqrt(RBFSliceSpace(gamma, UNIT_I).norm_sq(f))
+    ratio = 0.0
+    for sp in points:
+        q = sp.to_quaternion()
+        bound = finite_values("the pointwise bound", lambda: math.exp(
+            2.0 * sp.y * sp.y / (gamma * gamma)) * norm, q, numpy=False,
+            gamma=gamma)
+        ratio = np.maximum(ratio, abs(f.eval(q)) / bound)
+    return ratio
+
+
+def crit_diagonal_and_bound(gamma, seed) -> list[CheckResult]:
     """Diagonal K(q,q) = exp(4y^2/g^2); |f(q)| <= exp(2y^2/g^2) ||f||."""
     rng = np.random.default_rng(seed + 3)
     grid = [(x, y) for x in np.linspace(-2.0, 2.0, 7)
@@ -229,21 +236,20 @@ def crit_diagonal_and_bound(gamma, seed, tol_scale) -> list[CheckResult]:
             k = rbf_kernel_qslice(gamma, q, q)
             expected = math.exp(4.0 * y * y / (gamma * gamma))
             worst = np.maximum(worst, abs(k - Quaternion.from_real(expected)) / expected)
-    results = [_result("kernel-diagonal-identity", {"gamma": gamma},
-                       worst, 1e-10, tol_scale)]
+    results = [CheckResult("kernel-diagonal-identity", {"gamma": gamma},
+                            worst, 1e-10)]
 
     points = [SlicePoint(x, y, UNIT_I) for x, y in grid]
     worst_ratio = 0.0
     for _ in range(5):
         f = GaussSeries(gamma, _random_qseries(rng, 6))
-        report = pointwise_bound_check(gamma, f, points, UNIT_I)
-        worst_ratio = np.maximum(worst_ratio, report.max_ratio)
-    results.append(_result("pointwise-bound", {"gamma": gamma},
-                           worst_ratio - 1.0, 1e-9, tol_scale))
+        worst_ratio = np.maximum(worst_ratio, _bound_ratio(gamma, f, points))
+    results.append(CheckResult("pointwise-bound", {"gamma": gamma},
+                                worst_ratio - 1.0, 1e-9))
     return results
 
 
-def crit_sequential(seed, tol_scale) -> list[CheckResult]:
+def crit_sequential(seed) -> list[CheckResult]:
     """The RBF norm by two closed forms, the beta-mapped Taylor weights
     against the Fock weights (the report keeps the check's name
     sequential-norm-vs-quadrature); beta map vs convolution."""
@@ -271,15 +277,13 @@ def crit_sequential(seed, tol_scale) -> list[CheckResult]:
                 s = 1.0 / (gamma ** j * math.factorial(j // 2))
                 acc = acc + a[k - j] * s
             worst_beta = np.maximum(worst_beta, abs(betas[k] - acc))
-    return [
-        _result("sequential-norm-vs-quadrature", {"trials": 50},
-                worst_norm, 1e-6, tol_scale),
-        _result("beta-vs-cauchy-product", {"trials": 10}, worst_beta,
-                1e-13, tol_scale),
-    ]
+    return [CheckResult("sequential-norm-vs-quadrature", {"trials": 50},
+                        worst_norm, 1e-6),
+            CheckResult("beta-vs-cauchy-product", {"trials": 10}, worst_beta,
+                        1e-13)]
 
 
-def crit_factorizations(gamma, seed, tol_scale) -> list[CheckResult]:
+def crit_factorizations(gamma, seed) -> list[CheckResult]:
     """Product and Fock factorizations of the C^d kernel, d = 3."""
     rng = np.random.default_rng(seed + 5)
     nu = nu_from_gamma(gamma)
@@ -294,41 +298,27 @@ def crit_factorizations(gamma, seed, tol_scale) -> list[CheckResult]:
         env = np.exp(-(np.sum(z * z) + np.sum(np.conj(w) ** 2)) / gamma ** 2)
         fock = env * fock_kernel_d(nu, z, w)
         worst_fock = np.maximum(worst_fock, abs(kd - fock) / abs(kd))
-    return [
-        _result("kernel-product-factorization", {"gamma": gamma, "dim": 3},
-                worst_prod, 1e-14, tol_scale),
-        _result("kernel-fock-factorization", {"gamma": gamma, "dim": 3},
-                worst_fock, 1e-14, tol_scale),
-    ]
+    return [CheckResult("kernel-product-factorization", {"gamma": gamma, "dim": 3},
+                        worst_prod, 1e-14),
+            CheckResult("kernel-fock-factorization", {"gamma": gamma, "dim": 3},
+                        worst_fock, 1e-14)]
 
 
-def crit_sb_unitarity(gamma, seed, quad_order, tol_scale) -> list[CheckResult]:
-    """Transform images of the Hermite basis stay orthonormal (or shift by
-    exactly sqrt(nu/pi) under the literal convention), and the quadrature
-    transform matches them under both conventions on the same draws."""
+def _l2_gram(coeffs) -> list:
+    """L[a][b] = sum_n conj(d_n) c_n, c = coeffs[a], d = coeffs[b]: the L^2
+    Gram of Hermite expansions, in scalar complex or Quaternion arithmetic."""
+    return [[sum(d.conjugate() * c for c, d in zip(f, g)) for g in coeffs]
+            for f in coeffs]
+
+
+def crit_sb_unitarity(gamma, seed, quad_order) -> list[CheckResult]:
+    """The transform is unitary, or sqrt(nu/pi) times unitary under the
+    literal convention: the Gram of the exact images of 8 random Hermite
+    expansions (degree 10 on a slice, total degree 4 on C^2) against their
+    L^2 Gram, relative to ||phi_a|| ||phi_b||; and the quadrature transform
+    matches the exact images under both conventions on the same draws."""
     rng = np.random.default_rng(seed + 6)
     nu = nu_from_gamma(gamma)
-    out = []
-
-    for norm in NORMALIZATIONS:
-        images = [rbf_sb_image_series(gamma, hermite_basis_l2(nu, n), norm)
-                  for n in range(11)]
-        gram = RBFSliceSpace(gamma, UNIT_I).gram(images)
-        factor = 1.0 if norm == "unitary" else nu / math.pi
-        expected = np.eye(11)[..., None] * [factor, 0.0, 0.0, 0.0]
-        dev = float(np.sqrt(np.sum((gram - expected) ** 2, axis=-1)).max()) / factor
-        out.append(_result("sb-unitarity", {"domain": "quaternionic",
-                                            "normalization": norm,
-                                            "norm_offset": math.sqrt(factor)},
-                           dev, 1e-8, tol_scale))
-
-    indices = list(multi_indices(2, 4))
-    images_d = [rbf_sb_image_series_d(
-        gamma, HermiteCoeffFunctionD(nu, 2, ((idx, 1.0),)))
-        for idx in indices]
-    gram_d = RBFCSpace(gamma, 2).gram(images_d)
-    dev_d = float(np.abs(gram_d - np.eye(len(indices))).max())
-    out.append(_result("sb-unitarity", {"domain": "C^2"}, dev_d, 1e-8, tol_scale))
 
     # independent route: quadrature transform matches the exact images
     worst = 0.0
@@ -341,13 +331,40 @@ def crit_sb_unitarity(gamma, seed, quad_order, tol_scale) -> list[CheckResult]:
                                  quad_order=quad_order)
                 - rbf_sb_image_series(gamma, phi, norm).eval(q))
                 for norm in NORMALIZATIONS])
-    return out + [_result("sb-quadrature-vs-exact", {"domain": "quaternionic",
-                                                     "normalization": norm},
-                          dev, 1e-9, tol_scale)
+
+    out = []
+    phis = [HermiteCoeffFunction(nu, _random_qseries(rng, 10).coeffs)
+            for _ in range(8)]
+    l2 = np.array([[v.to_list() for v in row]
+                   for row in _l2_gram([phi.coeffs for phi in phis])])
+    norms = np.sqrt(np.diagonal(l2[..., 0]))
+    for norm in NORMALIZATIONS:
+        factor = 1.0 if norm == "unitary" else nu / math.pi
+        gram = RBFSliceSpace(gamma, UNIT_I).gram(
+            [rbf_sb_image_series(gamma, phi, norm) for phi in phis])
+        dev = np.sqrt(np.sum((gram / factor - l2) ** 2, axis=-1))
+        out.append(CheckResult("sb-unitarity", {
+            "domain": "quaternionic", "normalization": norm,
+            "norm_offset": math.sqrt(factor), "functions": 8, "degree": 10},
+            np.max(dev / np.outer(norms, norms)), 1e-8))
+
+    phis = [HermiteCoeffFunctionD(nu, 2, tuple(
+        (idx, complex(*rng.uniform(-1.0, 1.0, 2))) for idx in multi_indices(2, 4)))
+        for _ in range(8)]
+    l2 = np.array(_l2_gram([[c for _, c in phi.terms] for phi in phis]))
+    norms = np.sqrt(np.diagonal(l2).real)
+    dev = np.abs(RBFCSpace(gamma, 2).gram(
+        [rbf_sb_image_series_d(gamma, phi) for phi in phis]) - l2)
+    out.append(CheckResult("sb-unitarity",
+                           {"domain": "C^2", "functions": 8, "degree": 4},
+                           np.max(dev / np.outer(norms, norms)), 1e-8))
+    return out + [CheckResult("sb-quadrature-vs-exact",
+                              {"domain": "quaternionic", "normalization": norm},
+                              dev, 1e-9)
                   for norm, dev in zip(NORMALIZATIONS, worst)]
 
 
-def crit_sb_kernel_match(gamma, seed, tol_scale) -> list[CheckResult]:
+def crit_sb_kernel_match(gamma, seed) -> list[CheckResult]:
     """Closed RBF transform kernel vs envelope times Fock kernel, under both
     conventions, and vs its generating series truncated at N = 40."""
     rng = np.random.default_rng(seed + 7)
@@ -373,34 +390,33 @@ def crit_sb_kernel_match(gamma, seed, tol_scale) -> list[CheckResult]:
             acc = acc + rbf_basis_q(gamma, n, q) * psi[n]
         closed = rbf_sb_kernel(gamma, q, x, "unitary")
         worst_series = np.maximum(worst_series, abs(acc - closed))
-    return [*(_result("rbf-sb-kernel-envelope-match",
-                      {"gamma": gamma, "normalization": norm}, dev, 1e-13, tol_scale)
+    return [*(CheckResult("rbf-sb-kernel-envelope-match",
+                           {"gamma": gamma, "normalization": norm}, dev, 1e-13)
               for norm, dev in zip(NORMALIZATIONS, worst_match)),
-            _result("rbf-sb-kernel-series", {"gamma": gamma, "terms": 40},
-                    worst_series, 1e-9, tol_scale)]
+            CheckResult("rbf-sb-kernel-series", {"gamma": gamma, "terms": 40},
+                         worst_series, 1e-9)]
 
 
-def crit_slice_independence(gamma, seed, quad_order, tol_scale) -> list[CheckResult]:
-    """RBF norms agree on C_i and C_{(i+j)/sqrt2} for random elements."""
+def crit_slice_independence(gamma, seed, quad_order) -> list[CheckResult]:
+    """RBF norms agree on C_i (closed form) and C_{(i+j)/sqrt2} (direct)."""
     rng = np.random.default_rng(seed + 8)
     worst = 0.0
     for _ in range(20):
         f = GaussSeries(gamma, _random_qseries(rng, 12))
-        rep = slice_independence_check(gamma, f, UNIT_I, UNIT_IJ,
-                                       quad_order)
-        worst = np.maximum(worst, rep.rel_diff)
-    return [_result("slice-independence", {"gamma": gamma, "trials": 20},
-                    worst, 1e-10, tol_scale)]
+        a = RBFSliceSpace(gamma, UNIT_I).norm_sq(f)
+        b = RBFSliceSpace(gamma, UNIT_IJ, quad_order).inner_product_direct(f, f).w
+        worst = np.maximum(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
+    return [CheckResult("slice-independence", {"gamma": gamma, "trials": 20},
+                         worst, 1e-10)]
 
 
-def crit_psd(seed, tol_scale) -> list[CheckResult]:
+def crit_psd(seed) -> list[CheckResult]:
     """Real Gaussian Gram is PSD; adjoint representation is a homomorphism."""
     rng = np.random.default_rng(seed + 9)
     pts = rng.uniform(-1.5, 1.5, (16, 3))
-    gram = build_gram("rbf-real", {"gamma": 1.0}, pts)
-    report = psd_check(gram, tol=1e-10)
-    out = [_result("gaussian-gram-psd", {"points": 16, "dim": 3},
-                   np.maximum(0.0, -report.min_eigenvalue), 1e-10, tol_scale)]
+    min_eig = psd_check(build_gram("rbf-real", {"gamma": 1.0}, pts)).min_eigenvalue
+    out = [CheckResult("gaussian-gram-psd", {"points": 16, "dim": 3},
+                       np.maximum(0.0, -min_eig), 1e-10)]
 
     worst = 0.0
     for _ in range(5):
@@ -417,8 +433,8 @@ def crit_psd(seed, tol_scale) -> list[CheckResult]:
         lhs = quat_matrix_to_complex(prod)
         rhs = quat_matrix_to_complex(pmat) @ quat_matrix_to_complex(qmat)
         worst = np.maximum(worst, float(np.abs(lhs - rhs).max()))
-    out.append(_result("adjoint-representation-homomorphism", {"trials": 5},
-                       worst, 1e-13, tol_scale))
+    out.append(CheckResult("adjoint-representation-homomorphism", {"trials": 5},
+                            worst, 1e-13))
     return out
 
 

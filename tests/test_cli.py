@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -133,6 +134,7 @@ class TestGramCommand:
         rep = json.loads(report.read_text())
         assert rep["psd"] is True
         assert rep["min_eig"] >= -1e-10
+        assert re.fullmatch("[0-9a-f]{16}", rep["points_hash"])
 
     def test_deterministic_output(self, tmp_path, capsys):
         payload = {"kernel": "rbf-real", "gamma": 1.0,
@@ -802,17 +804,13 @@ class TestFlagValidation:
         (["gram", "--tol", "nan"], "--tol"),
         (["transform", "--nu", "inf"], "--nu"),
         (["verify", "--gamma", "nan"], "--gamma"),
-        (["verify", "--tol", "nan"], "--tol"),
-        (["verify", "--tol", "0"], "--tol"),
-        (["verify", "--tol", "-1"], "--tol"),
         (["verify", "--seed", "-1"], "--seed"),
         (["verify", "--seed", "1.5"], "--seed"),
         (["verify", "--quad-order", "4"], "--quad-order"),
         (["transform", "--gamma", "1", "--quad-order", "513"], "--quad-order"),
         (["transform", "--gamma", "1", "--dim", "0"], "--dim"),
     ], ids=["kernel-gamma-nan", "gram-gamma-inf", "gram-tol-nan",
-            "transform-nu-inf", "verify-gamma-nan", "verify-tol-nan",
-            "verify-tol-0", "verify-tol-negative", "verify-seed-negative",
+            "transform-nu-inf", "verify-gamma-nan", "verify-seed-negative",
             "verify-seed-fraction", "verify-quad-order-4",
             "transform-quad-order-513", "transform-dim-0"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, argv, flag):
@@ -835,8 +833,7 @@ SUBCOMMAND_FLAGS = {
                   "--dim", "--normalization"},
     "basis": {"--gamma", "--nu", "--family", "--n-max", "--grid", "--imag",
               "--output"},
-    "verify": {"--gamma", "--quad-order", "--tol", "--seed", "--report",
-               "--only"},
+    "verify": {"--gamma", "--quad-order", "--seed", "--report", "--only"},
 }
 
 KERNEL_INPUT = {"kernel": "rbf-real", "gamma": 1.0, "pairs": [[[0.0], [1.0]]],
@@ -881,7 +878,7 @@ class TestFlagSurface:
         taken = {name: {flag for a in p._actions for flag in a.option_strings}
                  - {"-h", "--help"} for name, p in sub.choices.items()}
         assert taken == SUBCOMMAND_FLAGS
-        assert sum(map(len, taken.values())) == 28
+        assert sum(map(len, taken.values())) == 27
 
     @pytest.mark.parametrize("command, payload, flag, value", [
         ("kernel", KERNEL_INPUT, "--quad-order", "80"),
@@ -893,11 +890,12 @@ class TestFlagSurface:
         ("verify", None, "--dim", "1"),
         ("verify", None, "--output", "out.csv"),
         ("verify", None, "--normalization", "literal"),
+        ("verify", None, "--tol", "2"),
         ("transform", SLICE_INPUT, "--nu", "2"),
         ("basis", None, "--gamma", "1"),
     ], ids=["kernel-quad-order", "kernel-dim", "gram-quad-order", "gram-dim",
             "basis-quad-order", "basis-dim", "verify-dim", "verify-output",
-            "verify-normalization", "transform-gamma-and-nu",
+            "verify-normalization", "verify-tol", "transform-gamma-and-nu",
             "basis-gamma-and-nu"])
     def test_flag_not_taken_exits_2(self, tmp_path, capsys, command, payload,
                                     flag, value):
@@ -1036,16 +1034,14 @@ class TestVerifyCommand:
         code, _, _ = run_cli(["verify", "--only", "psd", "--seed", "3",
                               "--report", str(report)], capsys)
         assert code == 0
-        assert json.loads(report.read_text())["config"] == {"tol_scale": 1.0,
-                                                            "seed": 3}
+        assert json.loads(report.read_text())["config"] == {"seed": 3}
 
     def test_default_report_checks_both_conventions(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         code, _, _ = run_cli(["verify", "--report", str(report)], capsys)
         data = json.loads(report.read_text())
         assert code == 0 and data["passed"] is True
-        assert list(data["config"]) == ["gamma", "quad_order", "tol_scale",
-                                        "seed"]
+        assert list(data["config"]) == ["gamma", "quad_order", "seed"]
         for check in ("sb-unitarity", "sb-quadrature-vs-exact",
                       "rbf-sb-kernel-envelope-match"):
             conventions = [c["params"]["normalization"] for c in data["checks"]
@@ -1071,12 +1067,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "nope" in err
 
-    def test_failure_exit_code(self, capsys):
-        # an impossibly small tolerance multiplier forces a failure
-        code, out, _ = run_cli(["verify", "--only", "factorizations",
-                                "--tol", "1e-30"], capsys)
+    def test_failure_exit_code(self, capsys, monkeypatch):
+        # one route of the product factorization off by 1e-6 fails its row
+        from rbffock import verify
+        kernel = verify.rbf_kernel_c
+        monkeypatch.setattr(verify, "rbf_kernel_c",
+                            lambda *args: kernel(*args) * (1.0 + 1e-6))
+        code, out, _ = run_cli(["verify", "--only", "factorizations"], capsys)
         assert code == 1
-        assert "FAIL" in out
+        assert "[FAIL] kernel-product-factorization" in out
 
 
 def test_importing_the_cli_builds_nothing():

@@ -168,6 +168,16 @@ class TestKernelSum:
             bound = kernel_sum_tail_bound(1.0, q, p, 40)
             assert diff <= bound + 1e-13 * (1 + abs(rbf_kernel_qslice(1.0, q, p)))
 
+    @pytest.mark.parametrize("qy, py, n_terms", [(0.8, 0.8, 20), (0.5, 0.9, 16)])
+    def test_tail_bound_is_sharp_on_the_imaginary_axis(self, qy, py, n_terms):
+        # at purely imaginary q, p on one slice every tail term is positive,
+        # so the factorial tail bound is within 1% of the truncation error
+        gamma = 0.7
+        q, p = Quaternion(0, qy, 0, 0), Quaternion(0, py, 0, 0)
+        error = abs(kernel_sum_truncated(gamma, q, p, n_terms)
+                    - rbf_kernel_qslice(gamma, q, p))
+        assert 0.9 <= error / kernel_sum_tail_bound(gamma, q, p, n_terms) <= 1.0
+
     def test_tail_bound_beyond_double_range_is_inf(self):
         # the envelope exp(30^2) leaves double range
         zero = Quaternion(0, 0, 0, 0)

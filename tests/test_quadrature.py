@@ -181,6 +181,15 @@ class TestLeadingAxes:
             assert isinstance(one, float)
             assert sums[index] == one
 
+    @pytest.mark.parametrize("size", [65537, 140000])
+    def test_compensated_sum_of_long_rows_matches_fsum(self, size):
+        # rows past one block of 2^16 entries take the fsum of block sums;
+        # FockCSpace.reproduce sums M^2 grid weights, over 2^16 at M >= 257
+        values = np.random.default_rng(size).normal(size=size)
+        exact = math.fsum(values)
+        bound = 4.0 * np.finfo(float).eps * math.fsum(np.abs(values))
+        assert abs(compensated_sum(values) - exact) <= bound
+
     def test_integrate_rd_over_points_equals_point_by_point(self):
         rng = np.random.default_rng(3)
         rule = gauss_hermite(20, 1.3)

@@ -8,10 +8,9 @@ from conftest import assert_qclose, random_quaternion
 from rbffock import (FockCSpace, FockSliceSpace, GaussSeries, ImaginaryUnit,
                      QPowerSeries, Quaternion, RBFCSpace, RBFSliceSpace,
                      SlicePoint, intrinsic_exp_sq, m_operator,
-                     pointwise_bound_check, rbf_basis_series,
-                     rbf_basis_series_d, rbf_kernel_qslice,
-                     slice_independence_check)
+                     rbf_basis_series, rbf_basis_series_d, rbf_kernel_qslice)
 from rbffock.series import CPowerSeries, GaussCSeries
+from rbffock.verify import _bound_ratio
 
 UNIT_I = ImaginaryUnit(1.0, 0.0, 0.0)
 UNIT_TILTED = ImaginaryUnit.from_vector(1.0, 1.0, 0.0)
@@ -217,12 +216,12 @@ class TestMOperator:
 
 
 class TestBoundAndSliceChecks:
+    """verify's pointwise-bound ratio and slice-independence gap."""
+
     def test_gaussian_on_real_axis(self):
         f = rbf_basis_series(1.0, 0)
         points = [SlicePoint(x, 0.0, UNIT_I) for x in np.linspace(-2, 2, 9)]
-        report = pointwise_bound_check(1.0, f, points, UNIT_I)
-        assert report.max_ratio <= 1.0 + 1e-12
-        assert report.norm == pytest.approx(1.0, rel=1e-10)
+        assert _bound_ratio(1.0, f, points) <= 1.0 + 1e-12
 
     def test_random_series_respect_bound(self):
         rng = np.random.default_rng(26)
@@ -232,17 +231,14 @@ class TestBoundAndSliceChecks:
         for _ in range(5):
             f = GaussSeries(1.0, QPowerSeries(
                 tuple(random_quaternion(rng) for _ in range(7))))
-            report = pointwise_bound_check(1.0, f, points, UNIT_I)
-            assert report.max_ratio <= 1.0 + 1e-9
+            assert _bound_ratio(1.0, f, points) <= 1.0 + 1e-9
 
     def test_nan_ratio_fails_the_bound(self, monkeypatch):
         from rbffock import verify
         nan = Quaternion(math.nan, 0.0, 0.0, 0.0)
         monkeypatch.setattr(GaussSeries, "eval", lambda self, q: nan)
         points = [SlicePoint(0.5, 0.5, UNIT_I), SlicePoint(0.0, 1.0, UNIT_I)]
-        report = pointwise_bound_check(1.0, rbf_basis_series(1.0, 2), points)
-        assert math.isnan(report.max_ratio)
-        assert report.worst_point in points
+        assert math.isnan(_bound_ratio(1.0, rbf_basis_series(1.0, 2), points))
         bound = [r for r in verify.run_criterion("diagonal-bound")
                  if r.check == "pointwise-bound"]
         assert len(bound) == 1 and not bound[0].passed
@@ -253,7 +249,7 @@ class TestBoundAndSliceChecks:
         with pytest.raises(OverflowError, match=re.escape(
                 "the pointwise bound with gamma=1.0 at point "
                 "[0.0, 30.0, 0.0, 0.0] is not finite")):
-            pointwise_bound_check(1.0, rbf_basis_series(1.0, 1), points)
+            _bound_ratio(1.0, rbf_basis_series(1.0, 1), points)
 
     def test_kernel_section_attains_bound(self):
         # f = K^p has norm sqrt(K(p,p)) and |f(p)| = K(p,p): the ratio at
@@ -268,23 +264,17 @@ class TestBoundAndSliceChecks:
             coeffs.append((power * tail) * (nu ** n / math.factorial(n)))
             power = power * p.conjugate()
         section = GaussSeries(gamma, QPowerSeries(tuple(coeffs)))
-        report = pointwise_bound_check(gamma, section,
-                                       [SlicePoint(0.4, 0.8, UNIT_I)],
-                                       UNIT_I)
-        assert report.max_ratio == pytest.approx(1.0, rel=1e-8)
+        ratio = _bound_ratio(gamma, section, [SlicePoint(0.4, 0.8, UNIT_I)])
+        assert ratio == pytest.approx(1.0, rel=1e-8)
 
     def test_slice_independence(self):
         rng = np.random.default_rng(27)
-        basis_norms = slice_independence_check(
-            1.0, rbf_basis_series(1.0, 4),
-            UNIT_I, ImaginaryUnit(0.0, 0.0, 1.0), 80)
-        assert basis_norms.norm_sq_a == pytest.approx(1.0, rel=1e-10)
-        assert basis_norms.norm_sq_b == pytest.approx(1.0, rel=1e-10)
         for _ in range(5):
             f = GaussSeries(1.0, QPowerSeries(
                 tuple(random_quaternion(rng) for _ in range(12))))
-            report = slice_independence_check(1.0, f, UNIT_I, UNIT_TILTED, 80)
-            assert report.rel_diff <= 1e-10
+            closed = RBFSliceSpace(1.0, UNIT_I).norm_sq(f)
+            direct = RBFSliceSpace(1.0, UNIT_TILTED, 80).inner_product_direct(f, f).w
+            assert abs(closed - direct) <= 1e-10 * closed
 
 
 class TestComplexSpaces:

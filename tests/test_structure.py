@@ -66,5 +66,5 @@ def test_each_criterion_reads_every_setting_it_takes():
         params = [a.arg for a in fn.args.args + fn.args.kwonlyargs]
         read = {node.id for stmt in fn.body for node in ast.walk(stmt)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        assert params and set(params) <= settings, (fn.name, params)
+        assert set(params) <= settings, (fn.name, params)
         assert set(params) <= read, (fn.name, set(params) - read)

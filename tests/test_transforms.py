@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -217,6 +218,14 @@ class TestDTransform:
             split = (rbf_sb_kernel_d(gamma, z[:1], x[:1])
                      * rbf_sb_kernel_d(gamma, z[1:], x[1:]))
             assert abs(joint - split) <= 1e-14 * abs(joint)
+
+    def test_kernel_value_off_unit_gamma(self):
+        # (2/(pi gamma^2))^{d/4} exp(-(sqrt2 z - x)^2 / gamma^2), d = 2
+        gamma = 0.7
+        z, x = (0.3 + 0.2j, -0.4 + 0.5j), (0.6, -0.2)
+        u2 = sum((math.sqrt(2.0) * zl - xl) ** 2 for zl, xl in zip(z, x))
+        want = (2.0 / (math.pi * gamma * gamma)) ** 0.5 * cmath.exp(-u2 / gamma ** 2)
+        assert abs(rbf_sb_kernel_d(gamma, z, x) - want) <= 1e-14 * abs(want)
 
     def test_dim_one_matches_slice_transform(self):
         gamma = 1.0
