@@ -11,7 +11,8 @@ Struppa, Adv. Math. 216, 2007): with J orthogonal to I and K = IJ, each
 right coefficient splits as a = A + B J with A, B in C_I (``split_pair``),
 so sum_n q^n a_n = F1(z) + F2(z) J for the complex polynomials
 F1 = sum z^n A_n and F2 = sum z^n B_n.  ``split_horner`` evaluates the pair
-(F1, F2) and ``join_pair`` maps it back to components once.
+(F1, F2) by the one complex Horner recursion, ``horner``, and ``join_pair``
+maps it back to components once.
 """
 
 from __future__ import annotations
@@ -99,21 +100,28 @@ def split_pair(parts, unit: ImaginaryUnit) -> tuple:
     return parts[..., 0] + 1j * dots[..., 0], dots[..., 1] + 1j * dots[..., 2]
 
 
+def horner(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_n z^n rows[n], for an array ``rows``, at complex points z by the
+    complex Horner step acc = rows[n] + z acc; shape rows.shape[1:] +
+    z.shape, complex."""
+    z = np.asarray(z, dtype=complex)
+    shape = rows.shape[1:] + z.shape
+    rows = rows.reshape(rows.shape + (1,) * z.ndim)
+    acc = np.broadcast_to(rows[-1], shape).astype(complex)
+    for row in rows[-2::-1]:
+        acc *= z
+        acc += row
+    return acc
+
+
 def split_horner(coeffs, z: np.ndarray, unit: ImaginaryUnit) -> np.ndarray:
     """(F1, F2) with sum_n q^n a_n = F1(z) + F2(z) J at q = Re z + unit*Im z.
 
-    Shape (2,) + z.shape, complex, with i standing for ``unit``.  The
-    coefficients split as a_n = A_n + B_n J (``split_pair``); one complex
-    Horner recursion runs on both.
+    Shape (2,) + z.shape, complex, with i standing for ``unit``: the
+    ``horner`` of the split coefficients a_n = A_n + B_n J (``split_pair``).
     """
-    z = np.asarray(z, dtype=complex)
-    pair = np.array(split_pair([a.to_list() for a in coeffs], unit))
-    pair = pair.reshape(pair.shape + (1,) * z.ndim)
-    acc = np.broadcast_to(pair[:, -1], (2,) + z.shape).copy()
-    for n in range(pair.shape[1] - 2, -1, -1):
-        acc *= z
-        acc += pair[:, n]
-    return acc
+    pair = split_pair([a.to_list() for a in coeffs], unit)
+    return horner(np.stack(pair, axis=-1), z)
 
 
 def join_pair(pair: np.ndarray, unit: ImaginaryUnit) -> np.ndarray:

@@ -99,18 +99,6 @@ class QPowerSeries:
             lambda acc, a: a + q * acc, self.coeffs[-2::-1], self.coeffs[-1]),
             q, numpy=False)
 
-    def eval_points(self, q: np.ndarray) -> np.ndarray:
-        """Values at quaternion points of shape (..., 4), equal bit for bit
-        to ``eval`` at each point: the same left Horner step acc = a + q acc,
-        with the same Hamilton product.  Raises OverflowError, as ``eval``
-        does, naming the first point whose value is not finite."""
-        q = np.asarray(q, dtype=float)
-        finite_points(q)
-        coeffs = np.array([c.to_list() for c in self.coeffs])
-        return finite_values("the series value", lambda: functools.reduce(
-            lambda acc, a: a + qa.qmul(q, acc), coeffs[-2::-1],
-            np.broadcast_to(coeffs[-1], q.shape).copy()), q)
-
     def eval_slice_grid(self, x, y, unit: ImaginaryUnit) -> np.ndarray:
         """Values over the slice grid q = x + unit*y, shape (..., 4).
         Raises OverflowError naming the first point whose value is not

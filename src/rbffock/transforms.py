@@ -124,8 +124,8 @@ class HermiteCoeffFunctionD:
 # ---------------------------------------------------------------------------
 # one-variable (quaternionic slice) transforms
 
-# points per block of the quadrature route's kernel matrix, so that its
-# memory does not grow with the grid
+# points per block of the transform routes' complex parts, so that the
+# quadrature route's kernel matrix does not grow with the grid
 _BLOCK_POINTS = 128
 
 
@@ -205,52 +205,46 @@ def _sb_exponential(nu: float, z: np.ndarray, x: np.ndarray) -> np.ndarray:
                         - 0.5 * (z * z)[..., None]))
 
 
-def _sb_quadrature(nu: float, phi: HermiteCoeffFunction, q: np.ndarray,
-                   normalization: str, quad_order: int) -> np.ndarray:
-    """The transform at points q (..., 4) by quadrature against the kernel.
-
-    On the slice of q the integrand's part outside the rule is the complex
-    E = ``_sb_exponential``, so the node sum is one complex product E @ F
-    per block of points, F = w rows^T C with the quaternion coefficients C
-    as four real columns; its real and imaginary parts join through one
-    Hamilton product with each point's unit.
-    """
-    rule, rows = _sb_rule(nu, phi.nu, phi.degree, quad_order)
-    f = (_sb_prefactor(nu, normalization) * rule.weights)[:, None] * (
-        rows.T @ np.array([c.to_list() for c in phi.coeffs]))
-    re, im, units = qa.slice_decompose_arr(q.reshape(-1, 4))
-    z = re + 1j * im
-    parts = np.empty((z.size, 4), dtype=complex)
-    for start in range(0, z.size, _BLOCK_POINTS):
-        zb = z[start:start + _BLOCK_POINTS]
-        parts[start:start + zb.size] = _sb_exponential(nu, zb, rule.nodes) @ f
-    unit_q = np.concatenate([np.zeros((z.size, 1)), units], axis=1)
-    values = parts.real + qa.qmul(unit_q, parts.imag)
-    return values.reshape(q.shape)
-
-
 def sb_transform(nu: float, phi, q, normalization: str = "unitary",
                  method: str = "auto", quad_order: int = DEFAULT_QUAD_ORDER):
     """Apply the Segal-Bargmann transform to phi and evaluate it at q.
 
     q is a Quaternion, giving a Quaternion, or points of shape (..., 4),
-    giving values of that shape; what does not depend on the point (the
-    image series, or the rule and the Hermite rows at its nodes) is built
-    once per call.  ``method="auto"`` uses the exact action on Hermite
-    coefficients of the matching scale and integrates otherwise
-    (``_sb_quadrature``); ``method="quadrature"`` always integrates.  A
-    value that is not finite raises OverflowError naming its point.
+    giving values of that shape.  ``method="auto"`` uses the exact action
+    on Hermite coefficients of the matching scale and integrates otherwise;
+    ``method="quadrature"`` always integrates.  Both routes run on each
+    point's slice, z = x + iy for q = x + I y: per block of points the
+    complex parts P of the four components are the ``_quatarray.horner``
+    of the image series' coefficients at z, or E @ F with the complex
+    E = ``_sb_exponential`` and the rule's F = w rows^T C, built once per
+    call; Re P + I Im P join through one Hamilton product with the units.
+    A value that is not finite raises OverflowError naming its point.
     """
+    if not isinstance(phi, HermiteCoeffFunction):
+        raise TypeError("sb_transform needs a HermiteCoeffFunction")
     positive_finite("nu", nu)
     _check_normalization(normalization)
     points = _quaternion_points(q)
-    if not isinstance(phi, HermiteCoeffFunction):
-        raise TypeError("quadrature path needs HermiteCoeffFunction")
-    if _exact(method, phi.nu, nu):
-        series = sb_image_series(nu, phi, normalization)
-        return _like(q, series.eval_points(points))
-    return _like(q, finite_values("the transform value", lambda: _sb_quadrature(
-        nu, phi, points, normalization, quad_order), points))
+    exact = _exact(method, phi.nu, nu)
+    if exact:
+        coeffs = np.array([c.to_list() for c in
+                           sb_image_series(nu, phi, normalization).coeffs])
+    else:
+        rule, rows = _sb_rule(nu, phi.nu, phi.degree, quad_order)
+        f = (_sb_prefactor(nu, normalization) * rule.weights)[:, None] * (
+            rows.T @ np.array([c.to_list() for c in phi.coeffs]))
+    x, y, units = qa.slice_decompose_arr(points.reshape(-1, 4))
+    z = x + 1j * y
+
+    def values():
+        p = np.empty((z.size, 4), dtype=complex)
+        for start in range(0, z.size, _BLOCK_POINTS):
+            zb = z[start:start + _BLOCK_POINTS]
+            p[start:start + zb.size] = (qa.horner(coeffs, zb).T if exact else
+                                        _sb_exponential(nu, zb, rule.nodes) @ f)
+        unit_q = np.concatenate([np.zeros((z.size, 1)), units], axis=1)
+        return (p.real + qa.qmul(unit_q, p.imag)).reshape(points.shape)
+    return _like(q, finite_values("the transform value", values, points))
 
 
 def rbf_sb_kernel(gamma: float, q: Quaternion, x: float,
@@ -348,16 +342,16 @@ def rbf_sb_transform_d(gamma: float, dim: int, phi, z, method: str = "auto",
     on the rule at (phi.nu + nu)/2, built once per call.  A value that is
     not finite raises OverflowError naming its point.
     """
+    if not isinstance(phi, HermiteCoeffFunctionD):
+        raise TypeError("rbf_sb_transform_d needs a HermiteCoeffFunctionD")
     nu = nu_from_gamma(gamma)
-    if isinstance(phi, HermiteCoeffFunctionD) and phi.dim != dim:
+    if phi.dim != dim:
         raise ValueError(f"phi is a function on R^{phi.dim}, not on R^{dim}")
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     if z.shape[-1] != dim:
         raise ValueError("evaluation point has the wrong dimension")
     finite_points(z)
     rows = z.reshape(-1, dim)
-    if not isinstance(phi, HermiteCoeffFunctionD):
-        raise TypeError("quadrature path needs HermiteCoeffFunctionD")
 
     if _exact(method, phi.nu, nu):
         fock = rbf_sb_image_series_d(gamma, phi).series.eval_points(rows)

@@ -7,9 +7,10 @@ two grids, weighted and summed component by component.  The coefficient
 maps add one whole shifted row per term; the reference is the scalar
 Quaternion loop, which they must equal bit for bit.  C^d Grams build no
 grid and are exactly Hermitian; each entry agrees with the per-pair inner
-product.  The transforms take a whole grid of points; the references are
-the scalar series Horner loop, the scalar slice decomposition and, per
-point, the node sum of the scalar kernel against phi.  Polynomial
+product.  The transforms take a whole grid of points and run on each
+point's slice; the references are the scalar slice decomposition and, per
+point, the scalar quaternion Horner loop of the image series or the node
+sum of the scalar kernel against phi.  Polynomial
 integrals are exact at every rule order; the references are the same
 sums on the ``quad_order`` grid, exact for their degrees, or, for the
 direct route, on the smallest exact grid that it uses.
@@ -30,7 +31,7 @@ from rbffock import (CPowerSeries, FockCSpace, FockSliceSpace, GaussSeries,
                      rbf_sb_transform, rbf_sb_transform_d, sb_image_series,
                      sb_kernel, sb_transform, slice_decompose)
 from rbffock import _quatarray as qa
-from rbffock import spaces
+from rbffock import spaces, transforms
 from rbffock.quadrature import compensated_sum
 
 UNITS = {
@@ -323,18 +324,6 @@ def quaternion_grid(rng, count, scale=1.5):
     return q
 
 
-def test_eval_points_equals_eval_bit_for_bit():
-    rng = np.random.default_rng(21)
-    series = random_series(rng, 24)
-    q = quaternion_grid(rng, 200, 2.0)
-    values = series.eval_points(q)
-    assert values.shape == (200, 4)
-    for point, value in zip(q, values):
-        assert value.tolist() == series.eval(Quaternion(*point)).to_list()
-    grid = q.reshape(2, 100, 4)
-    assert np.array_equal(series.eval_points(grid), values.reshape(2, 100, 4))
-
-
 def test_slice_decompose_arr_equals_slice_decompose():
     rng = np.random.default_rng(22)
     q = np.concatenate([quaternion_grid(rng, 300),
@@ -391,7 +380,11 @@ def test_quaternion_transforms_match_per_point_reference(route, normalization):
         fock.reshape(3, 100, 4))
     fock_tol = 1e-14 * np.abs(fock).max()
     rbf_tol = 1e-14 * np.abs(rbf).max()
-    for i in range(0, 300, 7):
+    # real, axis, subnormal and general points, and each block's first
+    # and last point
+    block = transforms._BLOCK_POINTS
+    for i in sorted({*range(0, 300, 5), block - 1, block, 2 * block - 1,
+                     2 * block, 299}):
         point = Quaternion(*q[i])
         one = sb_transform(nu, phi, point, normalization, route, 40)
         assert isinstance(one, Quaternion)
@@ -405,6 +398,43 @@ def test_quaternion_transforms_match_per_point_reference(route, normalization):
         assert np.abs(rbf[i] - want.to_list()).max() <= rbf_tol
         one = rbf_sb_transform(gamma, phi, point, normalization, route, 40)
         assert np.abs(rbf[i] - one.to_list()).max() <= rbf_tol
+
+
+@pytest.mark.parametrize("route", ["auto", "quadrature"])
+def test_slice_transform_decomposes_once_and_joins_once(route, monkeypatch):
+    """Both routes are complex arithmetic on each point's slice: one slice
+    decomposition of all the points and one Hamilton product per call."""
+    calls = []
+    for name in ("slice_decompose_arr", "qmul"):
+        def counted(*args, _name=name, _original=getattr(qa, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(qa, name, counted)
+    rng = np.random.default_rng(25)
+    phi = HermiteCoeffFunction(2.0 if route == "auto" else 0.7, tuple(
+        random_quaternion(rng) for _ in range(10)))
+    for q in (quaternion_grid(rng, 300), Quaternion(0.3, -0.2, 0.5, 0.1)):
+        calls.clear()
+        sb_transform(2.0, phi, q, "unitary", route, 40)
+        assert calls == ["slice_decompose_arr", "qmul"]
+
+
+def test_exact_routes_build_no_rule(monkeypatch):
+    """At the matching Hermite scale every transform takes the exact route,
+    which builds no quadrature rule."""
+    def refuse(*_, **__):
+        raise AssertionError("an exact route built a quadrature rule")
+
+    monkeypatch.setattr(transforms, "_sb_rule", refuse)
+    rng = np.random.default_rng(26)
+    phi = HermiteCoeffFunction(2.0, tuple(random_quaternion(rng)
+                                          for _ in range(6)))
+    q = quaternion_grid(rng, 20)
+    assert sb_transform(2.0, phi, q).shape == (20, 4)
+    assert rbf_sb_transform(1.0, phi, q).shape == (20, 4)
+    phi_d = HermiteCoeffFunctionD(2.0, 2, (((1, 0), 1.0), ((0, 2), 0.5j)))
+    z = q[:, :2] + 1j * q[:, 2:]
+    assert rbf_sb_transform_d(1.0, 2, phi_d, z).shape == (20,)
 
 
 @pytest.mark.parametrize("route", ["auto", "quadrature"])

@@ -686,13 +686,16 @@ class TestTransformCommand:
          [True, 0, 0, 0], "grid.points[1]: quaternion points"),
         (["--gamma", "1"], {"nu": 2.0, "coeffs": [[1, 0, 0, 0]]},
          [0, 1.7e308, 1.7e308, 0], "grid.points[1]: the vector part"),
+        (["--nu", "2"], {"nu": 2.0, "coeffs": [[1, 0, 0, 0]]},
+         [0, 1.5e308, 1.5e308, 0], "grid.points[1]: the vector part"),
         (["--gamma", "1"], {"nu": "x", "coeffs": [[1, 0, 0, 0]]},
          [0, 0, 0, 0], "transform input.hermite: nu must be"),
         (["--gamma", "1", "--dim", "2"], {"nu": 2.0, "terms": [[[1, "a"], 1]]},
          [[0, 0], [0, 0]], "transform input.hermite.terms[0]: multi-index"),
     ], ids=["rbf-exact-overflow", "fock-quadrature-overflow",
             "c2-exact-overflow", "c2-quadrature-overflow", "text-point",
-            "boolean-point", "huge-vector-part", "text-nu", "text-index"])
+            "boolean-point", "huge-vector-part", "fock-exact-huge-vector-part",
+            "text-nu", "text-index"])
     def test_refusal_exits_2_naming_the_field(self, tmp_path, capsys, flags,
                                               hermite, point, field):
         first = [[0.1, 0.2], [0, 0]] if "--dim" in flags else [0.1, 0, 0, 0]

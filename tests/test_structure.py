@@ -35,13 +35,15 @@ def _owners(pattern: str) -> set:
                                      "@ rows.conj().T", "as_integer_ratio",
                                      "math.sqrt(k / (k + 1))",
                                      "0.5 * (nu + phi",
-                                     'method not in ("auto", "quadrature")'],
+                                     'method not in ("auto", "quadrature")',
+                                     "acc *= z", "qmul(unit_q"],
                          ids=["subnormal-rescale", "slice-envelope-exponent",
                               "segal-bargmann-prefactor-power",
                               "factorial-weight", "largest-axis-degree",
                               "quaternion-split", "fock-inner-product",
                               "fock-monomial-norm", "hermite-recurrence",
-                              "segal-bargmann-rule", "transform-route"])
+                              "segal-bargmann-rule", "transform-route",
+                              "complex-horner-step", "slice-join"])
 def test_rule_lives_in_one_function(pattern):
     owners = _owners(pattern)
     assert len(owners) == 1, owners

@@ -123,6 +123,17 @@ class TestSBTransform:
             sb_transform(1.0, lambda x: np.zeros(x.shape + (4,)),
                          Quaternion(0, 0, 0, 0), method="quadrature")
 
+    @pytest.mark.parametrize("method", ["auto", "quadrature"])
+    def test_other_phi_is_a_type_error_before_any_point_check(self, method):
+        # the points are malformed too: the type is checked first, and the
+        # message names the class the transform needs on either route
+        phi_d = HermiteCoeffFunctionD(2.0, 1, (((1,), 1.0),))
+        with pytest.raises(TypeError, match="needs a HermiteCoeffFunction$"):
+            sb_transform(2.0, phi_d, [0.0, 0.0], method=method)
+        with pytest.raises(TypeError, match="needs a HermiteCoeffFunctionD$"):
+            rbf_sb_transform_d(1.0, 1, hermite_basis_l2(2.0, 1), [0.1j, 0.2j],
+                               method)
+
 
 class TestRBFSBKernel:
     def test_envelope_match(self):

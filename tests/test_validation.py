@@ -327,6 +327,18 @@ def test_slice_decompose_refuses_vector_norm_beyond_double_range():
         slice_decompose(_HUGE_Q)
 
 
+@pytest.mark.parametrize("call", [
+    lambda q: sb_transform(2.0, hermite_basis_l2(2.0, 0), q),
+    lambda q: sb_transform(2.0, hermite_basis_l2(1.0, 0), q),
+    lambda q: rbf_sb_transform(1.0, hermite_basis_l2(2.0, 0), q)],
+    ids=["sb_transform-exact", "sb_transform-quadrature", "rbf_sb_transform"])
+def test_transforms_refuse_vector_norm_beyond_double_range(call):
+    # every slice transform decomposes its points, the exact route too
+    with pytest.raises(ValueError, match=r"vector part of \[0.0, 1.5e\+308, "
+                                         r"1.5e\+308, 0.0\] has a norm beyond"):
+        call([0.0, 1.5e308, 1.5e308, 0.0])
+
+
 def test_cli_kernel_names_pair_with_huge_vector_part(tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"kernel": "rbf-qslice", "gamma": 1.0,
