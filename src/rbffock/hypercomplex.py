@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Quaternion:
     """Element w + x*i + y*j + z*k of the real quaternion algebra."""
 
@@ -47,11 +47,13 @@ class Quaternion:
     y: float
     z: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "w", float(self.w))
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
+    def __init__(self, w: float, x: float, y: float, z: float) -> None:
+        # each component coerced and set once: the frozen dataclass's own
+        # __init__ and a __post_init__ would set it twice
+        object.__setattr__(self, "w", float(w))
+        object.__setattr__(self, "x", float(x))
+        object.__setattr__(self, "y", float(y))
+        object.__setattr__(self, "z", float(z))
 
     @classmethod
     def from_real(cls, value: float) -> "Quaternion":
@@ -129,7 +131,7 @@ class Quaternion:
         return NotImplemented
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ImaginaryUnit:
     """Unit imaginary quaternion I (zero real part, |I| = 1, so I*I = -1)."""
 
@@ -137,10 +139,10 @@ class ImaginaryUnit:
     y: float
     z: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
+    def __init__(self, x: float, y: float, z: float) -> None:
+        object.__setattr__(self, "x", float(x))
+        object.__setattr__(self, "y", float(y))
+        object.__setattr__(self, "z", float(z))
         n = math.hypot(self.x, self.y, self.z)
         # written so that a NaN norm fails it too
         if not abs(n - 1.0) <= 1e-9:

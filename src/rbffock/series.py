@@ -297,7 +297,7 @@ def cauchy_mul(f: QPowerSeries, g: QPowerSeries,
         if s != 0.0:
             n = min(len(a), out_degree + 1 - j)
             out[j:j + n] += a[:n] * s
-    return QPowerSeries(tuple(Quaternion(*row) for row in out))
+    return QPowerSeries(tuple(Quaternion(*row) for row in out.tolist()))
 
 
 def beta_coeffs(gamma: float, coeffs: Sequence[Quaternion], k_max: int,

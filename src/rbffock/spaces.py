@@ -279,16 +279,28 @@ class RBFSliceSpace(_RBFSpace):
     def inner_product_direct(self, f, g) -> Quaternion:
         """Direct-weight route: pointwise values times exp(-4y^2/gamma^2),
         with the rule's Gaussian compensated explicitly."""
-        f, g = self._require_member(f), self._require_member(g)
-        grid = exact_grid(f.series.degree + g.series.degree, self.quad_order, self.nu)
+        return Quaternion(*self._direct_pairs([f], [g])[0])
+
+    def _direct_pairs(self, fs: Sequence, gs: Sequence) -> np.ndarray:
+        """<f_a, g_a>, shape (n, 4), by the direct-weight route, on one grid
+        (the smallest exact for the highest degree of a pair) and one weight.
+        Each pair is its own ``_grid_pair`` sum, so a pair keeps the bits it
+        has alone on that grid, and no n x n product is held."""
+        fs = [self._require_member(f) for f in fs]
+        gs = [self._require_member(g) for g in gs]
+        grid = exact_grid(max(f.series.degree + g.series.degree
+                              for f, g in zip(fs, gs)), self.quad_order, self.nu)
         (x, y, _), unit = grid, self._fock.unit
-        vals_f = f.eval_slice_grid(x, y, unit)
-        vals_g = vals_f if g is f else g.eval_slice_grid(x, y, unit)
         comp = np.exp(-4.0 * y * y / (self.gamma * self.gamma)
-                      + self.nu * (x ** 2 + y ** 2))
-        # 2/(pi gamma^2) = nu/pi, so the Fock rule's sum applies as it is
-        return Quaternion(*self._fock._grid_pair(
-            grid, vals_f[None] * comp[..., None], vals_g[None])[0, 0])
+                      + self.nu * (x ** 2 + y ** 2))[..., None]
+        out = np.empty((len(fs), 4))
+        for a, (f, g) in enumerate(zip(fs, gs)):
+            vals_f = f.eval_slice_grid(x, y, unit)
+            vals_g = vals_f if g is f else g.eval_slice_grid(x, y, unit)
+            # 2/(pi gamma^2) = nu/pi, so the Fock rule's sum applies as it is
+            out[a] = self._fock._grid_pair(grid, (vals_f * comp)[None],
+                                           vals_g[None])[0, 0]
+        return out
 
 
 def _cd_series(f, dim: int) -> CPowerSeries:

@@ -78,11 +78,18 @@ class CheckResult:
 
 
 def _random_quaternion(rng, scale: float = 1.0) -> Quaternion:
-    return Quaternion(*(scale * rng.uniform(-1.0, 1.0, 4)))
+    return Quaternion(*(scale * rng.uniform(-1.0, 1.0, 4)).tolist())
+
+
+def _qseries(rows: np.ndarray) -> QPowerSeries:
+    """The series whose coefficients are the rows (w, x, y, z) of an array."""
+    return QPowerSeries(tuple(Quaternion(*row) for row in rows.tolist()))
 
 
 def _random_qseries(rng, degree: int) -> QPowerSeries:
-    return QPowerSeries(tuple(_random_quaternion(rng) for _ in range(degree + 1)))
+    """Coefficients uniform in [-1, 1]^4, from one draw; numpy fills the
+    array in order, so the stream is that of one 4-draw per coefficient."""
+    return _qseries(rng.uniform(-1.0, 1.0, (degree + 1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -130,25 +137,28 @@ def crit_rbf_orthonormality() -> list[CheckResult]:
 
 
 def crit_isometry(seed, quad_order) -> list[CheckResult]:
-    """Envelope-stripping map preserves norms: Fock route vs direct weight."""
+    """Envelope-stripping map preserves norms: Fock route vs direct weight,
+    100 draws of degree 24, trial k at gamma = gammas[k % 3], one batch
+    per gamma (the Gram's diagonal; the direct-weight engine)."""
     rng = np.random.default_rng(seed)
     gammas = (0.5, 1.0, 2.0)
+    draws = rng.uniform(-1.0, 1.0, (100, 25, 4))
     worst = 0.0
-    for trial in range(100):
-        gamma = gammas[trial % len(gammas)]
-        f = GaussSeries(gamma, _random_qseries(rng, 24))
+    for start, gamma in enumerate(gammas):
+        fs = [GaussSeries(gamma, _qseries(rows)) for rows in draws[start::3]]
         space = RBFSliceSpace(gamma, UNIT_I, quad_order)
-        fock_route = space.norm_sq(f)
-        direct_route = space.inner_product_direct(f, f).w
-        worst = np.maximum(worst, abs(fock_route - direct_route) / abs(fock_route))
+        fock_route = np.diagonal(space.gram(fs)[..., 0])
+        direct_route = space._direct_pairs(fs, fs)[:, 0]
+        worst = np.maximum(worst, np.max(np.abs(fock_route - direct_route)
+                                         / np.abs(fock_route)))
     return [CheckResult("m-operator-isometry", {"trials": 100, "degree": 24},
                          worst, 1e-10)]
 
 
 def _worst_reproduce(space, draws) -> float:
     """Worst |<f, K_w> - f(w)| / (1 + |f(w)|) over the draws (f, w), or NaN."""
-    return np.max([abs(space.reproduce(f, w) - f.eval(w)) / (1.0 + abs(f.eval(w)))
-                   for f, w in draws])
+    return np.max([abs(got - value) / (1.0 + abs(value)) for got, value in
+                   ((space.reproduce(f, w), f.eval(w)) for f, w in draws)])
 
 
 def crit_reproduce(gamma, seed, quad_order) -> list[CheckResult]:
@@ -255,20 +265,22 @@ def crit_sequential(seed) -> list[CheckResult]:
     sequential-norm-vs-quadrature); beta map vs convolution."""
     rng = np.random.default_rng(seed + 4)
     gammas = (1.0, 2.0, 0.8)
+    fock_parts = [_random_qseries(rng, 16) for _ in range(50)]
     worst_norm = 0.0
-    for trial in range(50):
-        gamma = gammas[trial % len(gammas)]
-        fock_part = _random_qseries(rng, 16)
-        f = GaussSeries(gamma, fock_part)
-        taylor = beta_coeffs(gamma, fock_part.coeffs, 32, sign=-1)
-        seq = sequential_norm(gamma, taylor, 32)
-        fock = RBFSliceSpace(gamma, UNIT_I).norm_sq(f)
-        worst_norm = np.maximum(worst_norm, abs(seq - fock) / abs(fock))
+    # trial k at gamma = gammas[k % 3], the Fock route one Gram per gamma
+    for start, gamma in enumerate(gammas):
+        parts = fock_parts[start::3]
+        fock = np.diagonal(RBFSliceSpace(gamma, UNIT_I).gram(
+            [GaussSeries(gamma, part) for part in parts])[..., 0])
+        seq = np.array([sequential_norm(gamma, beta_coeffs(
+            gamma, part.coeffs, 32, sign=-1), 32) for part in parts])
+        worst_norm = np.maximum(worst_norm, np.max(np.abs(seq - fock)
+                                                   / np.abs(fock)))
 
     worst_beta = 0.0
     for _ in range(10):
         gamma = 1.0 + rng.uniform(-0.3, 0.8)
-        a = [_random_quaternion(rng) for _ in range(25)]
+        a = _random_qseries(rng, 24).coeffs
         betas = beta_coeffs(gamma, a, 24)
         # brute-force Cauchy product against the explicit exponential series
         for k in range(25):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -68,6 +69,54 @@ class TestAlgebra:
         assert Quaternion.from_list(q.to_list()) == q
         with pytest.raises(ValueError):
             Quaternion.from_list([1.0, 2.0])
+
+
+class TestConstruction:
+    """Quaternion and ImaginaryUnit coerce each component once, in their
+    own __init__; what the dataclass made of them stays as it was."""
+
+    @pytest.mark.parametrize("kind", [int, np.float64, np.int64],
+                             ids=["int", "float64", "int64"])
+    def test_components_are_python_floats(self, kind):
+        q = Quaternion(kind(1), kind(-2), kind(3), kind(0))
+        u = ImaginaryUnit(kind(0), kind(1), kind(0))
+        for value in (q.w, q.x, q.y, q.z, u.x, u.y, u.z):
+            assert type(value) is float
+        assert q.to_list() == [1.0, -2.0, 3.0, 0.0]
+        assert u.to_list() == [0.0, 0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("value, field", [
+        (Quaternion(1, 2, 3, 4), "w"), (Quaternion(1, 2, 3, 4), "z"),
+        (ImaginaryUnit(1, 0, 0), "x")])
+    def test_fields_are_frozen(self, value, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, 0.0)
+        assert not hasattr(value, "__dict__")
+
+    def test_equality_hash_repr_and_replace(self):
+        q = Quaternion(1, 2.5, np.float64(-3), np.int64(4))
+        assert q == Quaternion(1.0, 2.5, -3.0, 4.0)
+        assert q != Quaternion(1.0, 2.5, -3.0, 4.5)
+        assert hash(q) == hash((1.0, 2.5, -3.0, 4.0))
+        assert repr(q) == "Quaternion(w=1.0, x=2.5, y=-3.0, z=4.0)"
+        assert Quaternion(w=1, x=2, y=3, z=4) == Quaternion(1, 2, 3, 4)
+        moved = dataclasses.replace(q, x=np.int64(7))
+        assert moved == Quaternion(1.0, 7.0, -3.0, 4.0)
+        assert type(moved.x) is float
+        u = ImaginaryUnit(0, 1, 0)
+        assert u == ImaginaryUnit(0.0, 1.0, 0.0)
+        assert hash(u) == hash((0.0, 1.0, 0.0))
+        assert repr(u) == "ImaginaryUnit(x=0.0, y=1.0, z=0.0)"
+        assert dataclasses.replace(u, y=0, z=-1) == ImaginaryUnit(0, 0, -1)
+
+    @pytest.mark.parametrize("parts", [(1.0, 1.0, 0.0), (0.0, 0.0, 0.0),
+                                       (math.nan, 0.0, 0.0),
+                                       (1.0, math.nan, 0.0)])
+    def test_imaginary_unit_refuses_a_non_unit_or_nan_norm(self, parts):
+        with pytest.raises(ValueError, match="imaginary unit must have norm 1"):
+            ImaginaryUnit(*parts)
+        with pytest.raises(ValueError, match="imaginary unit must have norm 1"):
+            dataclasses.replace(ImaginaryUnit(1, 0, 0), x=parts[0], y=parts[1])
 
 
 class TestImaginaryUnit:

@@ -150,6 +150,24 @@ class TestRBFSliceSpace:
             assert_qclose(space.inner_product_direct(a, b),
                           space.inner_product(a, b), tol=1e-10)
 
+    def test_direct_batch_equals_the_route_pair_by_pair(self):
+        """The batch engine sums every pair on the grid of its highest
+        degree: each pair matches inner_product_direct, which runs on the
+        pair's own smallest exact grid, to 1e-13 of the norms."""
+        rng = np.random.default_rng(29)
+        gamma = 0.8
+        space = RBFSliceSpace(gamma, UNIT_TILTED)
+        fs, gs = ([GaussSeries(gamma, QPowerSeries(
+            tuple(random_quaternion(rng) for _ in range(d + 1)))) for d in degrees]
+            for degrees in ((0, 3, 11, 24, 7, 9), (5, 3, 2, 24, 13, 0)))
+        gs[2] = fs[2]
+        got = space._direct_pairs(fs, gs)
+        assert got.shape == (6, 4)
+        for row, f, g in zip(got, fs, gs):
+            want = np.array(space.inner_product_direct(f, g).to_list())
+            scale = math.sqrt(space.norm_sq(f) * space.norm_sq(g))
+            assert np.abs(row - want).max() <= 1e-13 * scale
+
     def test_kernel_self_inner_product(self):
         # <K^q, K^p> = K(p, q): represent K^q by its Gaussian-enveloped
         # series, coefficients (nu^n/n!) conj(q)^n exp(-conj(q)^2/g^2)
