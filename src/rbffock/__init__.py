@@ -14,9 +14,8 @@ from .bases import (hermite_h, hermite_psi, hermite_psi_all, rbf_basis_c,
                     rbf_basis_series_d)
 from .gram import (GramMatrix, PsdReport, build_gram, psd_check,
                    quat_matrix_to_complex)
-from .hypercomplex import (I_DEFAULT, ImaginaryUnit, Quaternion, SlicePoint,
-                           embed_in_slice, intrinsic_exp_sq, slice_decompose,
-                           star_exp)
+from .hypercomplex import (I_DEFAULT, ImaginaryUnit, Quaternion, embed_in_slice,
+                           intrinsic_exp_sq, slice_decompose, star_exp)
 from .kernels import (KERNELS, NORMALIZATIONS, KernelSpec, exponential_kernel,
                       fock_kernel_d, kernel_sum_tail_bound,
                       kernel_sum_truncated, polynomial_kernel, rbf_kernel_c,

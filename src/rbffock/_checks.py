@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 
 import numpy as np
 
@@ -12,6 +13,16 @@ def positive_finite(name: str, value) -> None:
     """Raise ValueError naming ``name`` unless 0 < value < inf; NaN fails."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def whole_number(name: str, value, minimum: int = 0) -> int:
+    """value as an int; raise ValueError naming ``name`` unless it is a
+    whole number of at least ``minimum``."""
+    if not (isinstance(value, numbers.Real) and value >= minimum
+            and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number of at least "
+                         f"{minimum}, got {value!r}")
+    return int(value)
 
 
 def _first_point(points, ok) -> list:

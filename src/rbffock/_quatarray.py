@@ -1,10 +1,10 @@
 """Vectorized quaternion arithmetic on numpy arrays of shape (..., 4).
 
 Internal helpers used by the quadrature and function-space code.  The last
-axis holds the components (w, x, y, z); slice grids are embedded from their
-(x, y) coordinates and a unit imaginary quaternion.  Points are decomposed
-into slices by the per-point rule of ``hypercomplex.slice_parts``, mapped
-over the rows (``slice_decompose_arr``).
+axis holds the components (w, x, y, z); a point of a slice is its complex
+coordinate z and the slice's unit imaginary quaternion.  Points are
+decomposed into slices by the per-point rule of ``hypercomplex.slice_parts``,
+mapped over the rows (``slice_decompose_arr``).
 
 Series are evaluated on a slice C_I by the splitting lemma (Gentili and
 Struppa, Adv. Math. 216, 2007): with J orthogonal to I and K = IJ, each
@@ -25,6 +25,7 @@ import numpy as np
 
 from ._checks import finite_points
 from .hypercomplex import ImaginaryUnit, Quaternion, slice_parts, star_exp_on_slice
+from .quadrature import _complex_of
 
 CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
@@ -48,10 +49,10 @@ def qconj(a: np.ndarray) -> np.ndarray:
 def slice_decompose_arr(q: np.ndarray):
     """``hypercomplex.slice_decompose`` of every point of q, shape (..., 4).
 
-    Returns x, y of shape (...) and the units, shape (..., 3), by the one
-    per-point rule ``hypercomplex.slice_parts``.  Raises ValueError naming
-    the first point with a non-finite component or a vector part whose
-    norm leaves double range.
+    Returns z, complex of shape (...), and the units, shape (..., 3), by
+    the one per-point rule ``hypercomplex.slice_parts``.  Raises
+    ValueError naming the first point with a non-finite component or a
+    vector part whose norm leaves double range.
     """
     q = np.asarray(q, dtype=float)
     finite_points(q)
@@ -62,7 +63,7 @@ def slice_decompose_arr(q: np.ndarray):
     if (y == math.inf).any():
         raise ValueError(f"the vector part of {q[y == math.inf][0].tolist()} "
                          "has a norm beyond double range")
-    return q[..., 0], y, parts[..., 1:]
+    return _complex_of(q[..., 0], y), parts[..., 1:]
 
 
 def slice_frame(unit: ImaginaryUnit) -> np.ndarray:
@@ -133,20 +134,18 @@ def join_pair(pair: np.ndarray, unit: ImaginaryUnit) -> np.ndarray:
                                  for c in range(3)], axis=-1)
 
 
-def horner_slice(coeffs, x: np.ndarray, y: np.ndarray, unit: ImaginaryUnit) -> np.ndarray:
-    """Evaluate sum_n q^n a_n over the slice grid q = x + unit*y.
+def horner_slice(coeffs, z: np.ndarray, unit: ImaginaryUnit) -> np.ndarray:
+    """Evaluate sum_n q^n a_n over the slice grid q = Re z + unit*Im z.
 
     ``coeffs`` is a sequence of Quaternion; powers of q multiply from the
     left.  The sum is the complex pair of ``split_horner``, mapped back to
     components (w, x, y, z) along the last axis.
     """
-    z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
     return join_pair(split_horner(coeffs, z, unit), unit)
 
 
-def star_exp_grid(nu: float, x: np.ndarray, y: np.ndarray, unit: ImaginaryUnit,
+def star_exp_grid(nu: float, z: np.ndarray, unit: ImaginaryUnit,
                   p: Quaternion) -> np.ndarray:
     """Star exponential sum_n nu^n q^n conj(p)^n / n! over the slice grid
-    q = x + unit*y, in closed form (see ``hypercomplex.star_exp_on_slice``)."""
-    z = np.asarray(x, dtype=float) + 1j * np.asarray(y, dtype=float)
+    q = Re z + unit*Im z, in closed form (``hypercomplex.star_exp_on_slice``)."""
     return star_exp_on_slice(nu, z, unit, p)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._checks import finite_points, finite_values, positive_finite
+from ._checks import finite_points, finite_values, positive_finite, whole_number
 from .hypercomplex import (Quaternion, embed_in_slice, envelope_exponent,
                            slice_decompose)
 from .quadrature import _orthonormal_hermite
@@ -98,7 +98,7 @@ def rbf_basis_coeff(gamma: float, n) -> float:
     or a multi-index n given as a tuple, from log nu = log 2 - 2 log gamma."""
     positive_finite("gamma", gamma)
     return basis_coeff(math.log(2.0) - 2.0 * math.log(gamma),
-                       n if isinstance(n, tuple) else (n,))
+                       n if isinstance(n, tuple) else (whole_number("n", n),))
 
 
 def rbf_basis_c(gamma: float, n: int, z: complex) -> complex:
@@ -108,7 +108,7 @@ def rbf_basis_c(gamma: float, n: int, z: complex) -> complex:
     return finite_values(
         "the rbf basis value",
         lambda: rbf_basis_coeff(gamma, n) * z ** n * cmath.exp(
-            envelope_exponent(gamma, z.real, z.imag)),
+            envelope_exponent(gamma, z)),
         [z], numpy=isinstance(z, np.generic) or isinstance(gamma, np.generic))
 
 
@@ -118,8 +118,8 @@ def rbf_basis_q(gamma: float, n: int, q: Quaternion) -> Quaternion:
     Intrinsic (real coefficients), so the monomial and the Gaussian
     envelope commute; evaluated by complex arithmetic on the slice of q.
     """
-    sp = slice_decompose(q)
-    return embed_in_slice(rbf_basis_c(gamma, n, complex(sp.x, sp.y)), sp.unit)
+    z, unit = slice_decompose(q)
+    return embed_in_slice(rbf_basis_c(gamma, n, z), unit)
 
 
 def rbf_basis_d(gamma: float, index: Sequence[int], z: Sequence[complex]) -> complex:

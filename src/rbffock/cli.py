@@ -444,7 +444,8 @@ def cmd_basis(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    only = [name.strip() for name in args.only.split(",")] if args.only else None
+    only = (None if args.only is None
+            else [name.strip() for name in args.only.split(",")])
     unknown = [n for n in only or () if n not in CRITERIA]
     if unknown:
         raise InputError(f"verify: unknown criteria {unknown}; "

@@ -8,8 +8,10 @@ envelopes) is evaluated by ordinary complex arithmetic on the slice and
 re-embedded.  The star exponential of two points on different slices is
 likewise a fixed combination of two complex exponentials.
 
-The slice decomposition of one point (``slice_parts``) and the envelope
-exponent -q^2/gamma^2 (``envelope_exponent``) are written once, here.
+A point of a slice is its complex coordinate z and its unit I
+(``slice_decompose``, inverted by ``embed_in_slice``).  The slice
+decomposition of one point (``slice_parts``) and the envelope exponent
+-z^2/gamma^2 (``envelope_exponent``) are written once, here.
 
 All values here are immutable; operations are pure functions.
 """
@@ -29,7 +31,6 @@ from .quadrature import _complex_of
 __all__ = [
     "Quaternion",
     "ImaginaryUnit",
-    "SlicePoint",
     "I_DEFAULT",
     "slice_decompose",
     "embed_in_slice",
@@ -172,23 +173,6 @@ class ImaginaryUnit:
 I_DEFAULT = ImaginaryUnit(1.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True, slots=True)
-class SlicePoint:
-    """Coordinates (x, y) of a quaternion x + I*y on the slice C_I.
-
-    The canonical decomposition of a non-real quaternion has y > 0; as a
-    plain coordinate container (e.g. quadrature grids) y may be any real.
-    """
-
-    x: float
-    y: float
-    unit: ImaginaryUnit
-
-    def to_quaternion(self) -> Quaternion:
-        u = self.unit
-        return Quaternion(self.x, u.x * self.y, u.y * self.y, u.z * self.y)
-
-
 def slice_parts(x: float, y: float, z: float) -> tuple[float, ...]:
     """(v, I) with v I = x i + y j + z k, as four floats: v is math.hypot
     of the parts and I = i for v = 0.  A v that is not finite (a part that
@@ -204,12 +188,13 @@ def slice_parts(x: float, y: float, z: float) -> tuple[float, ...]:
     return v, x / v, y / v, z / v
 
 
-def slice_decompose(q: Quaternion) -> SlicePoint:
-    """Write q as x + I*y with y > 0 and I a unit imaginary quaternion.
+def slice_decompose(q: Quaternion) -> tuple[complex, ImaginaryUnit]:
+    """(z, I) with q = Re z + I*Im z, Im z >= 0 and I a unit imaginary
+    quaternion: the inverse of ``embed_in_slice``.
 
-    A real quaternion lies on every slice; it is returned with y = 0 and
-    the default unit i.  A quaternion with a non-finite component, or a
-    vector part whose norm leaves double range, raises ValueError.
+    A real quaternion lies on every slice; it is returned with Im z = 0
+    and the default unit i.  A quaternion with a non-finite component, or
+    a vector part whose norm leaves double range, raises ValueError.
     """
     v, ux, uy, uz = slice_parts(q.x, q.y, q.z)
     # a NaN or infinite component leaves w or v not finite
@@ -217,7 +202,7 @@ def slice_decompose(q: Quaternion) -> SlicePoint:
         if not all(map(math.isfinite, (q.w, q.x, q.y, q.z))):
             raise ValueError(f"cannot decompose the non-finite quaternion {q}")
         raise ValueError(f"the vector part of {q} has a norm beyond double range")
-    return SlicePoint(q.w, v, ImaginaryUnit(ux, uy, uz))
+    return complex(q.w, v), ImaginaryUnit(ux, uy, uz)
 
 
 def embed_in_slice(value: complex, unit: ImaginaryUnit) -> Quaternion:
@@ -226,11 +211,12 @@ def embed_in_slice(value: complex, unit: ImaginaryUnit) -> Quaternion:
                       unit.y * value.imag, unit.z * value.imag)
 
 
-def envelope_exponent(gamma: float, x, y):
-    """-(x + iy)^2/gamma^2, a complex for floats x, y, else an array: by
-    components, as complex arithmetic rounds them, but without the NaN it
-    makes of 0 * inf."""
+def envelope_exponent(gamma: float, z):
+    """-z^2/gamma^2, a complex for a complex z, else an array: by the
+    components x, y of z, as complex arithmetic rounds them, but without
+    the NaN it makes of 0 * inf."""
     g2 = float(gamma) * float(gamma)
+    x, y = z.real, z.imag
     re, im = -(x * x - y * y) / g2, -2.0 * x * y / g2
     return complex(re, im) if isinstance(re, float) else _complex_of(re, im)
 
@@ -243,12 +229,11 @@ def intrinsic_exp_sq(gamma: float, q: Quaternion) -> Quaternion:
     OverflowError, naming gamma and q, when the value is not finite.
     """
     positive_finite("gamma", gamma)
-    sp = slice_decompose(q)
+    z, unit = slice_decompose(q)
     value = finite_values(
-        "exp(-q^2/gamma^2)",
-        lambda: cmath.exp(envelope_exponent(gamma, sp.x, sp.y)),
+        "exp(-q^2/gamma^2)", lambda: cmath.exp(envelope_exponent(gamma, z)),
         q, numpy=False, gamma=gamma)
-    return embed_in_slice(value, sp.unit)
+    return embed_in_slice(value, unit)
 
 
 def star_exp_on_slice(nu: float, z, unit: ImaginaryUnit, p: Quaternion):
@@ -263,9 +248,8 @@ def star_exp_on_slice(nu: float, z, unit: ImaginaryUnit, p: Quaternion):
     nu Re(z w) passes log(DBL_MAX) ~ 709.78, or an exponent is not finite.
     """
     positive_finite("nu", nu)
-    sp = slice_decompose(p)
-    w = complex(sp.x, sp.y)
-    i, j = unit, sp.unit
+    w, j = slice_decompose(p)
+    i = unit
     # I*J term for term as Quaternion.__mul__ rounds it, real parts 0.0
     ij_w = 0.0 * 0.0 - i.x * j.x - i.y * j.y - i.z * j.z
     ij_x = 0.0 * j.x + i.x * 0.0 + i.y * j.z - i.z * j.y
@@ -296,5 +280,4 @@ def star_exp(nu: float, q: Quaternion, p: Quaternion) -> Quaternion:
     closed form (``star_exp_on_slice``) is accurate to rounding; it raises
     OverflowError once an exponent's real part passes log(DBL_MAX) ~ 709.78.
     """
-    sq = slice_decompose(q)
-    return star_exp_on_slice(nu, complex(sq.x, sq.y), sq.unit, p)
+    return star_exp_on_slice(nu, *slice_decompose(q), p)

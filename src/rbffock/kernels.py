@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite_points, finite_values, nu_from_gamma, positive_finite
+from ._checks import (finite_points, finite_values, nu_from_gamma, positive_finite,
+                      whole_number)
 from .bases import rbf_basis_q
 from .hypercomplex import Quaternion, intrinsic_exp_sq, star_exp
 from .series import basis_coeff
@@ -146,8 +147,7 @@ def kernel_sum_tail_bound(gamma: float, q: Quaternion, p: Quaternion,
 
 def polynomial_kernel(degree: int, x, y):
     """(1 + <x, y>)^degree on R^d."""
-    if not (float(degree).is_integer() and degree >= 1):
-        raise ValueError("polynomial degree must be a whole number of at least 1")
+    whole_number("degree", degree, 1)
     x, y = _points(x, y, float)
     return finite_values("the polynomial kernel value",
                          lambda: (1.0 + np.sum(x * y, axis=-1)) ** degree)

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import _quatarray as qa
-from ._checks import finite_points, finite_values, positive_finite
+from ._checks import finite_points, finite_values, positive_finite, whole_number
 from .hypercomplex import (ImaginaryUnit, Quaternion, envelope_exponent,
                            intrinsic_exp_sq)
 
@@ -68,6 +68,7 @@ class QPowerSeries:
 
     @classmethod
     def monomial(cls, degree: int, coeff=1.0) -> "QPowerSeries":
+        degree = whole_number("degree", degree)
         return cls((_ZERO,) * degree + (_as_quaternion(coeff),))
 
     @classmethod
@@ -76,6 +77,7 @@ class QPowerSeries:
         positive_finite("gamma", gamma)
         if sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
+        degree = whole_number("degree", degree)
         coeffs = [_ZERO] * (degree + 1)
         c = 1.0
         coeffs[0] = Quaternion.from_real(1.0)
@@ -99,16 +101,14 @@ class QPowerSeries:
             lambda acc, a: a + q * acc, self.coeffs[-2::-1], self.coeffs[-1]),
             q, numpy=False)
 
-    def eval_slice_grid(self, x, y, unit: ImaginaryUnit) -> np.ndarray:
-        """Values over the slice grid q = x + unit*y, shape (..., 4).
+    def eval_slice_grid(self, z, unit: ImaginaryUnit) -> np.ndarray:
+        """Values over the slice grid q = Re z + unit*Im z, shape (..., 4).
         Raises OverflowError naming the first point whose value is not
         finite, as ``GaussSeries.eval_slice_grid`` does."""
-        def points():
-            return (np.asarray(x, dtype=float)
-                    + 1j * np.asarray(y, dtype=float))[..., None]
+        z = np.asarray(z, dtype=complex)
         return finite_values("the series value on a slice",
-                             lambda: qa.horner_slice(self.coeffs, x, y, unit),
-                             points, unit=unit)
+                             lambda: qa.horner_slice(self.coeffs, z, unit),
+                             z[..., None], unit=unit)
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,15 @@ class GaussSeries:
         return finite_values("the series value", lambda: env * value, q,
                              numpy=False)
 
-    def eval_slice_grid(self, x, y, unit: ImaginaryUnit) -> np.ndarray:
-        """Values over q = x + unit*y, shape (..., 4).  The envelope lies
-        in C_unit and multiplies from the left, so it scales both complex
-        parts F1, F2 of the series (``_quatarray.split_horner``).  Raises
-        OverflowError naming the first point whose value is not finite."""
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        z = x + 1j * y
+    def eval_slice_grid(self, z, unit: ImaginaryUnit) -> np.ndarray:
+        """Values over q = Re z + unit*Im z, shape (..., 4).  The envelope
+        lies in C_unit and multiplies from the left, so it scales both
+        complex parts F1, F2 of the series (``_quatarray.split_horner``).
+        Raises OverflowError naming the first point whose value is not
+        finite."""
+        z = np.asarray(z, dtype=complex)
         return finite_values("the series value on a slice", lambda: qa.join_pair(
-            np.exp(envelope_exponent(self.gamma, x, y))
+            np.exp(envelope_exponent(self.gamma, z))
             * qa.split_horner(self.series.coeffs, z, unit), unit),
             z[..., None], unit=unit)
 
@@ -148,13 +148,6 @@ class GaussSeries:
 
 def multi_order(index: Sequence[int]) -> int:
     return int(sum(index))
-
-
-def dimension(dim) -> int:
-    """dim as an int; raises ValueError naming it unless a whole number >= 1."""
-    if not (isinstance(dim, numbers.Real) and dim >= 1 and float(dim).is_integer()):
-        raise ValueError(f"dim must be a whole number of at least 1, got {dim!r}")
-    return int(dim)
 
 
 def multi_index(index, dim: int) -> tuple[int, ...]:
@@ -196,6 +189,9 @@ def axis_degree(terms) -> int:
 
 def multi_indices(dim: int, max_order: int) -> Iterator[tuple[int, ...]]:
     """All indices of length ``dim`` with |n| <= max_order, graded order."""
+    dim = whole_number("dim", dim, 1)
+    max_order = whole_number("max_order", max_order)
+
     def gen(order, d):
         if d == 1:
             yield (order,)
@@ -204,8 +200,7 @@ def multi_indices(dim: int, max_order: int) -> Iterator[tuple[int, ...]]:
             for rest in gen(order - first, d - 1):
                 yield (first,) + rest
 
-    for order in range(max_order + 1):
-        yield from gen(order, dim)
+    return (index for order in range(max_order + 1) for index in gen(order, dim))
 
 
 @dataclass(frozen=True)
@@ -216,7 +211,7 @@ class CPowerSeries:
     terms: tuple[tuple[tuple[int, ...], complex], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", dimension(self.dim))
+        object.__setattr__(self, "dim", whole_number("dim", self.dim, 1))
         object.__setattr__(self, "terms", multi_index_terms(self.terms, self.dim))
 
     @property
@@ -289,7 +284,7 @@ def cauchy_mul(f: QPowerSeries, g: QPowerSeries,
         raise ValueError("left factor must have real (intrinsic) coefficients")
     out_degree = f.degree + g.degree
     if max_degree is not None:
-        out_degree = min(out_degree, max_degree)
+        out_degree = min(out_degree, whole_number("max_degree", max_degree))
     a = np.array([c.to_list() for c in g.coeffs])
     out = np.zeros((out_degree + 1, 4))
     # term j adds s_j a_{k-j} to every coefficient k at once, in the order of j
@@ -308,6 +303,7 @@ def beta_coeffs(gamma: float, coeffs: Sequence[Quaternion], k_max: int,
     Cauchy product with the envelope's series, each a finite exact sum;
     indices of ``coeffs`` beyond its length count as zero.
     """
+    k_max = whole_number("k_max", k_max)
     envelope = QPowerSeries.exp_sq(gamma, sign, k_max)
     return cauchy_mul(envelope, QPowerSeries(tuple(coeffs)), k_max).coeffs
 

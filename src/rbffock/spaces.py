@@ -28,12 +28,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _quatarray as qa
-from ._checks import finite_points, finite_values, nu_from_gamma, positive_finite
+from ._checks import (finite_points, finite_values, nu_from_gamma, positive_finite,
+                      whole_number)
 from .hypercomplex import I_DEFAULT, ImaginaryUnit, Quaternion
 from .quadrature import (DEFAULT_QUAD_ORDER, exact_order, gauss_hermite,
                          integrate_rd, rule_order)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
-                     beta_coeffs, dimension)
+                     beta_coeffs)
 
 __all__ = [
     "FockSliceSpace",
@@ -55,11 +56,10 @@ def _slice_series(f) -> QPowerSeries:
 
 class _Grid(NamedTuple):
     """The tensor Gauss-Hermite rule of one order on a plane (a slice, or
-    one complex coordinate): the (M, M) meshes of x and y (indexing "ij")
-    and the M^2 weights w_a w_b."""
+    one complex coordinate): the (M, M) complex mesh z = x + iy (indexing
+    "ij") and the M^2 weights w_a w_b."""
 
-    x: np.ndarray
-    y: np.ndarray
+    z: np.ndarray
     w: np.ndarray
 
 
@@ -68,7 +68,7 @@ def _grid(order: int, nu: float) -> _Grid:
     """Built once per (order, nu) and shared, so its arrays are read-only."""
     rule = gauss_hermite(order, nu)
     x, y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-    grid = _Grid(x, y, (rule.weights[:, None] * rule.weights[None, :]).ravel())
+    grid = _Grid(x + 1j * y, (rule.weights[:, None] * rule.weights[None, :]).ravel())
     for array in grid:
         array.setflags(write=False)
     return grid
@@ -206,10 +206,10 @@ class FockSliceSpace:
         f(w) for f in the space."""
         f = _slice_series(f)
         exact_order(f.degree, self.quad_order, "series degree")
-        x, y, _ = grid = _grid(self.quad_order, self.nu)
+        z, _ = grid = _grid(self.quad_order, self.nu)
         return Quaternion(*self._grid_pair(
-            grid, f.eval_slice_grid(x, y, self.unit)[None],
-            qa.star_exp_grid(self.nu, x, y, self.unit, w)[None])[0, 0])
+            grid, f.eval_slice_grid(z, self.unit)[None],
+            qa.star_exp_grid(self.nu, z, self.unit, w)[None])[0, 0])
 
 
 class _RBFSpace:
@@ -290,13 +290,14 @@ class RBFSliceSpace(_RBFSpace):
         gs = [self._require_member(g) for g in gs]
         grid = exact_grid(max(f.series.degree + g.series.degree
                               for f, g in zip(fs, gs)), self.quad_order, self.nu)
-        (x, y, _), unit = grid, self._fock.unit
+        (z, _), unit = grid, self._fock.unit
+        x, y = z.real, z.imag
         comp = np.exp(-4.0 * y * y / (self.gamma * self.gamma)
                       + self.nu * (x ** 2 + y ** 2))[..., None]
         out = np.empty((len(fs), 4))
         for a, (f, g) in enumerate(zip(fs, gs)):
-            vals_f = f.eval_slice_grid(x, y, unit)
-            vals_g = vals_f if g is f else g.eval_slice_grid(x, y, unit)
+            vals_f = f.eval_slice_grid(z, unit)
+            vals_g = vals_f if g is f else g.eval_slice_grid(z, unit)
             # 2/(pi gamma^2) = nu/pi, so the Fock rule's sum applies as it is
             out[a] = self._fock._grid_pair(grid, (vals_f * comp)[None],
                                            vals_g[None])[0, 0]
@@ -323,7 +324,7 @@ class FockCSpace:
     def __init__(self, alpha: float, dim: int, quad_order: int = DEFAULT_QUAD_ORDER):
         positive_finite("alpha", alpha)
         self.alpha = alpha
-        self.dim = dimension(dim)
+        self.dim = whole_number("dim", dim, 1)
         self.quad_order = rule_order(quad_order)
 
     def _sums(self, functions, part) -> np.ndarray:
@@ -359,7 +360,7 @@ class FockCSpace:
             raise ValueError("evaluation point has the wrong dimension")
         finite_points(w)
         grid = _grid(self.quad_order, self.alpha)
-        z = (grid.x + 1j * grid.y).ravel()
+        z = grid.z.ravel()
         powers = np.vander(z, f.max_axis_degree + 1, increasing=True).T
         return finite_values("the reproduced value", lambda: (
             self.alpha / math.pi) ** self.dim * integrate_rd(grid.w, [
@@ -398,6 +399,7 @@ def m_operator(gamma: float, direction: int, f, out_degree: int | None = None):
             raise ValueError("envelope gamma does not match the operator")
         return f.series
     if isinstance(f, QPowerSeries):
-        k_max = out_degree if out_degree is not None else max(f.degree, _M_OUT_DEGREE)
+        k_max = (whole_number("out_degree", out_degree) if out_degree is not None
+                 else max(f.degree, _M_OUT_DEGREE))
         return QPowerSeries(beta_coeffs(gamma, f.coeffs, k_max, sign=direction))
     raise TypeError("m_operator acts on QPowerSeries or GaussSeries")

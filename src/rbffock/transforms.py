@@ -29,7 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from . import _quatarray as qa
-from ._checks import finite_points, finite_values, nu_from_gamma, positive_finite
+from ._checks import (finite_points, finite_values, nu_from_gamma, positive_finite,
+                      whole_number)
 from .bases import hermite_psi_all
 from .hypercomplex import (Quaternion, embed_in_slice, envelope_exponent,
                            slice_decompose)
@@ -37,7 +38,7 @@ from .kernels import NORMALIZATIONS
 from .quadrature import (DEFAULT_QUAD_ORDER, _orthonormal_hermite,
                          exact_order, gauss_hermite, integrate_rd)
 from .series import (CPowerSeries, GaussCSeries, GaussSeries, QPowerSeries,
-                     axis_degree, basis_coeff, dimension, multi_index_terms)
+                     axis_degree, basis_coeff, multi_index_terms)
 
 __all__ = [
     "HermiteCoeffFunction",
@@ -86,6 +87,7 @@ class HermiteCoeffFunction:
 
 def hermite_basis_l2(nu: float, n: int) -> HermiteCoeffFunction:
     """The basis function psi_n itself, as a coefficient vector."""
+    n = whole_number("n", n)
     coeffs = (Quaternion.from_real(0.0),) * n + (Quaternion.from_real(1.0),)
     return HermiteCoeffFunction(nu, coeffs)
 
@@ -100,7 +102,7 @@ class HermiteCoeffFunctionD:
 
     def __post_init__(self) -> None:
         positive_finite("nu", self.nu)
-        object.__setattr__(self, "dim", dimension(self.dim))
+        object.__setattr__(self, "dim", whole_number("dim", self.dim, 1))
         object.__setattr__(self, "terms", multi_index_terms(self.terms, self.dim))
 
     def norm_sq(self) -> float:
@@ -167,12 +169,11 @@ def sb_kernel(nu: float, q: Quaternion, x: float,
     """
     positive_finite("nu", nu)
     finite_points([x])
-    sp = slice_decompose(q)
-    zq = complex(sp.x, sp.y)
+    zq, unit = slice_decompose(q)
     pref = _sb_prefactor(nu, normalization)
     val = finite_values("the Segal-Bargmann kernel value", lambda: pref * cmath.exp(
         -0.5 * nu * (zq * zq + x * x) + nu * math.sqrt(2.0) * zq * x), [q, x])
-    return embed_in_slice(val, sp.unit)
+    return embed_in_slice(val, unit)
 
 
 def sb_image_series(nu: float, phi: HermiteCoeffFunction,
@@ -233,8 +234,7 @@ def sb_transform(nu: float, phi, q, normalization: str = "unitary",
         rule, rows = _sb_rule(nu, phi.nu, phi.degree, quad_order)
         f = (_sb_prefactor(nu, normalization) * rule.weights)[:, None] * (
             rows.T @ np.array([c.to_list() for c in phi.coeffs]))
-    x, y, units = qa.slice_decompose_arr(points.reshape(-1, 4))
-    z = x + 1j * y
+    z, units = qa.slice_decompose_arr(points.reshape(-1, 4))
 
     def values():
         p = np.empty((z.size, 4), dtype=complex)
@@ -257,13 +257,13 @@ def rbf_sb_kernel(gamma: float, q: Quaternion, x: float,
     """
     positive_finite("gamma", gamma)
     finite_points([x])
-    sp = slice_decompose(q)
-    u = x - math.sqrt(2.0) * complex(sp.x, sp.y)
+    zq, unit = slice_decompose(q)
+    u = x - math.sqrt(2.0) * zq
     # gamma^2 may underflow to zero: the division is part of the check
     val = finite_values("the RBF Segal-Bargmann kernel value", lambda: _sb_prefactor(
         2.0 / (gamma * gamma), normalization) * cmath.exp(
         -(u * u) / (gamma * gamma)), [q, x])
-    return embed_in_slice(val, sp.unit)
+    return embed_in_slice(val, unit)
 
 
 def rbf_sb_image_series(gamma: float, phi: HermiteCoeffFunction,
@@ -275,8 +275,8 @@ def rbf_sb_image_series(gamma: float, phi: HermiteCoeffFunction,
 
 def _envelope(gamma: float, q: np.ndarray) -> np.ndarray:
     """exp(-q^2/gamma^2) at points q (..., 4), on the slice of each point."""
-    x, y, units = qa.slice_decompose_arr(q)
-    value = np.exp(envelope_exponent(gamma, x, y))
+    z, units = qa.slice_decompose_arr(q)
+    value = np.exp(envelope_exponent(gamma, z))
     return np.concatenate([value.real[..., None],
                            units * value.imag[..., None]], axis=-1)
 

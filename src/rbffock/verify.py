@@ -23,7 +23,7 @@ from ._checks import finite_values, nu_from_gamma
 from .bases import (hermite_psi_all, rbf_basis_q, rbf_basis_series,
                     rbf_basis_series_d)
 from .gram import build_gram, psd_check, quat_matrix_to_complex
-from .hypercomplex import (ImaginaryUnit, Quaternion, SlicePoint,
+from .hypercomplex import (ImaginaryUnit, Quaternion, embed_in_slice,
                            intrinsic_exp_sq)
 from .kernels import (NORMALIZATIONS, fock_kernel_d, kernel_sum_tail_bound,
                       kernel_sum_truncated, rbf_kernel_c, rbf_kernel_d,
@@ -105,7 +105,7 @@ def crit_fock_orthogonality(quad_order) -> list[CheckResult]:
     for nu in (0.5, 3.0, 10.0):
         space = FockSliceSpace(nu, UNIT_I)
         grid = exact_grid(24, quad_order, nu)
-        values = np.array([f.eval_slice_grid(grid.x, grid.y, UNIT_I) for f in monos])
+        values = np.array([f.eval_slice_grid(grid.z, UNIT_I) for f in monos])
         gram = space.gram(monos)
         norms = np.diagonal(gram[..., 0])
         scale = np.sqrt(norms[:, None] * norms[None, :])
@@ -221,14 +221,15 @@ def crit_kernel_sum(gamma, seed) -> list[CheckResult]:
 
 
 def _bound_ratio(gamma, f: GaussSeries, points) -> float:
-    """The largest |f(q)| / (exp(2y^2/gamma^2) ||f||) over the slice points
-    q = x + yI, ||f|| in closed form; above 1, or NaN, violates the bound."""
+    """The largest |f(q)| / (exp(2y^2/gamma^2) ||f||) over the complex
+    points z = x + iy, q = x + yI, ||f|| in closed form; above 1, or NaN,
+    violates the bound."""
     norm = math.sqrt(RBFSliceSpace(gamma, UNIT_I).norm_sq(f))
     ratio = 0.0
-    for sp in points:
-        q = sp.to_quaternion()
+    for z in points:
+        q = embed_in_slice(z, UNIT_I)
         bound = finite_values("the pointwise bound", lambda: math.exp(
-            2.0 * sp.y * sp.y / (gamma * gamma)) * norm, q, numpy=False,
+            2.0 * z.imag * z.imag / (gamma * gamma)) * norm, q, numpy=False,
             gamma=gamma)
         ratio = np.maximum(ratio, abs(f.eval(q)) / bound)
     return ratio
@@ -237,23 +238,22 @@ def _bound_ratio(gamma, f: GaussSeries, points) -> float:
 def crit_diagonal_and_bound(gamma, seed) -> list[CheckResult]:
     """Diagonal K(q,q) = exp(4y^2/g^2); |f(q)| <= exp(2y^2/g^2) ||f||."""
     rng = np.random.default_rng(seed + 3)
-    grid = [(x, y) for x in np.linspace(-2.0, 2.0, 7)
+    grid = [complex(x, y) for x in np.linspace(-2.0, 2.0, 7)
             for y in np.linspace(-2.0, 2.0, 7)]
     worst = 0.0
     for unit in (UNIT_I, UNIT_IJ):
-        for x, y in grid:
-            q = SlicePoint(x, y, unit).to_quaternion()
+        for z in grid:
+            q = embed_in_slice(z, unit)
             k = rbf_kernel_qslice(gamma, q, q)
-            expected = math.exp(4.0 * y * y / (gamma * gamma))
+            expected = math.exp(4.0 * z.imag * z.imag / (gamma * gamma))
             worst = np.maximum(worst, abs(k - Quaternion.from_real(expected)) / expected)
     results = [CheckResult("kernel-diagonal-identity", {"gamma": gamma},
                             worst, 1e-10)]
 
-    points = [SlicePoint(x, y, UNIT_I) for x, y in grid]
     worst_ratio = 0.0
     for _ in range(5):
         f = GaussSeries(gamma, _random_qseries(rng, 6))
-        worst_ratio = np.maximum(worst_ratio, _bound_ratio(gamma, f, points))
+        worst_ratio = np.maximum(worst_ratio, _bound_ratio(gamma, f, grid))
     results.append(CheckResult("pointwise-bound", {"gamma": gamma},
                                 worst_ratio - 1.0, 1e-9))
     return results

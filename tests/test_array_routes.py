@@ -72,7 +72,7 @@ def test_slice_gram_matches_per_pair_reference(unit, mixed_series):
     space = FockSliceSpace(1.3, unit, 40)
     gram = space.gram(mixed_series)
     grid = spaces._grid(space.quad_order, space.nu)
-    vals = [f.eval_slice_grid(grid.x, grid.y, unit) for f in mixed_series]
+    vals = [f.eval_slice_grid(grid.z, unit) for f in mixed_series]
     n = len(mixed_series)
     assert gram.shape == (n, n, 4)
     for a in range(n):
@@ -112,7 +112,7 @@ def test_small_rule_slice_integrals_match_full_order_reference(kind, order):
         fock = space._fock
         members = [GaussSeries(1.2, f) for f in series]
     grid = spaces._grid(fock.quad_order, fock.nu)
-    vals = [f.eval_slice_grid(grid.x, grid.y, unit) for f in series]
+    vals = [f.eval_slice_grid(grid.z, unit) for f in series]
     want = np.array([[pair_integral_reference(fock, vf, vg) for vg in vals]
                      for vf in vals])
     gram = space.gram(members)
@@ -216,19 +216,20 @@ def test_reproduce_and_direct_route_match_reference(unit):
     fock = space._fock
     f, g = (GaussSeries(1.0, random_series(rng, d)) for d in (6, 12))
     w = Quaternion(0.3, -0.2, 0.4, 0.1)
-    x, y, _ = spaces._grid(fock.quad_order, fock.nu)
-    kvals = qa.star_exp_grid(fock.nu, x, y, unit, w)
-    want = pair_integral_reference(fock, f.series.eval_slice_grid(x, y, unit),
+    z, _ = spaces._grid(fock.quad_order, fock.nu)
+    kvals = qa.star_exp_grid(fock.nu, z, unit, w)
+    want = pair_integral_reference(fock, f.series.eval_slice_grid(z, unit),
                                    kvals)
     got = fock.reproduce(f.series, w)
     assert np.abs(np.array(got.to_list()) - want).max() <= 1e-14 * np.abs(want).max()
 
     # the direct route's integrand is a polynomial of degree 6 + 12: its
     # grid is the smallest exact one, of order 10
-    x, y, _ = spaces._grid(10, fock.nu)
+    z, _ = spaces._grid(10, fock.nu)
+    x, y = z.real, z.imag
     comp = np.exp(-4.0 * y ** 2 + fock.nu * (x ** 2 + y ** 2))
-    vals_f = f.eval_slice_grid(x, y, unit)
-    vals_g = g.eval_slice_grid(x, y, unit)
+    vals_f = f.eval_slice_grid(z, unit)
+    vals_g = g.eval_slice_grid(z, unit)
     want = pair_integral_reference(fock, vals_f * comp[..., None], vals_g, 10)
     got = space.inner_product_direct(f, g)
     scale = math.sqrt(space.norm_sq(f) * space.norm_sq(g))
@@ -329,12 +330,14 @@ def test_slice_decompose_arr_equals_slice_decompose():
     q = np.concatenate([quaternion_grid(rng, 300),
                         [[1.0, 5e-324, 0.0, 0.0], [0.0, 3e-320, -4e-320, 1e-322],
                          [2.0, 1e300, 1e300, 1e300], [-0.0, -0.0, 0.0, -0.0]]])
-    x, y, units = qa.slice_decompose_arr(q)
+    z, units = qa.slice_decompose_arr(q)
     for i, point in enumerate(q):
-        sp = slice_decompose(Quaternion(*point))
-        assert (x[i], y[i]) == (sp.x, sp.y)
-        assert units[i].tolist() == [sp.unit.x, sp.unit.y, sp.unit.z]
-    x2, y2, units2 = qa.slice_decompose_arr(q.reshape(2, -1, 4))
+        zs, unit = slice_decompose(Quaternion(*point))
+        # bitwise, so a -0.0 real part must stay -0.0
+        assert z[i:i + 1].tobytes() == np.array([zs]).tobytes()
+        assert units[i].tolist() == [unit.x, unit.y, unit.z]
+    z2, units2 = qa.slice_decompose_arr(q.reshape(2, -1, 4))
+    assert z2.ravel().tobytes() == z.tobytes()
     assert np.array_equal(units2.reshape(-1, 3), units)
 
 

@@ -82,14 +82,14 @@ class TestRBFBasis:
         assert abs(got - Quaternion.from_real(got.w)) == 0.0
 
     def test_quaternionic_matches_complex_on_slice(self):
-        from rbffock import ImaginaryUnit, SlicePoint
+        from rbffock import ImaginaryUnit, embed_in_slice
         unit = ImaginaryUnit.from_vector(0.0, 1.0, 1.0)
         z = complex(0.4, -0.8)
-        q = SlicePoint(z.real, z.imag, unit).to_quaternion()
+        q = embed_in_slice(z, unit)
         for n in (0, 2, 5):
             zval = rbf_basis_c(1.5, n, z)
             qval = rbf_basis_q(1.5, n, q)
-            ref = SlicePoint(zval.real, zval.imag, unit).to_quaternion()
+            ref = embed_in_slice(zval, unit)
             assert abs(qval - ref) <= 1e-14 * (1 + abs(ref))
 
     def test_multi_index_reduces_to_1d(self):

@@ -1070,6 +1070,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "nope" in err
 
+    def test_empty_criterion_names_exit_2(self, tmp_path, capsys):
+        # an empty --only selects nothing, as an empty name in a list does
+        report = tmp_path / "report.json"
+        for only in ("", " ", "isometry,"):
+            code, out, err = run_cli(["verify", f"--only={only}", "--report",
+                                      str(report)], capsys)
+            assert code == 2 and out == "" and not report.exists()
+            assert "unknown criteria ['']" in err
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         # one route of the product factorization off by 1e-6 fails its row
         from rbffock import verify

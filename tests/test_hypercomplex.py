@@ -7,8 +7,8 @@ from conftest import assert_qclose, random_quaternion
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbffock import (ImaginaryUnit, Quaternion, SlicePoint, intrinsic_exp_sq,
-                     slice_decompose, star_exp)
+from rbffock import (ImaginaryUnit, Quaternion, embed_in_slice,
+                     intrinsic_exp_sq, slice_decompose, star_exp)
 from rbffock._quatarray import star_exp_grid
 
 ONE = Quaternion(1, 0, 0, 0)
@@ -144,35 +144,33 @@ class TestImaginaryUnit:
 
 class TestSliceDecompose:
     def test_on_standard_slice(self):
-        sp = slice_decompose(Quaternion(3, 4, 0, 0))
-        assert (sp.x, sp.y) == (3.0, 4.0)
-        assert (sp.unit.x, sp.unit.y, sp.unit.z) == (1.0, 0.0, 0.0)
+        z, unit = slice_decompose(Quaternion(3, 4, 0, 0))
+        assert z == complex(3.0, 4.0)
+        assert (unit.x, unit.y, unit.z) == (1.0, 0.0, 0.0)
 
     def test_unit_normalized(self):
         # 1 + j + k = 1 + sqrt(2) * (j + k)/sqrt(2)
-        sp = slice_decompose(Quaternion(1, 0, 1, 1))
-        assert sp.y == pytest.approx(math.sqrt(2), rel=1e-15)
-        assert sp.unit.y == pytest.approx(1 / math.sqrt(2), rel=1e-15)
-        assert sp.unit.z == pytest.approx(1 / math.sqrt(2), rel=1e-15)
-        assert_qclose(sp.to_quaternion(), Quaternion(1, 0, 1, 1), tol=1e-15)
+        z, unit = slice_decompose(Quaternion(1, 0, 1, 1))
+        assert z.imag == pytest.approx(math.sqrt(2), rel=1e-15)
+        assert unit.y == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+        assert unit.z == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+        assert_qclose(embed_in_slice(z, unit), Quaternion(1, 0, 1, 1), tol=1e-15)
 
     def test_real_degenerate(self):
-        sp = slice_decompose(Quaternion.from_real(5.0))
-        assert (sp.x, sp.y) == (5.0, 0.0)
-        assert sp.unit.x == 1.0
+        z, unit = slice_decompose(Quaternion.from_real(5.0))
+        assert z == complex(5.0, 0.0)
+        assert unit.x == 1.0
 
     def test_subnormal_imaginary_part(self):
         q = Quaternion(0.0, 0.0, 5e-324, 5e-324)
-        sp = slice_decompose(q)
-        assert sp.unit.y == sp.unit.z == pytest.approx(1 / math.sqrt(2),
-                                                       rel=1e-15)
-        assert sp.to_quaternion() == q
+        z, unit = slice_decompose(q)
+        assert unit.y == unit.z == pytest.approx(1 / math.sqrt(2), rel=1e-15)
+        assert embed_in_slice(z, unit) == q
 
     @given(quaternions)
     @settings(max_examples=200, deadline=None)
     def test_roundtrip(self, q):
-        sp = slice_decompose(q)
-        back = sp.to_quaternion()
+        back = embed_in_slice(*slice_decompose(q))
         # division and re-multiplication cost at most a couple of ulps
         assert abs(back - q) <= 4e-16 * (1.0 + abs(q))
 
@@ -198,9 +196,9 @@ class TestIntrinsicExpSq:
         rng = np.random.default_rng(7)
         for _ in range(20):
             q = random_quaternion(rng, 1.5)
-            sp = slice_decompose(q)
-            w = SlicePoint(rng.uniform(-1, 1), rng.uniform(-1, 1),
-                           sp.unit).to_quaternion()
+            _, unit = slice_decompose(q)
+            w = embed_in_slice(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                               unit)
             e = intrinsic_exp_sq(1.3, q)
             assert abs(e * w - w * e) <= 1e-13 * (1 + abs(e * w))
 
@@ -231,11 +229,11 @@ class TestStarExp:
             z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             w = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
             nu = rng.uniform(0.5, 3.0)
-            q = SlicePoint(z.real, z.imag, unit).to_quaternion()
-            p = SlicePoint(w.real, w.imag, unit).to_quaternion()
+            q = embed_in_slice(z, unit)
+            p = embed_in_slice(w, unit)
             expected = np.exp(nu * z * w.conjugate())
             got = star_exp(nu, q, p)
-            ref = SlicePoint(expected.real, expected.imag, unit).to_quaternion()
+            ref = embed_in_slice(expected, unit)
             assert abs(got - ref) <= 1e-12 * (1 + abs(ref))
 
     def test_matches_high_precision_series(self):
@@ -259,13 +257,14 @@ class TestStarExp:
     def test_grid_matches_pointwise(self):
         rng = np.random.default_rng(29)
         unit = ImaginaryUnit.from_vector(0.3, -0.8, 0.5)
-        p = SlicePoint(0.7, -1.1, ImaginaryUnit.from_vector(-0.6, 0.2, 0.9)).to_quaternion()
+        p = embed_in_slice(complex(0.7, -1.1),
+                           ImaginaryUnit.from_vector(-0.6, 0.2, 0.9))
         x = rng.uniform(-2.0, 2.0, (5, 6))
         y = rng.uniform(-2.0, 2.0, (5, 6))
-        grid = star_exp_grid(1.3, x, y, unit, p)
+        grid = star_exp_grid(1.3, x + 1j * y, unit, p)
         assert grid.shape == (5, 6, 4)
         for idx in np.ndindex(x.shape):
-            q = SlicePoint(x[idx], y[idx], unit).to_quaternion()
+            q = embed_in_slice(complex(x[idx], y[idx]), unit)
             assert_qclose(Quaternion(*grid[idx]), star_exp(1.3, q, p), tol=1e-14)
 
     def test_overflow_raises(self):
@@ -273,7 +272,7 @@ class TestStarExp:
         with pytest.raises(OverflowError, match="nu=2"):
             star_exp(2.0, big, big)
         with pytest.raises(OverflowError):
-            star_exp_grid(2.0, np.array([0.0, 20.0]), np.array([0.0, 20.0]),
+            star_exp_grid(2.0, np.array([0.0, 20.0]) + 1j * np.array([0.0, 20.0]),
                           ImaginaryUnit(1.0, 0.0, 0.0), big)
 
     def test_validation(self):

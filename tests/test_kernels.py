@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import assert_qclose, random_quaternion
 
-from rbffock import (ImaginaryUnit, Quaternion, SlicePoint,
+from rbffock import (ImaginaryUnit, Quaternion, embed_in_slice,
                      exponential_kernel, fock_kernel_d, intrinsic_exp_sq,
                      kernel_sum_tail_bound, kernel_sum_truncated,
                      polynomial_kernel, rbf_kernel_c, rbf_kernel_d,
@@ -115,7 +115,7 @@ class TestQuaternionicKernel:
     def test_diagonal_identity(self):
         unit = ImaginaryUnit.from_vector(1.0, 2.0, -1.0)
         for x, y, gamma in [(0.5, 1.0, 1.0), (-1.0, 1.5, 2.0)]:
-            q = SlicePoint(x, y, unit).to_quaternion()
+            q = embed_in_slice(complex(x, y), unit)
             got = rbf_kernel_qslice(gamma, q, q)
             assert_qclose(got, Quaternion.from_real(
                 math.exp(4 * y * y / gamma ** 2)), tol=1e-12)
@@ -132,10 +132,10 @@ class TestQuaternionicKernel:
             z = complex(*rng.uniform(-1.2, 1.2, 2))
             w = complex(*rng.uniform(-1.2, 1.2, 2))
             gamma = rng.uniform(0.7, 2.0)
-            q = SlicePoint(z.real, z.imag, unit).to_quaternion()
-            p = SlicePoint(w.real, w.imag, unit).to_quaternion()
+            q = embed_in_slice(z, unit)
+            p = embed_in_slice(w, unit)
             kc = rbf_kernel_c(gamma, z, w)
-            ref = SlicePoint(kc.real, kc.imag, unit).to_quaternion()
+            ref = embed_in_slice(kc, unit)
             assert abs(rbf_kernel_qslice(gamma, q, p) - ref) \
                 <= 1e-12 * (1 + abs(ref))
 
@@ -188,13 +188,13 @@ class TestKernelSum:
         from rbffock import rbf_basis_c
         unit = ImaginaryUnit.from_vector(1.0, 0.0, 1.0)
         z, w = 0.5 + 0.3j, -0.2 + 0.6j
-        q = SlicePoint(z.real, z.imag, unit).to_quaternion()
-        p = SlicePoint(w.real, w.imag, unit).to_quaternion()
+        q = embed_in_slice(z, unit)
+        p = embed_in_slice(w, unit)
         n = 12
         partial = sum(rbf_basis_c(1.0, k, z) * rbf_basis_c(1.0, k, w.conjugate())
                       for k in range(n + 1))
         got = kernel_sum_truncated(1.0, q, p, n)
-        ref = SlicePoint(partial.real, partial.imag, unit).to_quaternion()
+        ref = embed_in_slice(partial, unit)
         assert abs(got - ref) <= 1e-13 * (1 + abs(ref))
 
     def test_term_cap(self):

@@ -41,10 +41,10 @@ class TestQPowerSeries:
         unit = ImaginaryUnit.from_vector(1.0, -1.0, 0.5)
         xs = np.array([0.0, 0.5, -1.2])
         ys = np.array([0.3, -0.7, 1.1])
-        grid = f.eval_slice_grid(xs, ys, unit)
+        grid = f.eval_slice_grid(xs + 1j * ys, unit)
         for k in range(3):
-            from rbffock import SlicePoint
-            q = SlicePoint(float(xs[k]), float(ys[k]), unit).to_quaternion()
+            from rbffock import embed_in_slice
+            q = embed_in_slice(complex(float(xs[k]), float(ys[k])), unit)
             assert_qclose(Quaternion(*grid[k]), f.eval(q), tol=1e-14)
 
 

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_quaternion
 
 from rbffock import (GaussSeries, ImaginaryUnit, QPowerSeries, Quaternion,
-                     SlicePoint)
+                     embed_in_slice)
 from rbffock import _quatarray
 from rbffock._quatarray import join_pair, slice_frame, split_pair
 
@@ -50,7 +50,7 @@ def _check(values, x, y, unit, scalar, scale):
     x, y = np.broadcast_arrays(x, y)
     assert values.shape == x.shape + (4,)
     for idx in np.ndindex(x.shape):
-        q = SlicePoint(float(x[idx]), float(y[idx]), unit).to_quaternion()
+        q = embed_in_slice(complex(float(x[idx]), float(y[idx])), unit)
         err = abs(Quaternion(*values[idx]) - scalar(q))
         assert err <= 1e-13 * scale(q), (idx, err, scale(q))
 
@@ -111,7 +111,7 @@ class TestSplitEvaluation:
         for degree in (0, int(rng.integers(1, 49)), 48):
             f = _series(rng, degree)
             x, y = _grid(rng, shape)
-            _check(f.eval_slice_grid(x, y, unit), x, y, unit, f.eval,
+            _check(f.eval_slice_grid(x + 1j * y, unit), x, y, unit, f.eval,
                    lambda q: _scale(f, q))
 
     @pytest.mark.parametrize("shape", SHAPES, ids=str)
@@ -128,14 +128,14 @@ class TestSplitEvaluation:
                 return env * _scale(g.series, q)
 
             x, y = _grid(rng, shape)
-            _check(g.eval_slice_grid(x, y, unit), x, y, unit, g.eval, scale)
+            _check(g.eval_slice_grid(x + 1j * y, unit), x, y, unit, g.eval, scale)
 
     @pytest.mark.parametrize("seed, unit", UNIT_PARAMS)
     def test_degree_zero_is_the_constant(self, seed, unit):
         # splitting and joining only round, and not at all on an axis frame
         a = Quaternion(0.5, -1.0, 2.0, 3.0)
         x, y = np.zeros((2, 3)), np.ones((2, 3))
-        err = np.abs(QPowerSeries((a,)).eval_slice_grid(x, y, unit)
+        err = np.abs(QPowerSeries((a,)).eval_slice_grid(x + 1j * y, unit)
                      - a.to_list()).max()
         tol = 0.0 if unit in AXES.values() else 4 * np.finfo(float).eps * abs(a)
         assert err <= tol

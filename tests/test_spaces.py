@@ -7,7 +7,7 @@ from conftest import assert_qclose, random_quaternion
 
 from rbffock import (FockCSpace, FockSliceSpace, GaussSeries, ImaginaryUnit,
                      QPowerSeries, Quaternion, RBFCSpace, RBFSliceSpace,
-                     SlicePoint, intrinsic_exp_sq, m_operator,
+                     embed_in_slice, intrinsic_exp_sq, m_operator,
                      rbf_basis_series, rbf_basis_series_d, rbf_kernel_qslice)
 from rbffock.series import CPowerSeries, GaussCSeries
 from rbffock.verify import _bound_ratio
@@ -133,11 +133,12 @@ class TestRBFSliceSpace:
         monkeypatch.setattr(spaces, "_grid", recorded)
         got = np.array(space.inner_product_direct(f, g).to_list())
         assert built == [(a + b) // 2 + 1]
-        x, y, _ = full = grid(80, space.nu)
+        z, _ = full = grid(80, space.nu)
+        x, y = z.real, z.imag
         comp = np.exp(-4.0 * y * y / (gamma * gamma) + space.nu * (x * x + y * y))
         want = space._fock._grid_pair(
-            full, f.eval_slice_grid(x, y, UNIT_TILTED)[None] * comp[..., None],
-            g.eval_slice_grid(x, y, UNIT_TILTED)[None])[0, 0]
+            full, f.eval_slice_grid(z, UNIT_TILTED)[None] * comp[..., None],
+            g.eval_slice_grid(z, UNIT_TILTED)[None])[0, 0]
         scale = math.sqrt(space.norm_sq(f) * space.norm_sq(g))
         assert np.abs(got - want).max() <= 1e-13 * scale
 
@@ -238,12 +239,12 @@ class TestBoundAndSliceChecks:
 
     def test_gaussian_on_real_axis(self):
         f = rbf_basis_series(1.0, 0)
-        points = [SlicePoint(x, 0.0, UNIT_I) for x in np.linspace(-2, 2, 9)]
+        points = [complex(x, 0.0) for x in np.linspace(-2, 2, 9)]
         assert _bound_ratio(1.0, f, points) <= 1.0 + 1e-12
 
     def test_random_series_respect_bound(self):
         rng = np.random.default_rng(26)
-        points = [SlicePoint(x, y, UNIT_I)
+        points = [complex(x, y)
                   for x in np.linspace(-2, 2, 7)
                   for y in np.linspace(-2, 2, 7)]
         for _ in range(5):
@@ -255,7 +256,7 @@ class TestBoundAndSliceChecks:
         from rbffock import verify
         nan = Quaternion(math.nan, 0.0, 0.0, 0.0)
         monkeypatch.setattr(GaussSeries, "eval", lambda self, q: nan)
-        points = [SlicePoint(0.5, 0.5, UNIT_I), SlicePoint(0.0, 1.0, UNIT_I)]
+        points = [complex(0.5, 0.5), complex(0.0, 1.0)]
         assert math.isnan(_bound_ratio(1.0, rbf_basis_series(1.0, 2), points))
         bound = [r for r in verify.run_criterion("diagonal-bound")
                  if r.check == "pointwise-bound"]
@@ -263,7 +264,7 @@ class TestBoundAndSliceChecks:
 
     def test_bound_beyond_double_range_names_the_point(self):
         # exp(2 y^2/gamma^2) = exp(1800) leaves double range
-        points = [SlicePoint(0.0, 30.0, UNIT_I)]
+        points = [complex(0.0, 30.0)]
         with pytest.raises(OverflowError, match=re.escape(
                 "the pointwise bound with gamma=1.0 at point "
                 "[0.0, 30.0, 0.0, 0.0] is not finite")):
@@ -274,7 +275,7 @@ class TestBoundAndSliceChecks:
         # q = p is exactly exp(4y^2/g^2) / exp(4y^2/g^2) = 1
         gamma = 1.0
         nu = 2.0
-        p = SlicePoint(0.4, 0.8, UNIT_I).to_quaternion()
+        p = embed_in_slice(complex(0.4, 0.8), UNIT_I)
         tail = intrinsic_exp_sq(gamma, p.conjugate())
         coeffs = []
         power = Quaternion.from_real(1.0)
@@ -282,7 +283,7 @@ class TestBoundAndSliceChecks:
             coeffs.append((power * tail) * (nu ** n / math.factorial(n)))
             power = power * p.conjugate()
         section = GaussSeries(gamma, QPowerSeries(tuple(coeffs)))
-        ratio = _bound_ratio(gamma, section, [SlicePoint(0.4, 0.8, UNIT_I)])
+        ratio = _bound_ratio(gamma, section, [complex(0.4, 0.8)])
         assert ratio == pytest.approx(1.0, rel=1e-8)
 
     def test_slice_independence(self):

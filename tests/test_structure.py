@@ -36,14 +36,16 @@ def _owners(pattern: str) -> set:
                                      "math.sqrt(k / (k + 1))",
                                      "0.5 * (nu + phi",
                                      'method not in ("auto", "quadrature")',
-                                     "acc *= z", "qmul(unit_q"],
+                                     "acc *= z", "qmul(unit_q",
+                                     "x + 1j * y", "is_integer()"],
                          ids=["subnormal-rescale", "slice-envelope-exponent",
                               "segal-bargmann-prefactor-power",
                               "factorial-weight", "largest-axis-degree",
                               "quaternion-split", "fock-inner-product",
                               "fock-monomial-norm", "hermite-recurrence",
                               "segal-bargmann-rule", "transform-route",
-                              "complex-horner-step", "slice-join"])
+                              "complex-horner-step", "slice-join",
+                              "slice-coordinate", "whole-number"])
 def test_rule_lives_in_one_function(pattern):
     owners = _owners(pattern)
     assert len(owners) == 1, owners

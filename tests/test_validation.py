@@ -22,6 +22,8 @@ from rbffock import (I_DEFAULT, CPowerSeries, FockCSpace, FockSliceSpace,
                      rbf_sb_image_series_d, rbf_sb_kernel, rbf_sb_kernel_d,
                      rbf_sb_transform, rbf_sb_transform_d, sb_kernel,
                      sb_transform, slice_decompose, star_exp)
+from rbffock import (beta_coeffs, cauchy_mul, m_operator, multi_indices,
+                     polynomial_kernel, rbf_basis_series, sequential_norm)
 from rbffock.cli import main
 from rbffock.verify import VerifyConfig
 
@@ -246,11 +248,11 @@ SILENT_OVERFLOW_CALLS = {
     "hermite_h-array": (lambda: hermite_h(1.0, 60, [1.0, 1e200, 1e300]),
                         r"at point \[1e\+200\]"),
     "GaussSeries.eval_slice_grid": (lambda: GaussSeries(1.0, QPowerSeries(
-        (1.0,))).eval_slice_grid([0.0], [30.0], I_DEFAULT),
+        (1.0,))).eval_slice_grid([0.0 + 30.0j], I_DEFAULT),
         r"series value on a slice with unit=\[0.0, 1.0, 0.0, 0.0\] "
         r"at point \[30j\]"),
     "QPowerSeries.eval_slice_grid": (lambda: QPowerSeries(
-        (0.0, 0.0, 1.0)).eval_slice_grid([1e200], [0.0], I_DEFAULT),
+        (0.0, 0.0, 1.0)).eval_slice_grid([1e200 + 0.0j], I_DEFAULT),
         r"series value on a slice with unit=\[0.0, 1.0, 0.0, 0.0\] "
         r"at point \[\(1e\+200\+0j\)\]"),
     "RBFSliceSpace.reproduce": (lambda: RBFSliceSpace(1.0).reproduce(
@@ -417,6 +419,39 @@ def test_whole_number_dimension_is_kept():
     assert CPowerSeries(2.0, ()).dim == 2
     assert type(HermiteCoeffFunctionD(1.0, 2.0, ()).dim) is int
     assert RBFCSpace(1.0, 2.0).dim == 2
+
+
+_SERIES = QPowerSeries((1.0, 2.0))
+
+
+# each call with a whole-number parameter out of its domain: the parameter,
+# its least value, the value given and the call
+@pytest.mark.parametrize("name, minimum, value, call", [
+    ("degree", 0, -1, lambda: QPowerSeries.monomial(-1)),
+    ("degree", 0, -1, lambda: QPowerSeries.exp_sq(1.0, degree=-1)),
+    ("n", 0, -1, lambda: hermite_basis_l2(1.0, -1)),
+    ("max_degree", 0, -1, lambda: cauchy_mul(_SERIES, _SERIES, max_degree=-1)),
+    ("n", 0, 1.5, lambda: rbf_basis_c(1.0, 1.5, 0.5j)),
+    ("n", 0, -1, lambda: rbf_basis_c(1.0, -1, 0.5j)),
+    ("n", 0, -1, lambda: rbf_basis_q(1.0, -1, _Q)),
+    ("n", 0, -1, lambda: rbf_basis_series(1.0, -1)),
+    ("n", 0, 2.5, lambda: rbf_basis_series(1.0, 2.5)),
+    ("n", 0, -1, lambda: rbf_basis_d(1.0, (1, -1), (0.5j, 0.5))),
+    ("k_max", 0, -1, lambda: beta_coeffs(1.0, _SERIES.coeffs, k_max=-1)),
+    ("k_max", 0, -1, lambda: sequential_norm(1.0, _SERIES.coeffs, k_max=-1)),
+    ("out_degree", 0, -1, lambda: m_operator(1.0, 1, _SERIES, out_degree=-1)),
+    ("dim", 1, 0, lambda: multi_indices(0, 2)),
+    ("dim", 1, 1.5, lambda: multi_indices(1.5, 2)),
+    ("degree", 1, 1.5, lambda: polynomial_kernel(1.5, (1.0,), (1.0,))),
+], ids=["monomial", "exp_sq", "hermite_basis_l2", "cauchy_mul",
+        "rbf_basis_c-fraction", "rbf_basis_c", "rbf_basis_q",
+        "rbf_basis_series", "rbf_basis_series-fraction", "rbf_basis_d",
+        "beta_coeffs", "sequential_norm", "m_operator", "multi_indices-0",
+        "multi_indices-fraction", "polynomial_kernel"])
+def test_whole_number_parameter_is_refused_naming_it(name, minimum, value, call):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{name} must be a whole number of at least {minimum}, got {value!r}")):
+        call()
 
 
 # each RBF space: the space, a member of scale gamma, a Fock-side series,
