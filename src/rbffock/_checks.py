@@ -15,13 +15,16 @@ def positive_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
-def whole_number(name: str, value, minimum: int = 0) -> int:
+def whole_number(name: str, value, minimum: int = 0,
+                 maximum: int | None = None) -> int:
     """value as an int; raise ValueError naming ``name`` unless it is a
-    whole number of at least ``minimum``."""
-    if not (isinstance(value, numbers.Real) and value >= minimum
+    whole number of at least ``minimum`` and, given one, at most ``maximum``."""
+    top = math.inf if maximum is None else maximum
+    if not (isinstance(value, numbers.Real) and minimum <= value <= top
             and float(value).is_integer()):
-        raise ValueError(f"{name} must be a whole number of at least "
-                         f"{minimum}, got {value!r}")
+        domain = (f"of at least {minimum}" if maximum is None
+                  else f"in [{minimum}, {maximum}]")
+        raise ValueError(f"{name} must be a whole number {domain}, got {value!r}")
     return int(value)
 
 

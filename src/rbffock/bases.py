@@ -42,14 +42,14 @@ __all__ = [
 MAX_HERMITE_ORDER = 64
 
 
-def _hermite_points(nu: float, n: int, x) -> np.ndarray:
-    """x as a float array, once nu, the order n and every x are checked."""
+def _hermite_points(nu: float, name: str, n: int, x) -> tuple[int, np.ndarray]:
+    """The order n, named ``name``, and x as a float array, once nu, n and
+    every x are checked."""
     positive_finite("nu", nu)
-    if not 0 <= n <= MAX_HERMITE_ORDER:
-        raise ValueError(f"order must lie in [0, {MAX_HERMITE_ORDER}]")
+    n = whole_number(name, n, 0, MAX_HERMITE_ORDER)
     x = np.asarray(x, dtype=float)
     finite_points(x.reshape(-1, 1))
-    return x
+    return n, x
 
 
 def hermite_h(nu: float, n: int, x):
@@ -58,7 +58,7 @@ def hermite_h(nu: float, n: int, x):
     Three-term recurrence h_{k+1} = 2 nu x h_k - 2 k nu h_{k-1}; vectorized
     over x, refusing the first x whose value is not finite.
     """
-    x = _hermite_points(nu, n, x)
+    n, x = _hermite_points(nu, "n", n, x)
 
     def recurrence():
         h_prev, h = np.ones_like(x), 2.0 * nu * x
@@ -76,7 +76,7 @@ def hermite_psi_all(nu: float, n_max: int, x) -> np.ndarray:
     normalized recurrence (``quadrature._orthonormal_hermite``) from row 0
     (nu/pi)^{1/4} exp(-nu x^2/2), which keeps every row O(1) in magnitude.
     """
-    x = _hermite_points(nu, n_max, x)
+    n_max, x = _hermite_points(nu, "n_max", n_max, x)
 
     def recurrence():
         u = math.sqrt(nu) * x
@@ -89,6 +89,7 @@ def hermite_psi_all(nu: float, n_max: int, x) -> np.ndarray:
 
 def hermite_psi(nu: float, n: int, x):
     """Normalized weighted Hermite function, orthonormal in L^2(R, dx)."""
+    n = whole_number("n", n, 0, MAX_HERMITE_ORDER)
     vals = hermite_psi_all(nu, n, x)[n]
     return vals if np.ndim(vals) else float(vals)
 

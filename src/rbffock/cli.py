@@ -13,16 +13,19 @@ Exit codes: 0 success / all checks passed, 1 numerical check failure,
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from ._checks import nu_from_gamma
+from ._csv import csv_rows
 from .bases import (MAX_HERMITE_ORDER, hermite_h, hermite_psi, rbf_basis_c,
                     rbf_basis_q)
 from .gram import GRAM_KERNELS, build_gram, psd_check
@@ -45,10 +48,6 @@ def _refusal(where: str):
         yield
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"{where}: {exc}") from None
-
-
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
 
 
 def _re_im(value: complex) -> list:
@@ -170,7 +169,7 @@ def _kernel_input(data: dict, args, command: str, field: str):
 def cmd_kernel(args) -> int:
     _, spec, params, pairs = _kernel_input(_load_json(args.input), args,
                                            "kernel", "pairs")
-    lines = ["pair," + ",".join(f"value.{c}" for c in _columns(spec.layout))]
+    values = []
     for i, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InputError(f"pairs[{i}]: expected [point, point]")
@@ -178,61 +177,73 @@ def cmd_kernel(args) -> int:
         b = _parse_point(spec.layout, pair[1], f"pairs[{i}][1]")
         with _refusal(f"pairs[{i}]"):
             value = spec(params, a, b)
-        parts = (value.to_list() if isinstance(value, Quaternion)
-                 else [value.real, value.imag])
-        lines.append(f"{i}," + ",".join(map(_fmt, parts)))
-    _write_lines(lines, args.output)
+        values.append(value.to_list() if isinstance(value, Quaternion)
+                      else [value.real, value.imag])
+    rows = csv_rows(np.array(values, dtype=float)).splitlines()
+    _write_lines(["pair," + ",".join(f"value.{c}" for c in _columns(spec.layout))]
+                 + [f"{i},{row}" for i, row in enumerate(rows)], args.output)
     return 0
 
 
-# rows of a Gram formatted together; the rows below a block keep their
-# cells of it, so the writer holds at most about N^2/4 entries of text
+# rows of a Gram formatted together: at most _GRAM_BLOCK, and at most about
+# _BLOCK_NUMBERS numbers unless one row holds more
 _GRAM_BLOCK = 32
-_SIGNS = np.array(["", "-"], dtype=object)
+_BLOCK_NUMBERS = 8192
+# a block holds the GIL in its gathers and its compaction, about half its
+# time, so threads beyond two would add a block of memory each, not speed
+_MAX_THREADS = 2
 
 
-def _gram_rows(g: np.ndarray) -> Iterator[str]:
-    """CSV rows of a Gram, the same bytes as formatting each number by _fmt.
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _gram_block(rows: np.ndarray, sep: str, end: str) -> str:
+    """The CSV text of some rows of a Gram, a cell as its numbers."""
+    rows = np.ascontiguousarray(rows)
+    if np.iscomplexobj(rows):
+        rows = rows.view(float)
+    return csv_rows(rows.reshape(len(rows), -1), sep, end)
+
+
+def _gram_rows(g: np.ndarray, workers: int | None = None) -> Iterator[str]:
+    """CSV rows of a Gram, each number as '%.17g' writes it (_csv.csv_rows).
 
     Quaternion cells are four numbers, complex cells re,im; a real Gram's
     imaginary column is +0.0 throughout and is written as the constant 0.
-    g must be stored exactly Hermitian, as build_gram stores it: an entry
-    and its mirror have equal real parts and imaginary parts of equal
-    magnitude.  So each unordered pair is formatted once, from the upper
-    triangle, with a %s slot before each imaginary magnitude, and each row
-    fills its slots with the signs of its own entries (a zero keeps its
-    own sign).  Rows go in blocks of _GRAM_BLOCK, each block row formatted
-    from the diagonal on; the rows below keep their cells of the block as
-    one fragment per row until their own block is written, at most about
-    N^2/4 entries of text.
+    Blocks of rows are formatted on ``workers`` threads (by default one per
+    CPU this process may use, at most _MAX_THREADS), with at most two
+    blocks per thread in flight, and their rows come out in order; so the
+    writer holds a few blocks' arrays and text, whatever the Gram's size.
+    A Gram of one block is formatted on the calling thread.  Closing the
+    generator, or an error in a block, cancels the blocks not yet started
+    and joins the threads.
     """
     n = g.shape[0]
-    cell = ("%.17g,%%s%.17g,%%s%.17g,%%s%.17g" if g.ndim == 3
-            else "%.17g,%%s%.17g" if np.iscomplexobj(g) else "%.17g,0")
-    template = ";".join([cell] * n)
-    pending = [[] for _ in range(n)]
-    for s in range(0, n, _GRAM_BLOCK):
-        e = min(s + _GRAM_BLOCK, n)
-        values = g[s:e]
-        if np.iscomplexobj(values):
-            values = np.stack((values.real, values.imag), axis=-1)
-        values = values.reshape(e - s, n, -1)
-        signs = _SIGNS[np.signbit(values[..., 1:]).view(np.int8)]
-        signs = signs.reshape(e - s, -1).tolist()
-        values = np.concatenate((values[..., :1], np.abs(values[..., 1:])),
-                                axis=-1)
-        # rows[t][c] is the cell of (s + t, s + c), blank left of the diagonal
-        rows = [[""] * t + (template[(s + t) * (len(cell) + 1):]
-                            % tuple(values[t, s + t:].ravel().tolist())).split(";")
-                for t in range(e - s)]
-        for t, column in enumerate(zip(*rows)):
-            r = s + t
-            if r >= e:
-                pending[r].append(",".join(column))
-                continue
-            line = ",".join(pending[r] + [*column[:t], *rows[t][t:]])
-            pending[r] = None
-            yield line % tuple(signs[t]) if signs[t] else line
+    sep, end = ((",", "\n") if np.iscomplexobj(g) or g.ndim == 3
+                else (",0,", ",0\n"))
+    numbers = g[0].size * (2 if np.iscomplexobj(g) else 1)
+    step = max(1, min(_GRAM_BLOCK, _BLOCK_NUMBERS // numbers))
+    if n <= step:
+        yield from _gram_block(g, sep, end).splitlines()
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    workers = workers or min(_cpus(), _MAX_THREADS)
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="rbffock-csv")
+    pending: collections.deque = collections.deque()
+    try:
+        for s in range(0, n, step):
+            pending.append(pool.submit(_gram_block, g[s:s + step], sep, end))
+            if len(pending) == 2 * workers:
+                yield from pending.popleft().result().splitlines()
+        while pending:
+            yield from pending.popleft().result().splitlines()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_gram(args) -> int:
@@ -251,8 +262,9 @@ def cmd_gram(args) -> int:
     n = gram.size
     header = ",".join(f"g{b}.{c}" for b in range(n)
                       for c in _columns(spec.layout))
-    _write_lines(itertools.chain([header], _gram_rows(gram.entries)),
-                 args.output)
+    rows = _gram_rows(gram.entries)
+    with contextlib.closing(rows):
+        _write_lines(itertools.chain([header], rows), args.output)
 
     payload = {"kernel": kernel_id, "params": params, "size": n,
                "min_eig": report.min_eigenvalue, "tol": report.tol,
@@ -283,14 +295,12 @@ def _grid_values(apply, points: np.ndarray) -> np.ndarray:
 
 
 def _transform_rows(points: np.ndarray, values: np.ndarray) -> Iterator[str]:
-    """CSV rows: each point's coordinates, then its value's, as _fmt would;
-    a complex number is written as re,im."""
+    """CSV rows: each point's coordinates, then its value's, each number as
+    '%.17g' writes it; a complex number is written as re,im."""
     table = np.column_stack([points, values])
     if np.iscomplexobj(table):
         table = table.view(float)
-    template = ",".join(["%.17g"] * table.shape[1])
-    for row in table.tolist():
-        yield template % tuple(row)
+    yield from csv_rows(table).splitlines()
 
 
 def _hermite_nu(fn_data) -> float:
@@ -434,12 +444,12 @@ def cmd_basis(args) -> int:
         raise InputError(f"basis: the {args.family} family reads no --imag")
     args.imag = 0.0 if args.imag is None else args.imag
     orders = range(args.n_max + 1)
-    lines = ["x," + ",".join(f"n{n}{c}" for n in orders for c in suffixes)]
     with _refusal("basis"):
-        lines += [",".join(map(_fmt, [x, *(v for n in orders
-                                           for v in values(args, float(x), n))]))
-                  for x in xs]
-    _write_lines(lines, args.output)
+        table = np.array([[x, *(v for n in orders for v in values(args, x, n))]
+                          for x in xs.tolist()], dtype=float)
+    header = "x," + ",".join(f"n{n}{c}" for n in orders for c in suffixes)
+    table = table.reshape(len(xs), 1 + len(orders) * len(suffixes))
+    _write_lines([header, *csv_rows(table).splitlines()], args.output)
     return 0
 
 

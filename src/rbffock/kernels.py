@@ -113,8 +113,7 @@ def rbf_kernel_qslice(gamma: float, q: Quaternion, p: Quaternion) -> Quaternion:
 def kernel_sum_truncated(gamma: float, q: Quaternion, p: Quaternion,
                          n_terms: int) -> Quaternion:
     """Partial sum sum_{n<=n_terms} e_n(q) e_n(conj(p)) of the RBF kernel."""
-    if not 0 <= n_terms <= 64:
-        raise ValueError("n_terms must lie in [0, 64]")
+    n_terms = whole_number("n_terms", n_terms, 0, 64)
     pbar = p.conjugate()
     return finite_values("the truncated kernel sum", lambda: sum(
         (rbf_basis_q(gamma, n, q) * rbf_basis_q(gamma, n, pbar)
@@ -132,7 +131,7 @@ def kernel_sum_tail_bound(gamma: float, q: Quaternion, p: Quaternion,
     """
     nu = nu_from_gamma(gamma)
     t = nu * abs(q) * abs(p)
-    n = n_terms + 1
+    n = whole_number("n_terms", n_terms) + 1
     if t >= n:
         return math.inf
     yq = q.vec_norm()

@@ -8,6 +8,8 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbffock import GramMatrix, Quaternion, build_gram
-from rbffock import cli
+from rbffock import _csv, cli
 from rbffock.cli import main
 from rbffock.gram import GRAM_KERNELS
 from rbffock.kernels import KERNELS, NORMALIZATIONS
@@ -328,8 +330,8 @@ def signed_zero_gram(components: int) -> np.ndarray:
 
 
 class TestGramRowsWriter:
-    """The writer that formats each unordered pair once writes the bytes of
-    formatting every number by itself, across block edges."""
+    """The writer that formats blocks of rows with numpy, on threads, writes
+    the bytes of formatting every number by itself, across block edges."""
 
     @pytest.mark.parametrize("case", ["random", "real-line", "duplicates"])
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1,
@@ -359,10 +361,105 @@ class TestGramRowsWriter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # rows below a block hold their cells of the rows above it, at most
-        # n^2/4 cells, a quarter of the text; on top come one block's cells
-        # as separate strings and its arrays, under 200 bytes a cell
-        assert peak <= text / 4 + BLOCK * n * 200
+        # the writer holds the blocks in flight, not the rows above them: at
+        # most two threads' arrays, about 130 bytes a number each, a few
+        # blocks' text and, on a first call, its tables and the thread
+        # pool's import, under a quarter of the text and 150 bytes a cell of
+        # a block of BLOCK rows
+        assert peak <= text / 4 + BLOCK * n * 150
+
+    @pytest.mark.parametrize("components", [1, 2, 4],
+                             ids=["real", "complex", "quaternion"])
+    def test_same_bytes_on_one_and_three_threads(self, components):
+        """Blocks come out in order whatever thread formats them; one block
+        holds an exact tie, 2^-25, and takes the % template."""
+        n = 240
+        g = np.random.default_rng(components).uniform(-1.0, 1.0,
+                                                      (n, n, components))
+        g[g < -0.9] = -0.0
+        g[n // 2, 3, 0] = 2.0 ** -25
+        g = g[..., 0] if components == 1 else (
+            g.view(complex)[..., 0] if components == 2 else g)
+        gram = GramMatrix(g, {1: "rbf-real", 2: "rbf-complex",
+                              4: "rbf-qslice"}[components])
+        rows = list(cli._gram_rows(g, workers=1))
+        assert rows == reference_rows(gram)
+        # three threads on cold caches, switching as often as they can
+        _csv._tables.cache_clear()
+        _csv._power.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = list(cli._gram_rows(g, workers=3))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == rows
+
+    def test_a_slow_reader_holds_a_few_blocks(self):
+        """Threads run at most two blocks a thread ahead of the reader, so
+        a reader slower than them does not gather the Gram's text."""
+        g = np.random.default_rng(8).uniform(-1.0, 1.0, (600, 800))
+        tracemalloc.start()
+        try:
+            text = 0
+            for i, row in enumerate(cli._gram_rows(g, workers=2)):
+                text += len(row) + 1
+                if i % 10 == 0:
+                    time.sleep(0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < text / 2
+
+    @staticmethod
+    def _writer_threads():
+        return [t for t in threading.enumerate()
+                if t.name.startswith("rbffock-csv")]
+
+    def test_a_failed_write_leaves_no_thread_running(self, tmp_path,
+                                                     monkeypatch):
+        """stdout fails after the header and a few rows, as a closed pipe
+        does; the error reaches the caller and every writer thread is
+        joined."""
+        class FailingOutput(io.StringIO):
+            def write(self, text):
+                if self.tell() > 100_000:
+                    raise BrokenPipeError("reader went away")
+                return super().write(text)
+
+        points = np.random.default_rng(6).uniform(-1, 1, (400, 2))
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"kernel": "rbf-complex", "gamma": 1.0,
+                                    "points": points.tolist()}))
+        output = FailingOutput()
+        monkeypatch.setattr(sys, "stdout", output)
+        with pytest.raises(BrokenPipeError):
+            main(["gram", "--input", str(path), "--report",
+                  str(tmp_path / "r.json")])
+        assert 100_000 < output.tell() < 1_000_000
+        assert self._writer_threads() == []
+
+    def test_a_failed_block_or_a_closed_writer_leaves_no_thread_running(
+            self, monkeypatch):
+        g = np.random.default_rng(7).uniform(-1, 1, (400, 400))
+        rows = cli._gram_rows(g, workers=2)
+        next(rows)
+        assert self._writer_threads()
+        rows.close()
+        assert self._writer_threads() == []
+
+        blocks = []
+
+        def fail_third(values, sep, end):
+            blocks.append(len(values))
+            if len(blocks) == 3:
+                raise MemoryError("no room for a block")
+            return ""
+
+        monkeypatch.setattr(cli, "csv_rows", fail_third)
+        with pytest.raises(MemoryError):
+            list(cli._gram_rows(g, workers=2))
+        assert self._writer_threads() == []
 
     def test_stdout_and_output_are_the_same_bytes(self, tmp_path, capsys):
         points = np.random.default_rng(5).uniform(-1, 1, (BLOCK + 7, 3))

@@ -454,6 +454,34 @@ def test_whole_number_parameter_is_refused_naming_it(name, minimum, value, call)
         call()
 
 
+_Q1 = Quaternion(1.0, 0.0, 0.0, 0.0)
+
+
+# whole-number parameters with a range: each is checked as a whole number
+# before its range, so a fraction inside the range is refused, naming it
+@pytest.mark.parametrize("name, domain, value, call", [
+    ("n", "in [0, 64]", 1.5, lambda: hermite_h(1.0, 1.5, 0.3)),
+    ("n", "in [0, 64]", 1.5, lambda: hermite_psi(1.0, 1.5, 0.3)),
+    ("n_max", "in [0, 64]", 2.5, lambda: hermite_psi_all(1.0, 2.5, 0.3)),
+    ("n", "in [0, 64]", 65, lambda: hermite_h(1.0, 65, 0.3)),
+    ("n_terms", "in [0, 64]", 1.5,
+     lambda: kernel_sum_truncated(1.0, _Q1, _Q1, 1.5)),
+    ("n_terms", "in [0, 64]", 65,
+     lambda: kernel_sum_truncated(1.0, _Q1, _Q1, 65)),
+    ("n_terms", "of at least 0", -1,
+     lambda: kernel_sum_tail_bound(1.0, _Q1, _Q1, -1)),
+    ("n_terms", "of at least 0", 1.5,
+     lambda: kernel_sum_tail_bound(1.0, _Q1, _Q1, 1.5)),
+], ids=["hermite_h-fraction", "hermite_psi-fraction", "hermite_psi_all-fraction",
+        "hermite_h-above", "kernel_sum_truncated-fraction",
+        "kernel_sum_truncated-above", "kernel_sum_tail_bound-negative",
+        "kernel_sum_tail_bound-fraction"])
+def test_whole_number_in_its_range_is_refused_naming_it(name, domain, value, call):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{name} must be a whole number {domain}, got {value!r}")):
+        call()
+
+
 # each RBF space: the space, a member of scale gamma, a Fock-side series,
 # and a point whose envelope overflows, with its name in the refusal
 RBF_SPACES = {
